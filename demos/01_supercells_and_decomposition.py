@@ -10,8 +10,8 @@ that a key dimension lives in the headers.
 from collections import Counter
 
 from supercell import CanonKind, RawTable, SourceDescriptor, decompose, render_feature
-from supercell.ingest import Pivot
-from supercell.perturb import pivot_corpus, reorder_attributes
+from supercell.ingest import Pivot, pivot_table
+from supercell.perturb import reorder_attributes
 
 table = RawTable(
     ("Date", "Province/State", "Country/Region", "Deaths"),
@@ -42,7 +42,7 @@ print("column order shuffled   -> same super-cell multiset:", same)
 
 # Pivot the date dimension into the headers (the classic time-series layout
 # change) and decompose with a pivoted descriptor: same cells again.
-pivoted = pivot_corpus(table, ["Date", "Province/State", "Country/Region"], "Date")
+pivoted = pivot_table(table, ["Date", "Province/State", "Country/Region"], "Date")
 print("pivoted header:", pivoted.header)
 pivoted_desc = SourceDescriptor(
     source_id="deaths",

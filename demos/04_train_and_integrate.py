@@ -17,7 +17,7 @@ from supercell.evaluate import (
     train_on_fixture,
     variant_test_set,
 )
-from supercell.learner import TrainConfig, accuracy, integrate_predictions, predict
+from supercell.learner import TrainConfig, accuracy, integrate_predictions, predict_cells
 from supercell.mapping import generate_training_data, oracle_integrate
 from supercell.perturb import PerturbationPlan
 
@@ -63,7 +63,7 @@ print()
 # One prediction up close: a cell with a never-seen date still lands on the
 # right row because the key label is a COPY of the date component.
 cell = fixture.all_cells()[0]
-prediction = predict(cell, aug_model)
+prediction = predict_cells([cell], aug_model)[0]
 print("cell keys:", cell.keys)
 print("predicted position:", prediction.position.keys, prediction.position.attributes,
       prediction.position.agg_mode.value, f"(confidence {prediction.confidence:.3f})")

@@ -27,13 +27,13 @@ from .mapping import (
     generate_training_data,
     oracle_integrate,
 )
-from .perturb import PerturbationPlan, augment, expand_keys, pivot_corpus
+from .perturb import PerturbationPlan, augment, expand_keys
 from .learner import (
     ModelParams,
     TrainConfig,
     accuracy,
     gradient_check,
-    predict,
+    predict_cells,
     train,
 )
 from .assemble import TargetTable, finalize_and_write
@@ -58,6 +58,6 @@ __all__ = [
     "canonicalize", "consistency_check", "decompose", "decompose_log",
     "estimate_jaccard", "expand_keys", "finalize_and_write",
     "generate_training_data", "gradient_check", "match_columns",
-    "oracle_integrate", "pivot_corpus", "predict", "render_feature",
+    "oracle_integrate", "predict_cells", "render_feature",
     "select_sources", "signature", "storage_report", "train",
 ]

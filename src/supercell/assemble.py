@@ -11,8 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
@@ -112,20 +111,13 @@ class CellState:
 
 @dataclass
 class AssemblyReport:
-    build_ms: float = 0.0
-    transform_ms: float = 0.0
-    write_ms: float = 0.0
+    """Value counts only, so the report is byte-identical across runs."""
+
     cells_written: int = 0
     cells_skipped: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "build_ms": self.build_ms,
-            "transform_ms": self.transform_ms,
-            "write_ms": self.write_ms,
-            "cells_written": self.cells_written,
-            "cells_skipped": self.cells_skipped,
-        }
+        return asdict(self)
 
 
 class TargetTable:
@@ -143,42 +135,42 @@ class TargetTable:
         self.report = AssemblyReport()
 
     def apply(self, cell: SuperCell, pos: TargetPosition) -> None:
-        """Write one super cell at its (already COPY-resolved) position."""
-        started = time.perf_counter()
-        try:
-            if pos.is_discard:
-                return
-            if len(pos.keys) != self.schema.q:
-                self.report.cells_skipped += len(pos.attributes)
-                return
-            if any(is_wildcard(k) for k in pos.keys):
-                concrete = [
-                    (i, k) for i, k in enumerate(pos.keys) if not is_wildcard(k)
-                ]
-                if any(k is None for _, k in concrete):
-                    self.report.cells_skipped += len(pos.attributes)
-                    return
-                targets = [
-                    key
-                    for key in self.rows
-                    if all(key[i] == k for i, k in concrete)
-                ]
-            else:
-                if any(k is None or copy_index(k) is not None for k in pos.keys):
-                    # Unresolved or unaddressable key; nothing sensible to write.
-                    self.report.cells_skipped += len(pos.attributes)
-                    return
-                key = tuple(k for k in pos.keys)  # type: ignore[misc]
-                if key not in self.rows:
-                    self.rows[key] = {}
-                targets = [key]
-            for attr, value in zip(pos.attributes, cell.values):
-                if attr is None:
-                    continue
-                for key in targets:
-                    self._write(key, attr, value, pos.agg_mode)
-        finally:
-            self.report.build_ms += (time.perf_counter() - started) * 1000.0
+        """Write one super cell at its (already COPY-resolved) position.
+
+        Values past the position's last attribute (a cell wider than the
+        model's ``max_width``) have nowhere to go and count as skipped."""
+        if pos.is_discard:
+            return
+        unplaced = max(len(cell.values) - len(pos.attributes), 0)
+        targets = self._target_rows(pos.keys)
+        if targets is None:
+            self.report.cells_skipped += len(pos.attributes) + unplaced
+            return
+        for attr, value in zip(pos.attributes, cell.values):
+            if attr is None:
+                continue
+            for key in targets:
+                self._write(key, attr, value, pos.agg_mode)
+        self.report.cells_skipped += unplaced
+
+    def _target_rows(self, keys: tuple) -> list[tuple[str, ...]] | None:
+        """Row keys a position writes to, creating a concrete row on first
+        use; None when the keys address no row."""
+        if len(keys) != self.schema.q:
+            return None
+        if any(is_wildcard(k) for k in keys):
+            concrete = [(i, k) for i, k in enumerate(keys) if not is_wildcard(k)]
+            if any(k is None for _, k in concrete):
+                return None
+            return [
+                key for key in self.rows if all(key[i] == k for i, k in concrete)
+            ]
+        if any(k is None or copy_index(k) is not None for k in keys):
+            # Unresolved or unaddressable key; nothing sensible to write.
+            return None
+        key = tuple(keys)
+        self.rows.setdefault(key, {})
+        return [key]
 
     def _write(self, key: tuple[str, ...], attr: str, value: str, mode: AggMode) -> None:
         row = self.rows[key]
@@ -240,13 +232,9 @@ class TargetTable:
 def finalize_and_write(
     table: TargetTable, path: str | Path
 ) -> tuple[Path, AssemblyReport]:
-    """Write the finalized table as CSV and return the filled report."""
-    started = time.perf_counter()
+    """Write the finalized table as CSV and return the table's report."""
     header = table.header()
     rows = table.finalized_rows()
-    table.report.transform_ms = (time.perf_counter() - started) * 1000.0
-
-    started = time.perf_counter()
     path = Path(path)
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -255,7 +243,6 @@ def finalize_and_write(
             writer.writerows(rows)
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
-    table.report.write_ms = (time.perf_counter() - started) * 1000.0
     return path, table.report
 
 

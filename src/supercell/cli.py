@@ -10,9 +10,11 @@ eval, ablate, gradcheck. All take --config (a JSON run config), --seed, and
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
+import time
 from pathlib import Path
 
 from . import assemble, baseline, evaluate, learner, mapping, perturb
@@ -185,7 +187,11 @@ def cmd_augment(config: dict) -> int:
 
 
 def _train_config(config: dict) -> learner.TrainConfig:
-    cfg = learner.TrainConfig(**config.get("learner", {}))
+    block = config.get("learner", {})
+    unknown = set(block) - {f.name for f in dataclasses.fields(learner.TrainConfig)}
+    if unknown:
+        raise UsageError(f"unknown learner config keys: {sorted(unknown)}")
+    cfg = learner.TrainConfig(**block)
     cfg.seed = int(config.get("seed", cfg.seed))
     return cfg
 
@@ -218,11 +224,18 @@ def cmd_integrate(config: dict) -> int:
     model_path = config["_resolve"](config["model"]) if "model" in config else out_dir / "model.npz"
     params = learner.ModelParams.load(model_path)
     spec = _spec(config)
+    if params.schema.to_dict() != spec.target.to_dict():
+        raise UsageError(f"model {model_path} was trained for a different target schema")
     corpora = _read_corpora(out_dir / "supercells.jsonl")
     cells = [c for d in spec.sources for c in corpora.get(d.source_id, ())]
-    table = learner.integrate_predictions(cells, params, spec.target)
+    started = time.perf_counter()
+    table = learner.integrate_predictions(cells, params)
     path, report = assemble.finalize_and_write(table, out_dir / "target.csv")
+    elapsed = time.perf_counter() - started
     assemble.write_report(report, out_dir / "assembly_report.json")
+    with open(out_dir / "timings.json", "w", encoding="utf-8") as fh:
+        json.dump({"integrate_s": elapsed}, fh, indent=1)
+        fh.write("\n")
     log(f"integrate: {report.cells_written} cells "
         f"({report.cells_skipped} skipped) -> {path}")
     return 0

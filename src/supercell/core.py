@@ -396,11 +396,3 @@ class LabelSpace:
         if all(a is None for a in attrs):
             return discard_position(len(keys), len(attrs))
         return TargetPosition(keys, attrs, agg)
-
-
-def render_label(pos: TargetPosition, schema: TargetSchema, **space_args) -> LabelVector:
-    return LabelSpace(schema, **space_args).render(pos)
-
-
-def decode_label(label: LabelVector, schema: TargetSchema, **space_args) -> TargetPosition:
-    return LabelSpace(schema, **space_args).decode(label)

@@ -20,9 +20,9 @@ from .ingest import (
     SourceDescriptor,
     decompose,
     decompose_log,
+    pivot_table,
 )
 from .mapping import KeyHierarchy, KeyMapEntry, MappingSpec
-from .perturb import pivot_corpus
 
 
 def packaged_dictionary(name: str) -> SynonymDictionary:
@@ -232,7 +232,7 @@ def build_pivoted_deaths(fixture: Fixture) -> tuple[RawTable, SourceDescriptor]:
     deaths_table = RawTable(
         ("Date", "Province/State", "Country/Region", "Deaths"), deaths_rows
     )
-    pivoted = pivot_corpus(
+    pivoted = pivot_table(
         deaths_table, ["Date", "Province/State", "Country/Region"], "Date"
     )
     dict_kind = CanonKind("dict", "covid_synonyms")

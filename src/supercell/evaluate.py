@@ -281,13 +281,13 @@ def compare_baseline(
         pivoted_table, pivoted_desc = build_pivoted_deaths(fixture)
         cr_table, cr_desc = covid_unpivoted_view(fixture)
         started = time.perf_counter()
-        pivot_corpus_cells = (
+        pivoted_cells = (
             decompose(cr_table, cr_desc, fixture.dictionaries)
             + decompose(pivoted_table, pivoted_desc, fixture.dictionaries)
             + fixture.corpora["mobility"]
         )
         timings["pivot_decompose_s"] = time.perf_counter() - started
-        pivot_learner = integrate_predictions(pivot_corpus_cells, params)
+        pivot_learner = integrate_predictions(pivoted_cells, params)
         report["learner_pivoted_agreement"] = round(
             diff_tables(oracle, pivot_learner)["agreement"], 4
         )
@@ -340,21 +340,3 @@ def compare_baseline(
     finalize_and_write(learner_table, out_dir / "learner.csv")
     return report
 
-
-def timing_report(stages: dict[str, tuple[float, int]], path: str | Path | None = None) -> dict:
-    """Stage wall-times with sample counts and per-sample derivations."""
-    out = {
-        "stages": {
-            name: {
-                "seconds": seconds,
-                "count": count,
-                "per_item_s": (seconds / count) if count else None,
-            }
-            for name, (seconds, count) in stages.items()
-        }
-    }
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(out, fh, indent=1)
-            fh.write("\n")
-    return out

@@ -22,14 +22,13 @@ import numpy as np
 
 from .canon import CanonKind, DictionaryStore, SynonymDictionary
 from .core import (
-    AGG_MODES,
     FeatureSentence,
     KeyDomain,
     LabelSpace,
+    LabelVector,
     SuperCell,
     TargetPosition,
     TargetSchema,
-    discard_position,
     render_feature,
 )
 from .mapping import LabeledSample, resolve_position
@@ -127,7 +126,6 @@ class ModelParams:
     key_kinds: list[CanonKind]
     arrays: dict[str, np.ndarray]
     dictionaries: dict[str, list[list[str]]] = field(default_factory=dict)
-    opt_state: dict | None = None
 
     def __post_init__(self) -> None:
         self.vocab = SubwordVocab(
@@ -254,17 +252,10 @@ def encode_samples(
     return out
 
 
-def embed_sentence(sentence: FeatureSentence, params: ModelParams) -> np.ndarray:
-    """Token vectors: each is the mean of the token's subword bucket rows."""
-    E = params.arrays["E"]
-    vectors = np.empty((len(sentence.tokens), E.shape[1]), dtype=E.dtype)
-    for i, token in enumerate(sentence.tokens):
-        vectors[i] = E[params.vocab.buckets(token)].mean(axis=0)
-    return vectors
-
-
 def _embed_batch(batch: list[EncodedSample], params: ModelParams):
-    """Stack a batch into (X, mask) with a cache for the embedding backward."""
+    """Stack a batch into (X, mask) with a cache for the embedding backward.
+
+    Each token vector is the mean of the token's subword bucket rows."""
     E = params.arrays["E"]
     dtype = E.dtype
     B = len(batch)
@@ -354,20 +345,9 @@ def _gru_backward(dh, steps, X, W, U, grads_W, grads_U, grads_b, dX):
     return dh
 
 
-def forward(
-    sentence_or_batch, params: ModelParams, return_cache: bool = False
-):
-    """Per-head logits for one feature sentence or a prepared batch."""
-    if isinstance(sentence_or_batch, FeatureSentence):
-        bucket_ids, starts = encode_sentence(sentence_or_batch, params.vocab)
-        batch = [EncodedSample(bucket_ids, starts, len(sentence_or_batch.tokens), None)]
-        logits, _ = _forward_batch(batch, params)
-        return [l[0] for l in logits]
-    logits, cache = _forward_batch(sentence_or_batch, params)
-    return (logits, cache) if return_cache else logits
-
-
 def _forward_batch(batch: list[EncodedSample], params: ModelParams):
+    """Per-head logits (one ``(B, classes)`` array per head) plus the cache
+    the backward pass reads."""
     X, mask, embed_cache = _embed_batch(batch, params)
     arrays = params.arrays
     cache: dict = {"X": X, "mask": mask, "embed": embed_cache}
@@ -440,14 +420,8 @@ def loss_and_grads(
     return loss, grads
 
 
-def _adam_step(params: ModelParams, grads: dict, lr: float) -> None:
-    state = params.opt_state
-    if state is None:
-        state = params.opt_state = {
-            "t": 0,
-            "m": {k: np.zeros_like(v) for k, v in params.arrays.items()},
-            "v": {k: np.zeros_like(v) for k, v in params.arrays.items()},
-        }
+def _adam_step(params: ModelParams, grads: dict, lr: float, state: dict) -> None:
+    """One Adam update in place; ``state`` holds the step count and moments."""
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     state["t"] += 1
     t = state["t"]
@@ -498,6 +472,11 @@ def train(
     params = init_params(config, schema, key_kinds, dictionaries)
     encoded = encode_samples(samples, params)
     rng = np.random.default_rng(config.seed + 101)
+    adam_state = {
+        "t": 0,
+        "m": {k: np.zeros_like(v) for k, v in params.arrays.items()},
+        "v": {k: np.zeros_like(v) for k, v in params.arrays.items()},
+    }
     curve: list[CurvePoint] = []
     n = len(encoded)
     for epoch in range(config.epochs):
@@ -507,7 +486,7 @@ def train(
         for start in range(0, n, config.batch_size):
             batch = [encoded[i] for i in order[start : start + config.batch_size]]
             loss, grads = loss_and_grads(batch, params)
-            _adam_step(params, grads, config.learning_rate)
+            _adam_step(params, grads, config.learning_rate, adam_state)
             total_loss += loss
             n_batches += 1
         acc = _accuracy_encoded(encoded, params)
@@ -518,7 +497,7 @@ def train(
 
 
 def _argmax_heads(batch: list[EncodedSample], params: ModelParams) -> np.ndarray:
-    logits = forward(batch, params)
+    logits, _ = _forward_batch(batch, params)
     return np.stack([l.argmax(axis=1) for l in logits], axis=1)
 
 
@@ -556,14 +535,11 @@ class Prediction:
     copy_out_of_range: int = 0
 
 
-def predict(cell: SuperCell, params: ModelParams) -> Prediction:
-    """Argmax position for one super cell, with COPY markers resolved
-    against the cell's canonically ordered keys. An out-of-range COPY
-    component degrades to NULL and is counted on the prediction."""
-    return predict_cells([cell], params)[0]
-
-
 def predict_cells(cells: list[SuperCell], params: ModelParams, chunk: int = 512) -> list[Prediction]:
+    """Argmax position for each super cell, with COPY markers resolved
+    against the cell's canonically ordered keys. An out-of-range COPY
+    component degrades to NULL and is counted on the prediction. A cell
+    wider than ``max_width`` gets a position of ``max_width`` attributes."""
     dictionaries = params.dictionary_store()
     q = params.schema.q
     out: list[Prediction] = []
@@ -575,7 +551,7 @@ def predict_cells(cells: list[SuperCell], params: ModelParams, chunk: int = 512)
             batch.append(
                 EncodedSample(bucket_ids, starts, len(starts), None, width=cell.width)
             )
-        logits = forward(batch, params)
+        logits, _ = _forward_batch(batch, params)
         probs = [_softmax(l) for l in logits]
         for row, cell in enumerate(part):
             w = min(cell.width, params.config.max_width)
@@ -583,33 +559,24 @@ def predict_cells(cells: list[SuperCell], params: ModelParams, chunk: int = 512)
             row_probs = [probs[i][row] for i in head_ids]
             choices = [int(p.argmax()) for p in row_probs]
             confidence = float(np.prod([p[c] for p, c in zip(row_probs, choices)]))
-            keys = tuple(params.space.key_vocabs[s][choices[s]] for s in range(q))
-            attrs = tuple(
-                params.space.attr_vocab[choices[q + j]] for j in range(w)
+            label = LabelVector(tuple(choices[:q]), tuple(choices[q : q + w]), choices[-1])
+            position, degraded = resolve_position(
+                params.space.decode(label), cell, params.key_kinds, dictionaries
             )
-            if all(a is None for a in attrs):
-                position = discard_position(q, w)
-                degraded = 0
-            else:
-                raw = TargetPosition(keys, attrs, AGG_MODES[choices[-1]])
-                position, degraded = resolve_position(
-                    raw, cell, params.key_kinds, dictionaries
-                )
             out.append(Prediction(position, row_probs, confidence, degraded))
     return out
 
 
-def integrate_predictions(
-    cells: list[SuperCell], params: ModelParams, schema: TargetSchema | None = None
-):
-    """Assemble predictions for a corpus into a target table.
+def integrate_predictions(cells: list[SuperCell], params: ModelParams):
+    """Assemble predictions for a corpus into a target table of the model's
+    schema.
 
     A mispredicted aggregation mode that conflicts with an existing cell is
     skipped and counted rather than aborting the run; a handful of wrong
     cells is the tolerable failure mode here."""
     from .assemble import AggModeConflict, TargetTable
 
-    table = TargetTable(schema or params.schema)
+    table = TargetTable(params.schema)
     for cell, prediction in zip(cells, predict_cells(cells, params)):
         try:
             table.apply(cell, prediction.position)

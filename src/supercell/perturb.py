@@ -27,12 +27,8 @@ from .core import (
     discard_position,
     render_feature,
 )
-from .ingest import RawTable, pivot_table
+from .ingest import RawTable
 from .mapping import KeyHierarchy, LabeledSample
-
-
-class NonNumericExpansion(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -320,15 +316,6 @@ def _all_int(values: tuple[str, ...]) -> bool:
         except ValueError:
             return False
     return True
-
-
-def pivot_corpus(table: RawTable, key_columns: list[str], axis: str) -> RawTable:
-    """Emit the pivoted layout of a keyed table (axis values become headers).
-
-    Inverse of the pivoted-CSV reading in ingest: decomposing the result
-    yields the same super-cell multiset as decomposing the original.
-    """
-    return pivot_table(table, key_columns, axis)
 
 
 _NOISE_SYLLABLES = [

@@ -41,7 +41,7 @@ from supercell.evaluate import (
     run_ablation,
     variant_test_set,
 )
-from supercell.ingest import Pivot, RawTable, SourceDescriptor, decompose
+from supercell.ingest import Pivot, RawTable, SourceDescriptor, decompose, pivot_table
 from supercell.learner import (
     TrainConfig,
     accuracy,
@@ -51,7 +51,7 @@ from supercell.learner import (
     predict_cells,
 )
 from supercell.mapping import generate_training_data, oracle_integrate
-from supercell.perturb import PerturbationPlan, reorder_attributes, pivot_corpus
+from supercell.perturb import PerturbationPlan, reorder_attributes
 
 from conftest import covid_train_plan, desk_train_config, record_criterion as report
 
@@ -143,7 +143,7 @@ def test_criterion_03_pivot_reorder_invariance():
         table = _random_keyed_table(rng)
         base = decompose(table, desc)
         reordered = decompose(reorder_attributes(table, seed=trial), desc)
-        pivoted = decompose(pivot_corpus(table, ["id", "day"], "day"), pdesc)
+        pivoted = decompose(pivot_table(table, ["id", "day"], "day"), pdesc)
         sig = lambda cells: Counter(c.signature() for c in cells)
         assert sig(base) == sig(reordered) == sig(pivoted)
 

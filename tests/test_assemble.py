@@ -196,10 +196,24 @@ class TestWriter:
         table = TargetTable(SCHEMA)
         write(table, ("d", "s"), 5, AggMode.SUM)
         _, report = finalize_and_write(table, tmp_path / "t.csv")
-        assert report.cells_written == 1
-        assert report.build_ms >= 0
-        assert report.transform_ms >= 0
-        assert report.write_ms >= 0
+        assert report.to_dict() == {"cells_written": 1, "cells_skipped": 0}
+
+
+class TestAccounting:
+    def test_values_past_position_width_are_skipped(self):
+        # A cell wider than the model's max_width gets a shorter position.
+        table = TargetTable(SCHEMA)
+        cell = SuperCell("s", ("d", "s"), ("v", "w"), ("1", "2"), 0)
+        table.apply(cell, TargetPosition(("d", "s"), ("v",), AggMode.REPLACE))
+        report = table.report
+        assert (report.cells_written, report.cells_skipped) == (1, 1)
+        assert report.cells_written + report.cells_skipped == cell.width
+
+    def test_unaddressable_wide_cell_skips_every_value(self):
+        table = TargetTable(SCHEMA)
+        cell = SuperCell("s", ("d", "s"), ("v", "w"), ("1", "2"), 0)
+        table.apply(cell, TargetPosition((None, "s"), ("v",), AggMode.REPLACE))
+        assert (table.report.cells_written, table.report.cells_skipped) == (0, 2)
 
 
 class TestDiff:

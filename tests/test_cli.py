@@ -6,9 +6,9 @@ import pytest
 
 from supercell import cli
 from supercell.assemble import finalize_and_write
-from supercell.core import read_cells
+from supercell.core import read_cells, write_cells
 from supercell.datasets import build_covid_fixture, write_fixture_files
-from supercell.learner import integrate_predictions, train
+from supercell.learner import TrainConfig, init_params, integrate_predictions, train
 from supercell.mapping import generate_training_data
 from supercell.perturb import PerturbationPlan, augment
 
@@ -60,6 +60,24 @@ def run(args):
     return cli.main(args)
 
 
+def integrate_config(workspace, tmp_path, spec=None):
+    """Config for `integrate` alone: an untrained model of the workspace
+    spec's target and the fixture's cells, written under ``tmp_path``."""
+    root, fixture = workspace["root"], workspace["fixture"]
+    model = tmp_path / "model.npz"
+    config = TrainConfig(embed_dim=4, hidden=4, bucket_count=64, seed=5)
+    init_params(config, fixture.spec.target).save(model)
+    with open(tmp_path / "supercells.jsonl", "w", encoding="utf-8") as fh:
+        write_cells(fixture.all_cells(), fh)
+    path = tmp_path / "integrate.json"
+    path.write_text(json.dumps({
+        "mapping_spec": str(spec or root / "mapping_spec.json"),
+        "model": str(model),
+        "out_dir": str(tmp_path),
+    }))
+    return str(path)
+
+
 class TestPipeline:
     def test_full_chain_matches_in_process(self, workspace):
         config = workspace["config_path"]
@@ -97,7 +115,7 @@ class TestPipeline:
             augmented, config_obj, fixture.spec.target, key_kinds,
             {n: d.groups for n, d in fixture.dictionaries.items()},
         )
-        table = integrate_predictions(expected_cells, params, fixture.spec.target)
+        table = integrate_predictions(expected_cells, params)
         path, _ = finalize_and_write(table, root / "in_process.csv")
         assert path.read_bytes() == target_csv
 
@@ -139,6 +157,23 @@ class TestPipeline:
         assert run(["gradcheck"]) == 0
 
 
+class TestIntegrateOutputs:
+    def test_assembly_report_is_deterministic(self, workspace, tmp_path):
+        config = integrate_config(workspace, tmp_path)
+        assert run(["integrate", "--config", config]) == 0
+        first = (tmp_path / "assembly_report.json").read_bytes()
+        assert run(["integrate", "--config", config]) == 0
+        assert (tmp_path / "assembly_report.json").read_bytes() == first
+        assert set(json.loads(first)) == {"cells_written", "cells_skipped"}
+
+    def test_timings_written_separately(self, workspace, tmp_path):
+        config = integrate_config(workspace, tmp_path)
+        assert run(["integrate", "--config", config]) == 0
+        timings = json.loads((tmp_path / "timings.json").read_text())
+        assert set(timings) == {"integrate_s"}
+        assert timings["integrate_s"] >= 0
+
+
 class TestExitCodes:
     def test_missing_config_is_usage_error(self):
         assert run(["decompose"]) == 1
@@ -150,6 +185,27 @@ class TestExitCodes:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"mapping_spec": "x.json", "bogus": 1}))
         assert run(["decompose", "--config", str(path)]) == 1
+
+    def test_unknown_learner_key_is_usage_error(self, workspace, tmp_path, capsys):
+        (tmp_path / "samples.jsonl").write_text("")
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "mapping_spec": str(workspace["root"] / "mapping_spec.json"),
+            "out_dir": str(tmp_path),
+            "learner": {"epochz": 1},
+        }))
+        assert run(["train", "--config", str(path)]) == 1
+        assert "epochz" in capsys.readouterr().err
+
+    def test_model_for_another_target_is_usage_error(self, workspace, tmp_path):
+        spec = json.loads((workspace["root"] / "mapping_spec.json").read_text())
+        spec["target"]["attributes"].remove("grocery")
+        del spec["attr_map"]["mobility"]["grocery"]
+        spec_path = tmp_path / "narrow_spec.json"
+        spec_path.write_text(json.dumps(spec))
+        config = integrate_config(workspace, tmp_path, spec=spec_path)
+        assert run(["integrate", "--config", config]) == 1
+        assert not (tmp_path / "target.csv").exists()
 
     def test_missing_file_is_data_error(self, tmp_path):
         path = tmp_path / "c.json"

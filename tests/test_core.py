@@ -19,10 +19,8 @@ from supercell.core import (
     WILDCARD,
     copy_index,
     copy_marker,
-    decode_label,
     discard_position,
     render_feature,
-    render_label,
 )
 
 
@@ -115,8 +113,8 @@ class TestLabels:
             attributes=("confirmed",),
             agg_mode=AggMode.REPLACE,
         )
-        label = render_label(pos, SCHEMA)
-        assert decode_label(label, SCHEMA) == pos
+        space = LabelSpace(SCHEMA)
+        assert space.decode(space.render(pos)) == pos
 
     def test_write_processor_keys_in_domain(self):
         # Rendered long-form date and title-cased region names are literal,
@@ -135,8 +133,8 @@ class TestLabels:
             attributes=("datetime",),
             agg_mode=AggMode.REPLACE,
         )
-        label = render_label(pos, schema)
-        assert decode_label(label, schema) == pos
+        space = LabelSpace(schema)
+        assert space.decode(space.render(pos)) == pos
 
     def test_unknown_key_value(self):
         pos = TargetPosition(
@@ -145,7 +143,7 @@ class TestLabels:
             agg_mode=AggMode.REPLACE,
         )
         with pytest.raises(UnknownKeyValue):
-            render_label(pos, SCHEMA)
+            LabelSpace(SCHEMA).render(pos)
 
     def test_wildcard_and_null_round_trip(self):
         pos = TargetPosition(
@@ -153,8 +151,8 @@ class TestLabels:
             attributes=("confirmed", None),
             agg_mode=AggMode.SUM,
         )
-        label = render_label(pos, SCHEMA)
-        assert decode_label(label, SCHEMA) == pos
+        space = LabelSpace(SCHEMA)
+        assert space.decode(space.render(pos)) == pos
 
     def test_position_json_round_trip(self):
         pos = TargetPosition(

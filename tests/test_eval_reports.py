@@ -1,6 +1,4 @@
-"""Report machinery: ablation table, variant construction, timing schema."""
-
-import json
+"""Report machinery: ablation table and variant construction."""
 
 from supercell.core import AggMode
 from supercell.datasets import build_covid_fixture
@@ -9,7 +7,6 @@ from supercell.evaluate import (
     AblationVariant,
     default_variants,
     run_ablation,
-    timing_report,
     variant_test_set,
 )
 from supercell.mapping import generate_training_data
@@ -137,17 +134,3 @@ class TestDictionaryAxis:
 
         assert aliases & tokens(with_dict)
         assert not aliases & tokens(without)
-
-
-class TestTimingReport:
-    def test_schema_round_trip(self, tmp_path):
-        path = tmp_path / "timing.json"
-        report = timing_report({"decompose": (1.5, 3000), "train": (60.0, 0)}, path)
-        parsed = json.loads(path.read_text())
-        assert parsed == report
-        assert parsed["stages"]["decompose"]["per_item_s"] == 1.5 / 3000
-        assert parsed["stages"]["train"]["per_item_s"] is None
-
-    def test_nonnegative(self):
-        report = timing_report({"a": (0.0, 1)})
-        assert all(s["seconds"] >= 0 for s in report["stages"].values())

@@ -7,6 +7,7 @@ import pytest
 
 from supercell.canon import CanonKind
 from supercell.core import (
+    AGG_MODES,
     AggMode,
     FeatureSentence,
     KeyDomain,
@@ -18,20 +19,21 @@ from supercell.core import (
     render_feature,
 )
 from supercell.learner import (
-    AGG_MODES,
     EmptyEvalSet,
+    EncodedSample,
     ModelParams,
     SubwordVocab,
     TrainConfig,
+    _embed_batch,
+    _forward_batch,
     accuracy,
-    embed_sentence,
     encode_samples,
-    forward,
+    encode_sentence,
     fnv1a64,
     gradient_check,
     init_params,
+    integrate_predictions,
     loss_and_grads,
-    predict,
     predict_cells,
     train,
 )
@@ -67,6 +69,18 @@ def make_samples(n=10, seed=0):
     return samples
 
 
+def batch_of(sentence, params):
+    """One-sentence unlabeled batch, the form predict_cells feeds the model."""
+    bucket_ids, starts = encode_sentence(sentence, params.vocab)
+    return [EncodedSample(bucket_ids, starts, len(sentence.tokens), None)]
+
+
+def logits_of(sentence, params):
+    """Per-head logits of one sentence predicted on its own."""
+    logits, _ = _forward_batch(batch_of(sentence, params), params)
+    return [head[0] for head in logits]
+
+
 class TestSubwords:
     def test_hash_deterministic(self):
         assert fnv1a64("confirmed") == fnv1a64("confirmed")
@@ -89,8 +103,17 @@ class TestSubwords:
     def test_identical_tokens_identical_vectors(self):
         params = init_params(tiny_config(), SCHEMA)
         sentence = FeatureSentence(("tok", "tok"), ("VAL", "VAL"))
-        vectors = embed_sentence(sentence, params)
-        assert np.allclose(vectors[0], vectors[1])
+        X, mask, _ = _embed_batch(batch_of(sentence, params), params)
+        assert np.allclose(X[0, 0], X[0, 1])
+        assert mask.tolist() == [[1.0, 1.0]]
+
+    def test_token_vector_is_mean_of_bucket_rows(self):
+        params = init_params(tiny_config(), SCHEMA)
+        sentence = FeatureSentence(("confirmed", "ok"), ("ATTR", "VAL"))
+        X, _, _ = _embed_batch(batch_of(sentence, params), params)
+        E = params.arrays["E"]
+        for i, token in enumerate(sentence.tokens):
+            assert np.allclose(X[0, i], E[params.vocab.buckets(token)].mean(axis=0))
 
 
 class TestForward:
@@ -98,15 +121,15 @@ class TestForward:
         params = init_params(tiny_config(), SCHEMA)
         for key in params.arrays:
             params.arrays[key][:] = 0
-        logits = forward(FeatureSentence(("tok",), ("VAL",)), params)
+        logits = logits_of(FeatureSentence(("tok",), ("VAL",)), params)
         for head in logits:
             assert np.allclose(head, head[0])
 
     def test_deterministic(self):
         params = init_params(tiny_config(), SCHEMA)
         sentence = FeatureSentence(("tok", "two"), ("VAL", "VAL"))
-        a = forward(sentence, params)
-        b = forward(sentence, params)
+        a = logits_of(sentence, params)
+        b = logits_of(sentence, params)
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
@@ -114,8 +137,8 @@ class TestForward:
         pooled = init_params(tiny_config(encoder="pooled"), SCHEMA)
         recurrent = init_params(tiny_config(encoder="recurrent"), SCHEMA)
         sentence = FeatureSentence(("tok",), ("VAL",))
-        a = forward(sentence, pooled)
-        b = forward(sentence, recurrent)
+        a = logits_of(sentence, pooled)
+        b = logits_of(sentence, recurrent)
         assert [x.shape for x in a] == [y.shape for y in b]
 
 
@@ -185,13 +208,14 @@ class TestPredict:
             if s.feature == render_feature(cell)
         ]
         if expected:
-            prediction = predict(cell, params)
+            prediction = predict_cells([cell], params)[0]
             assert prediction.position.keys == expected[0].keys
 
     def test_probabilities_normalized_and_consistent(self):
         samples = make_samples(10)
         params, _ = train(samples, tiny_config(epochs=5), SCHEMA)
-        prediction = predict(SuperCell("s", ("x",), ("alpha",), ("0",), 0), params)
+        cell = SuperCell("s", ("x",), ("alpha",), ("0",), 0)
+        prediction = predict_cells([cell], params)[0]
         for vector in prediction.probabilities:
             assert abs(vector.sum() - 1.0) < 1e-5
         assert 0.0 < prediction.confidence <= 1.0
@@ -209,10 +233,30 @@ class TestPredict:
         ]
         params, _ = train(samples + noise, tiny_config(epochs=200), SCHEMA)
         cell = SuperCell("noise", ("zz3",), ("qq3",), ("3",), 3)
-        prediction = predict(cell, params)
+        prediction = predict_cells([cell], params)[0]
         assert prediction.position.is_discard
 
-    def test_copy_resolution_in_predict(self):
+    @pytest.mark.parametrize("encoder", ["pooled", "recurrent"])
+    def test_batch_composition_does_not_change_predictions(self, encoder):
+        params = init_params(tiny_config(encoder=encoder), SCHEMA)
+        short = SuperCell("s", ("x",), ("alpha",), ("0",), 0)
+        longer = [
+            SuperCell("s", ("y", f"2020-01-0{i}"), ("bravo charlie", "delta"),
+                      ("1 2 3 4", "echo fox alpha"), i)
+            for i in range(1, 4)
+        ]
+        alone = predict_cells([short], params)[0]
+        for in_batch in (
+            predict_cells(longer + [short] + longer, params)[len(longer)],
+            predict_cells(longer + [short], params, chunk=1)[-1],
+        ):
+            assert in_batch.position == alone.position
+            assert in_batch.copy_out_of_range == alone.copy_out_of_range
+            assert np.isclose(in_batch.confidence, alone.confidence)
+            for p, q in zip(in_batch.probabilities, alone.probabilities):
+                assert np.allclose(p, q, atol=1e-6)
+
+    def test_copy_resolution_in_predict_cells(self):
         # A trained COPY prediction resolves against the cell's keys through
         # the stored canonicalizers.
         schema = TargetSchema(
@@ -228,8 +272,25 @@ class TestPredict:
         config = tiny_config(epochs=150, max_copy=2, max_width=1)
         params, _ = train(samples, config, schema, [CanonKind("date")])
         cell = SuperCell("s", ("1/4/2020",), ("metric",), ("9",), 0)
-        prediction = predict(cell, params)
+        prediction = predict_cells([cell], params)[0]
         assert prediction.position.keys == ("2020-01-04",)
+
+
+class TestIntegrate:
+    def test_values_past_max_width_are_counted(self):
+        params = init_params(tiny_config(max_width=1), SCHEMA)
+        for key in params.arrays:
+            params.arrays[key][:] = 0
+        # Constant model: key "x", attribute "a", REPLACE.
+        params.arrays["head0_b"][params.space.key_vocabs[0].index("x")] = 10.0
+        params.arrays["head1_b"][params.space.attr_vocab.index("a")] = 10.0
+        params.arrays["head2_b"][AGG_MODES.index(AggMode.REPLACE)] = 10.0
+        cell = SuperCell("s", ("x",), ("alpha", "bravo"), ("1", "2"), 0)
+        table = integrate_predictions([cell], params)
+        assert table.schema is params.schema
+        assert table.cells() == {("x", "a"): "1"}
+        report = table.report
+        assert report.cells_written + report.cells_skipped == cell.width
 
 
 class TestAccuracy:
