@@ -138,13 +138,16 @@ class TargetTable:
         """Write one super cell at its (already COPY-resolved) position.
 
         Values past the position's last attribute (a cell wider than the
-        model's ``max_width``) have nowhere to go and count as skipped."""
+        model's ``max_width``) have nowhere to go and count as skipped, as do
+        the placed values of a position that addresses no row. A NULL
+        attribute slot drops its value uncounted."""
         if pos.is_discard:
             return
         unplaced = max(len(cell.values) - len(pos.attributes), 0)
         targets = self._target_rows(pos.keys)
-        if targets is None:
-            self.report.cells_skipped += len(pos.attributes) + unplaced
+        if not targets:
+            placed = sum(a is not None for a in pos.attributes)
+            self.report.cells_skipped += placed + unplaced
             return
         for attr, value in zip(pos.attributes, cell.values):
             if attr is None:
@@ -153,21 +156,21 @@ class TargetTable:
                 self._write(key, attr, value, pos.agg_mode)
         self.report.cells_skipped += unplaced
 
-    def _target_rows(self, keys: tuple) -> list[tuple[str, ...]] | None:
+    def _target_rows(self, keys: tuple) -> list[tuple[str, ...]]:
         """Row keys a position writes to, creating a concrete row on first
-        use; None when the keys address no row."""
+        use; empty when the keys address no row."""
         if len(keys) != self.schema.q:
-            return None
+            return []
         if any(is_wildcard(k) for k in keys):
             concrete = [(i, k) for i, k in enumerate(keys) if not is_wildcard(k)]
             if any(k is None for _, k in concrete):
-                return None
+                return []
             return [
                 key for key in self.rows if all(key[i] == k for i, k in concrete)
             ]
         if any(k is None or copy_index(k) is not None for k in keys):
             # Unresolved or unaddressable key; nothing sensible to write.
-            return None
+            return []
         key = tuple(keys)
         self.rows.setdefault(key, {})
         return [key]
@@ -192,9 +195,7 @@ class TargetTable:
     def finalized_rows(self) -> list[list[str]]:
         """Rows sorted by key tuple: key attributes first, then the remaining
         schema attributes in order, empty cells as empty strings."""
-        value_attrs = [
-            a for a in self.schema.attributes if a not in self.schema.key_attributes
-        ]
+        value_attrs = self.schema.value_attributes
         out: list[list[str]] = []
         for key in sorted(self.rows):
             row = self.rows[key]
@@ -204,10 +205,7 @@ class TargetTable:
         return out
 
     def header(self) -> list[str]:
-        value_attrs = [
-            a for a in self.schema.attributes if a not in self.schema.key_attributes
-        ]
-        return list(self.schema.key_attributes) + value_attrs
+        return list(self.schema.key_attributes + self.schema.value_attributes)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -219,9 +217,7 @@ class TargetTable:
     def cells(self) -> dict[tuple[str, str], str]:
         """Finalized cell map {(key_tuple..., attr): value} for diffing."""
         out: dict[tuple, str] = {}
-        value_attrs = [
-            a for a in self.schema.attributes if a not in self.schema.key_attributes
-        ]
+        value_attrs = self.schema.value_attributes
         for key, row in self.rows.items():
             for attr in value_attrs:
                 if attr in row:
@@ -233,14 +229,9 @@ def finalize_and_write(
     table: TargetTable, path: str | Path
 ) -> tuple[Path, AssemblyReport]:
     """Write the finalized table as CSV and return the table's report."""
-    header = table.header()
-    rows = table.finalized_rows()
     path = Path(path)
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+        path.write_text(table.to_csv(), encoding="utf-8", newline="")
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
     return path, table.report

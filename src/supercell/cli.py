@@ -158,13 +158,43 @@ def cmd_gen_train(config: dict) -> int:
     return 0
 
 
+def _checked(cls, block: dict, what: str) -> dict:
+    """``block`` as keyword arguments for the dataclass ``cls``: every key is
+    a field, and every value has its field's default type (an int passes
+    for a float and is stored as one, a bool never passes for a number).
+    None defaults are unchecked."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    unknown = set(block) - set(defaults)
+    if unknown:
+        raise UsageError(f"unknown {what} keys: {sorted(unknown)}")
+    out = {}
+    for key, value in block.items():
+        default = defaults[key]
+        if default is not None:
+            allowed = (int, float) if isinstance(default, float) else type(default)
+            if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, allowed):
+                raise UsageError(
+                    f"{what} key {key!r} must be {type(default).__name__}, got {value!r}"
+                )
+            if isinstance(default, float):
+                value = float(value)
+        out[key] = value
+    return out
+
+
+def _plan(config: dict) -> perturb.PerturbationPlan:
+    with open(config["_resolve"](config["plan"]), encoding="utf-8") as fh:
+        block = json.load(fh)
+    return perturb.PerturbationPlan(**_checked(perturb.PerturbationPlan, block, "plan"))
+
+
 def cmd_augment(config: dict) -> int:
     dictionaries = _dictionaries(config)
     spec = _spec(config)
     out_dir = _out_dir(config)
     if "plan" not in config:
         raise UsageError("config needs a 'plan' path")
-    plan = perturb.PerturbationPlan.load(config["_resolve"](config["plan"]))
+    plan = _plan(config)
     corpora = _read_corpora(out_dir / "supercells.jsonl")
     cells = [c for d in spec.sources for c in corpora.get(d.source_id, ())]
     with open(out_dir / "samples.jsonl", encoding="utf-8") as fh:
@@ -187,10 +217,7 @@ def cmd_augment(config: dict) -> int:
 
 
 def _train_config(config: dict) -> learner.TrainConfig:
-    block = config.get("learner", {})
-    unknown = set(block) - {f.name for f in dataclasses.fields(learner.TrainConfig)}
-    if unknown:
-        raise UsageError(f"unknown learner config keys: {sorted(unknown)}")
+    block = _checked(learner.TrainConfig, config.get("learner", {}), "learner config")
     cfg = learner.TrainConfig(**block)
     cfg.seed = int(config.get("seed", cfg.seed))
     return cfg
@@ -299,10 +326,8 @@ def cmd_ablate(config: dict) -> int:
     corpora = _decompose_all(config, spec, dictionaries)
     fixture = _fixture(config, spec, dictionaries, corpora)
     seed = int(config.get("seed", 0))
-    plan_path = config.get("plan")
     train_plan = (
-        perturb.PerturbationPlan.load(config["_resolve"](plan_path))
-        if plan_path
+        _plan(config) if config.get("plan")
         else perturb.PerturbationPlan(seed=seed, synonym_dict=None)
     )
     ablation = evaluate.AblationConfig(

@@ -20,7 +20,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 
 class AggMode(Enum):
@@ -315,21 +315,15 @@ def render_feature(cell: SuperCell) -> FeatureSentence:
 NULL_CLASS = "\x00NULL"
 
 
-@dataclass(frozen=True)
-class LabelVector:
-    """Per-head class indices for one labeled position."""
-
-    key_ids: tuple[int, ...]
-    attr_ids: tuple[int, ...]
-    agg_id: int
-
-
 class LabelSpace:
     """Classifier head vocabularies for a target schema.
 
     One head per target key attribute (domain values plus NULL, COPY(i) up
     to ``max_copy`` components, and WILDCARD), one head per cell slot up to
-    ``max_width`` (target attributes plus NULL), and one aggregation head.
+    ``max_width`` (target attributes plus NULL), and one aggregation head,
+    in that order. The head layout is known only here: ``render`` and
+    ``decode`` convert between positions and flat per-head class ids, and
+    ``live_heads`` names the heads a cell of a given width is scored on.
     """
 
     def __init__(self, schema: TargetSchema, max_copy: int = 6, max_width: int = 4):
@@ -357,8 +351,16 @@ class LabelSpace:
             + [len(AGG_MODES)]
         )
 
-    def render(self, pos: TargetPosition) -> LabelVector:
-        """Encode a position as per-head class indices.
+    def live_heads(self, width: int) -> list[int]:
+        """Heads scored for a cell of ``width`` values: every key head, the
+        first ``width`` attribute slots (at most ``max_width``), and the
+        aggregation head."""
+        q = self.schema.q
+        return list(range(q + min(width, self.max_width))) + [q + self.max_width]
+
+    def render(self, pos: TargetPosition) -> tuple[int, ...]:
+        """Encode a position as one class id per head: keys, ``max_width``
+        attribute slots (NULL past the cell's width), then aggregation.
 
         Raises UnknownKeyValue for a literal key outside the slot's domain
         and InvalidPosition for arity mismatches.
@@ -371,7 +373,7 @@ class LabelSpace:
             raise InvalidPosition(
                 f"cell width {len(pos.attributes)} exceeds max {self.max_width}"
             )
-        key_ids = []
+        ids = []
         for slot, entry in enumerate(pos.keys):
             idx = self._key_index[slot].get(entry)
             if idx is None:
@@ -379,20 +381,22 @@ class LabelSpace:
                     f"key {entry!r} not admissible for "
                     f"{self.schema.key_attributes[slot]!r}"
                 )
-            key_ids.append(idx)
-        attr_ids = []
+            ids.append(idx)
         for entry in pos.attributes:
             if entry is not None and entry not in self._attr_index:
                 raise InvalidPosition(f"unknown target attribute {entry!r}")
-            attr_ids.append(self._attr_index[entry])
-        return LabelVector(tuple(key_ids), tuple(attr_ids), AGG_MODES.index(pos.agg_mode))
+            ids.append(self._attr_index[entry])
+        ids.extend([0] * (self.max_width - len(pos.attributes)))
+        ids.append(AGG_MODES.index(pos.agg_mode))
+        return tuple(ids)
 
-    def decode(self, label: LabelVector) -> TargetPosition:
-        keys = tuple(
-            self.key_vocabs[slot][idx] for slot, idx in enumerate(label.key_ids)
-        )
-        attrs = tuple(self.attr_vocab[idx] for idx in label.attr_ids)
-        agg = AGG_MODES[label.agg_id]
+    def decode(self, ids: Sequence[int], width: int) -> TargetPosition:
+        """The position a flat head vector names for a cell of ``width``
+        values; a cell wider than ``max_width`` gets ``max_width`` attributes."""
+        live = [int(ids[h]) for h in self.live_heads(width)]
+        q = self.schema.q
+        keys = tuple(vocab[idx] for vocab, idx in zip(self.key_vocabs, live[:q]))
+        attrs = tuple(self.attr_vocab[idx] for idx in live[q:-1])
         if all(a is None for a in attrs):
-            return discard_position(len(keys), len(attrs))
-        return TargetPosition(keys, attrs, agg)
+            return discard_position(q, len(attrs))
+        return TargetPosition(keys, attrs, AGG_MODES[live[-1]])

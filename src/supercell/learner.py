@@ -25,7 +25,6 @@ from .core import (
     FeatureSentence,
     KeyDomain,
     LabelSpace,
-    LabelVector,
     SuperCell,
     TargetPosition,
     TargetSchema,
@@ -217,39 +216,29 @@ class EncodedSample:
     """A feature sentence flattened to bucket ids, plus label head targets."""
 
     bucket_ids: np.ndarray  # all buckets of all tokens, concatenated
-    token_starts: np.ndarray  # start offset of each token in bucket_ids
-    n_tokens: int
+    lengths: np.ndarray  # bucket count of each token; len() is the token count
     targets: np.ndarray | None  # one class id per head, or None at predict time
     width: int = 0
 
 
-def encode_sentence(sentence: FeatureSentence, vocab: SubwordVocab) -> tuple[np.ndarray, np.ndarray]:
+def encode(
+    sentence: FeatureSentence, vocab: SubwordVocab,
+    targets: np.ndarray | None = None, width: int = 0,
+) -> EncodedSample:
     parts = [vocab.buckets(tok) for tok in sentence.tokens]
-    counts = np.array([len(p) for p in parts], dtype=np.int64)
-    starts = np.zeros(len(parts), dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    return np.concatenate(parts), starts
+    lengths = np.array([len(p) for p in parts], dtype=np.int64)
+    return EncodedSample(np.concatenate(parts), lengths, targets, width)
 
 
 def encode_samples(
     samples: list[LabeledSample], params: ModelParams
 ) -> list[EncodedSample]:
-    out = []
-    n_heads = len(params.head_sizes)
-    q = params.schema.q
-    for sample in samples:
-        bucket_ids, starts = encode_sentence(sample.feature, params.vocab)
-        label = params.space.render(sample.label)
-        targets = np.zeros(n_heads, dtype=np.int64)
-        targets[:q] = label.key_ids
-        attr_ids = list(label.attr_ids) + [0] * (params.config.max_width - len(label.attr_ids))
-        targets[q : q + params.config.max_width] = attr_ids
-        targets[-1] = label.agg_id
-        out.append(
-            EncodedSample(bucket_ids, starts, len(sample.feature.tokens), targets,
-                          width=len(sample.label.attributes))
-        )
-    return out
+    return [
+        encode(s.feature, params.vocab,
+               np.array(params.space.render(s.label), dtype=np.int64),
+               len(s.label.attributes))
+        for s in samples
+    ]
 
 
 def _embed_batch(batch: list[EncodedSample], params: ModelParams):
@@ -259,21 +248,21 @@ def _embed_batch(batch: list[EncodedSample], params: ModelParams):
     E = params.arrays["E"]
     dtype = E.dtype
     B = len(batch)
-    T = max(s.n_tokens for s in batch)
+    n_tokens = np.array([len(s.lengths) for s in batch], dtype=np.int64)
+    T = int(n_tokens.max())
     d = E.shape[1]
 
     all_buckets = np.concatenate([s.bucket_ids for s in batch])
-    lengths = np.concatenate(
-        [np.diff(np.append(s.token_starts, len(s.bucket_ids))) for s in batch]
-    )
+    lengths = np.concatenate([s.lengths for s in batch])
     starts = np.zeros(len(lengths), dtype=np.int64)
     np.cumsum(lengths[:-1], out=starts[1:])
     token_vecs = np.add.reduceat(E[all_buckets], starts, axis=0) / lengths[:, None].astype(dtype)
 
     X = np.zeros((B, T, d), dtype=dtype)
     mask = np.zeros((B, T), dtype=dtype)
-    rows = np.concatenate([np.full(s.n_tokens, i, dtype=np.int64) for i, s in enumerate(batch)])
-    cols = np.concatenate([np.arange(s.n_tokens, dtype=np.int64) for s in batch])
+    firsts = np.cumsum(n_tokens) - n_tokens  # each sample's first token
+    rows = np.repeat(np.arange(B), n_tokens)
+    cols = np.arange(len(lengths)) - np.repeat(firsts, n_tokens)
     X[rows, cols] = token_vecs
     mask[rows, cols] = 1.0
     cache = {"all_buckets": all_buckets, "lengths": lengths, "rows": rows, "cols": cols}
@@ -496,25 +485,17 @@ def train(
     return params, curve
 
 
-def _argmax_heads(batch: list[EncodedSample], params: ModelParams) -> np.ndarray:
-    logits, _ = _forward_batch(batch, params)
-    return np.stack([l.argmax(axis=1) for l in logits], axis=1)
-
-
 def _accuracy_encoded(encoded: list[EncodedSample], params: ModelParams, chunk: int = 512) -> float:
     if not encoded:
         raise EmptyEvalSet("no evaluation samples")
-    q = params.schema.q
     correct = 0
     for start in range(0, len(encoded), chunk):
         part = encoded[start : start + chunk]
-        pred = _argmax_heads(part, params)
-        targets = np.stack([s.targets for s in part])
-        widths = np.array([s.width for s in part])
-        for row in range(len(part)):
-            w = widths[row]
-            keep = list(range(q)) + list(range(q, q + w)) + [pred.shape[1] - 1]
-            correct += int((pred[row, keep] == targets[row, keep]).all())
+        logits, _ = _forward_batch(part, params)
+        pred = np.stack([l.argmax(axis=1) for l in logits], axis=1)
+        for sample, row in zip(part, pred):
+            live = params.space.live_heads(sample.width)
+            correct += int((row[live] == sample.targets[live]).all())
     return correct / len(encoded)
 
 
@@ -541,27 +522,20 @@ def predict_cells(cells: list[SuperCell], params: ModelParams, chunk: int = 512)
     component degrades to NULL and is counted on the prediction. A cell
     wider than ``max_width`` gets a position of ``max_width`` attributes."""
     dictionaries = params.dictionary_store()
-    q = params.schema.q
     out: list[Prediction] = []
     for start in range(0, len(cells), chunk):
         part = cells[start : start + chunk]
-        batch = []
-        for cell in part:
-            bucket_ids, starts = encode_sentence(render_feature(cell), params.vocab)
-            batch.append(
-                EncodedSample(bucket_ids, starts, len(starts), None, width=cell.width)
-            )
+        batch = [encode(render_feature(cell), params.vocab) for cell in part]
         logits, _ = _forward_batch(batch, params)
         probs = [_softmax(l) for l in logits]
+        choices = np.stack([p.argmax(axis=1) for p in probs], axis=1)
         for row, cell in enumerate(part):
-            w = min(cell.width, params.config.max_width)
-            head_ids = list(range(q)) + list(range(q, q + w)) + [len(logits) - 1]
-            row_probs = [probs[i][row] for i in head_ids]
-            choices = [int(p.argmax()) for p in row_probs]
-            confidence = float(np.prod([p[c] for p, c in zip(row_probs, choices)]))
-            label = LabelVector(tuple(choices[:q]), tuple(choices[q : q + w]), choices[-1])
+            live = params.space.live_heads(cell.width)
+            row_probs = [probs[h][row] for h in live]
+            confidence = float(np.prod([probs[h][row, choices[row, h]] for h in live]))
             position, degraded = resolve_position(
-                params.space.decode(label), cell, params.key_kinds, dictionaries
+                params.space.decode(choices[row], cell.width), cell,
+                params.key_kinds, dictionaries,
             )
             out.append(Prediction(position, row_probs, confidence, degraded))
     return out
@@ -609,14 +583,11 @@ def gradient_check(encoder: str = "pooled", seed: int = 0, eps: float = 1e-4) ->
         n = int(rng.integers(2, 6))
         toks = tuple(words[int(rng.integers(len(words)))] for _ in range(n))
         sentences.append(FeatureSentence(toks, ("VAL",) * n))
-    batch = []
-    n_heads = len(params.head_sizes)
-    for sentence in sentences:
-        bucket_ids, starts = encode_sentence(sentence, params.vocab)
-        targets = np.array(
-            [int(rng.integers(k)) for k in params.head_sizes], dtype=np.int64
-        )
-        batch.append(EncodedSample(bucket_ids, starts, len(sentence.tokens), targets))
+    batch = [
+        encode(sentence, params.vocab,
+               np.array([int(rng.integers(k)) for k in params.head_sizes], dtype=np.int64))
+        for sentence in sentences
+    ]
 
     _, grads = loss_and_grads(batch, params)
     max_err = 0.0

@@ -10,7 +10,7 @@ Everything is driven by a single 64-bit seed and is fully deterministic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,6 @@ class PerturbationPlan:
     char_noise_rate: float = 0.0
     value_reformat_rate: float = 0.0
     key_expansion_rate: float = 0.0
-    pivot_enabled: bool = False
     add_remove_noise_columns: int = 0
     synonym_dict: str | None = None
 
@@ -52,25 +51,7 @@ class PerturbationPlan:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "attr_rename_rate": self.attr_rename_rate,
-            "char_noise_rate": self.char_noise_rate,
-            "value_reformat_rate": self.value_reformat_rate,
-            "key_expansion_rate": self.key_expansion_rate,
-            "pivot_enabled": self.pivot_enabled,
-            "add_remove_noise_columns": self.add_remove_noise_columns,
-            "synonym_dict": self.synonym_dict,
-        }
-
-    @staticmethod
-    def from_dict(obj: dict) -> "PerturbationPlan":
-        return PerturbationPlan(**obj)
-
-    @staticmethod
-    def load(path: str | Path) -> "PerturbationPlan":
-        with open(path, encoding="utf-8") as fh:
-            return PerturbationPlan.from_dict(json.load(fh))
+        return asdict(self)
 
 
 def _rng(seed: int, *salt: int) -> np.random.Generator:

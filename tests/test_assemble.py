@@ -108,6 +108,7 @@ class TestWildcard:
             cell, TargetPosition((WILDCARD, "nowhere"), ("v",), AggMode.REPLACE)
         )
         assert table.rows == {}
+        assert (table.report.cells_written, table.report.cells_skipped) == (0, cell.width)
 
     def test_discard_position_is_noop(self):
         table = TargetTable(SCHEMA)
@@ -214,6 +215,19 @@ class TestAccounting:
         cell = SuperCell("s", ("d", "s"), ("v", "w"), ("1", "2"), 0)
         table.apply(cell, TargetPosition((None, "s"), ("v",), AggMode.REPLACE))
         assert (table.report.cells_written, table.report.cells_skipped) == (0, 2)
+
+    def test_null_slot_counts_alike_with_or_without_rows(self):
+        # A NULL slot drops its value uncounted whether the position
+        # addresses rows or not; only the placed value is counted.
+        cell = SuperCell("pop", ("arizona",), ("v", "w"), ("1", "2"), 0)
+        pos = TargetPosition((WILDCARD, "arizona"), ("v", None), AggMode.REPLACE)
+        empty = TargetTable(SCHEMA)
+        empty.apply(cell, pos)
+        assert (empty.report.cells_written, empty.report.cells_skipped) == (0, 1)
+        table = TargetTable(SCHEMA)
+        write(table, ("d1", "arizona"), 5, AggMode.REPLACE)
+        table.apply(cell, pos)
+        assert (table.report.cells_written, table.report.cells_skipped) == (2, 0)
 
 
 class TestDiff:

@@ -197,6 +197,53 @@ class TestExitCodes:
         assert run(["train", "--config", str(path)]) == 1
         assert "epochz" in capsys.readouterr().err
 
+    def learner_config(self, workspace, tmp_path, block):
+        fixture = workspace["fixture"]
+        samples = generate_training_data(fixture.spec, fixture.corpora, fixture.dictionaries)
+        (tmp_path / "samples.jsonl").write_text(
+            "".join(s.to_json() + "\n" for s in samples[:4])
+        )
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "mapping_spec": str(workspace["root"] / "mapping_spec.json"),
+            "out_dir": str(tmp_path),
+            "learner": block,
+        }))
+        return str(path)
+
+    @pytest.mark.parametrize("block", [
+        {"epochs": "2"}, {"epochs": True}, {"learning_rate": "0.01"}, {"encoder": 1},
+    ])
+    def test_wrongly_typed_learner_value_is_usage_error(self, workspace, tmp_path,
+                                                        capsys, block):
+        assert run(["train", "--config", self.learner_config(workspace, tmp_path, block)]) == 1
+        assert repr(next(iter(block))) in capsys.readouterr().err
+
+    def test_int_learner_value_passes_for_float(self, workspace, tmp_path):
+        block = {"learning_rate": 1, "epochs": 1, "embed_dim": 4, "hidden": 4,
+                 "bucket_count": 64}
+        assert run(["train", "--config", self.learner_config(workspace, tmp_path, block)]) == 0
+
+    def test_int_value_is_stored_as_float(self):
+        # Two plans that mean the same must serialize (and hash) the same.
+        block = cli._checked(PerturbationPlan, {"seed": 1, "attr_rename_rate": 1}, "plan")
+        assert json.dumps(PerturbationPlan(**block).to_dict()) == json.dumps(
+            PerturbationPlan(seed=1, attr_rename_rate=1.0).to_dict())
+        assert type(block["attr_rename_rate"]) is float and type(block["seed"]) is int
+
+    @pytest.mark.parametrize("command", ["augment", "ablate"])
+    @pytest.mark.parametrize("key", ["pivot_enabled", "rename_rate"])
+    def test_unknown_plan_key_is_usage_error(self, workspace, tmp_path, capsys, command, key):
+        (tmp_path / "plan.json").write_text(json.dumps({"seed": 1, key: True}))
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "mapping_spec": str(workspace["root"] / "mapping_spec.json"),
+            "plan": "plan.json",
+            "out_dir": str(tmp_path),
+        }))
+        assert run([command, "--config", str(path)]) == 1
+        assert key in capsys.readouterr().err
+
     def test_model_for_another_target_is_usage_error(self, workspace, tmp_path):
         spec = json.loads((workspace["root"] / "mapping_spec.json").read_text())
         spec["target"]["attributes"].remove("grocery")

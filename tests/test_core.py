@@ -101,11 +101,32 @@ class TestLabels:
     def test_discard_round_trip(self):
         pos = discard_position(2, 3)
         space = LabelSpace(SCHEMA)
-        label = space.render(pos)
-        assert all(i == 0 for i in label.key_ids)
-        assert all(i == 0 for i in label.attr_ids)
-        assert AGG_MODES[label.agg_id] is AggMode.DISCARD
-        assert space.decode(label) == pos
+        ids = space.render(pos)
+        assert len(ids) == len(space.head_sizes)
+        assert all(i == 0 for i in ids[:-1])
+        assert AGG_MODES[ids[-1]] is AggMode.DISCARD
+        assert space.decode(ids, 3) == pos
+
+    def test_slots_past_width_are_null(self):
+        space = LabelSpace(SCHEMA, max_width=4)
+        pos = TargetPosition(("Oct 6, 2020", "arizona"), ("confirmed",), AggMode.SUM)
+        ids = space.render(pos)
+        assert len(ids) == len(space.head_sizes)
+        assert ids[3:6] == (0, 0, 0)
+        assert space.decode(ids, 1) == pos
+
+    def test_live_heads(self):
+        space = LabelSpace(SCHEMA, max_width=4)
+        assert space.live_heads(1) == [0, 1, 2, 6]
+        assert space.live_heads(4) == [0, 1, 2, 3, 4, 5, 6]
+        # A cell wider than max_width is scored on max_width slots.
+        assert space.live_heads(9) == space.live_heads(4)
+
+    def test_wide_cell_decodes_to_max_width(self):
+        space = LabelSpace(SCHEMA, max_width=2)
+        pos = TargetPosition(("Oct 6, 2020", "utah"), ("confirmed", "recovered"),
+                             AggMode.SUM)
+        assert space.decode(space.render(pos), 5) == pos
 
     def test_copy_round_trip(self):
         pos = TargetPosition(
@@ -114,7 +135,7 @@ class TestLabels:
             agg_mode=AggMode.REPLACE,
         )
         space = LabelSpace(SCHEMA)
-        assert space.decode(space.render(pos)) == pos
+        assert space.decode(space.render(pos), len(pos.attributes)) == pos
 
     def test_write_processor_keys_in_domain(self):
         # Rendered long-form date and title-cased region names are literal,
@@ -134,7 +155,7 @@ class TestLabels:
             agg_mode=AggMode.REPLACE,
         )
         space = LabelSpace(schema)
-        assert space.decode(space.render(pos)) == pos
+        assert space.decode(space.render(pos), len(pos.attributes)) == pos
 
     def test_unknown_key_value(self):
         pos = TargetPosition(
@@ -152,7 +173,7 @@ class TestLabels:
             agg_mode=AggMode.SUM,
         )
         space = LabelSpace(SCHEMA)
-        assert space.decode(space.render(pos)) == pos
+        assert space.decode(space.render(pos), len(pos.attributes)) == pos
 
     def test_position_json_round_trip(self):
         pos = TargetPosition(
@@ -200,7 +221,7 @@ def positions(draw):
 def test_label_round_trip_property(case):
     pos, schema = case
     space = LabelSpace(schema, max_copy=3, max_width=4)
-    assert space.decode(space.render(pos)) == pos
+    assert space.decode(space.render(pos), len(pos.attributes)) == pos
 
 
 def test_feature_sentence_round_trip():

@@ -20,15 +20,14 @@ from supercell.core import (
 )
 from supercell.learner import (
     EmptyEvalSet,
-    EncodedSample,
     ModelParams,
     SubwordVocab,
     TrainConfig,
     _embed_batch,
     _forward_batch,
     accuracy,
+    encode,
     encode_samples,
-    encode_sentence,
     fnv1a64,
     gradient_check,
     init_params,
@@ -71,8 +70,7 @@ def make_samples(n=10, seed=0):
 
 def batch_of(sentence, params):
     """One-sentence unlabeled batch, the form predict_cells feeds the model."""
-    bucket_ids, starts = encode_sentence(sentence, params.vocab)
-    return [EncodedSample(bucket_ids, starts, len(sentence.tokens), None)]
+    return [encode(sentence, params.vocab)]
 
 
 def logits_of(sentence, params):
@@ -106,6 +104,28 @@ class TestSubwords:
         X, mask, _ = _embed_batch(batch_of(sentence, params), params)
         assert np.allclose(X[0, 0], X[0, 1])
         assert mask.tolist() == [[1.0, 1.0]]
+
+    def test_encode_stores_bucket_count_per_token(self):
+        vocab = SubwordVocab(bucket_count=256)
+        sentence = FeatureSentence(("confirmed", "ok", "ok"), ("ATTR", "VAL", "VAL"))
+        sample = encode(sentence, vocab)
+        assert len(sample.lengths) == len(sentence.tokens)
+        assert sample.lengths.tolist() == [len(vocab.buckets(t)) for t in sentence.tokens]
+        assert np.array_equal(
+            sample.bucket_ids, np.concatenate([vocab.buckets(t) for t in sentence.tokens])
+        )
+        assert sample.targets is None and sample.width == 0
+
+    def test_batch_places_tokens_by_sample_and_position(self):
+        params = init_params(tiny_config(), SCHEMA)
+        sentences = [FeatureSentence(("tok",) * n, ("VAL",) * n) for n in (3, 1, 2)]
+        _, mask, cache = _embed_batch([encode(s, params.vocab) for s in sentences], params)
+        # Reference: the per-sample loop the vectorized indices replace.
+        rows = [i for i, s in enumerate(sentences) for _ in s.tokens]
+        cols = [t for s in sentences for t in range(len(s.tokens))]
+        assert cache["rows"].tolist() == rows
+        assert cache["cols"].tolist() == cols
+        assert mask.tolist() == [[1, 1, 1], [1, 0, 0], [1, 1, 0]]
 
     def test_token_vector_is_mean_of_bucket_rows(self):
         params = init_params(tiny_config(), SCHEMA)

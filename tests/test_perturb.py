@@ -274,4 +274,4 @@ def test_plan_rates_validated():
 
 def test_plan_json_round_trip():
     p = PerturbationPlan(seed=9, attr_rename_rate=0.5, synonym_dict="d")
-    assert PerturbationPlan.from_dict(p.to_dict()) == p
+    assert PerturbationPlan(**p.to_dict()) == p
