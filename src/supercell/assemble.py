@@ -125,8 +125,9 @@ class TargetTable:
 
     Rows are addressed by the full target-key tuple. A cell's aggregation
     mode is fixed by its first write; writing a different mode raises
-    AggModeConflict. Wildcard key components broadcast to every existing
-    row matching the concrete components and never create rows.
+    AggModeConflict. A concrete key creates its row when a value first
+    merges there. Wildcard key components broadcast to every existing row
+    matching the concrete components and never create rows.
     """
 
     def __init__(self, schema: TargetSchema):
@@ -157,8 +158,8 @@ class TargetTable:
         self.report.cells_skipped += unplaced
 
     def _target_rows(self, keys: tuple) -> list[tuple[str, ...]]:
-        """Row keys a position writes to, creating a concrete row on first
-        use; empty when the keys address no row."""
+        """Row keys a position writes to (a concrete key's row may not exist
+        yet); empty when the keys address no row."""
         if len(keys) != self.schema.q:
             return []
         if any(is_wildcard(k) for k in keys):
@@ -171,12 +172,11 @@ class TargetTable:
         if any(k is None or copy_index(k) is not None for k in keys):
             # Unresolved or unaddressable key; nothing sensible to write.
             return []
-        key = tuple(keys)
-        self.rows.setdefault(key, {})
-        return [key]
+        return [tuple(keys)]
 
     def _write(self, key: tuple[str, ...], attr: str, value: str, mode: AggMode) -> None:
-        row = self.rows[key]
+        """Merge one value; a row exists only while some value has landed in it."""
+        row = self.rows.setdefault(key, {})
         state = row.get(attr)
         if state is None:
             state = CellState(mode=mode)
@@ -191,6 +191,8 @@ class TargetTable:
             self.report.cells_skipped += 1
             if state.count == 0 and state.number is None and not state.value:
                 del row[attr]
+                if not row:
+                    del self.rows[key]
 
     def finalized_rows(self) -> list[list[str]]:
         """Rows sorted by key tuple: key attributes first, then the remaining

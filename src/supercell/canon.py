@@ -102,10 +102,6 @@ class SynonymDictionary:
 DictionaryStore = dict[str, SynonymDictionary]
 
 
-def load_dictionaries(paths: dict[str, str | Path]) -> DictionaryStore:
-    return {name: SynonymDictionary.load(name, p) for name, p in paths.items()}
-
-
 _MONTH_ABBR = ["Jan", "Feb", "Mar", "Apr", "May", "Jun",
                "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"]
 _MONTH_INDEX = {m.lower(): i + 1 for i, m in enumerate(_MONTH_ABBR)}

@@ -36,16 +36,21 @@ _CONFIG_KEYS = {
     "out_dir", "learner", "seed",
 }
 
+
+class UsageError(ValueError):
+    pass
+
+
+class DataError(ValueError):
+    """Stage inputs that contradict each other."""
+
+
 DATA_ERRORS = (
-    EmptyInput, RaggedRow, MissingKeyColumn, NoRuleMatchedAnything,
+    DataError, EmptyInput, RaggedRow, MissingKeyColumn, NoRuleMatchedAnything,
     UnknownDictionary, mapping.SpecViolation, mapping.KeyResolutionFailure,
     baseline.UncoverableAttribute, baseline.EmptyColumn, learner.EmptyEvalSet,
     FileNotFoundError, json.JSONDecodeError, KeyError, re.error,
 )
-
-
-class UsageError(ValueError):
-    pass
 
 
 def log(message: str) -> None:
@@ -96,20 +101,24 @@ def _spec(config: dict) -> mapping.MappingSpec:
     return mapping.MappingSpec.load(config["_resolve"](config["mapping_spec"]))
 
 
-def _decompose_all(config: dict, spec: mapping.MappingSpec, dictionaries) -> dict[str, list[SuperCell]]:
+def _fixture(config: dict, spec: mapping.MappingSpec, dictionaries) -> Fixture:
+    """Read each configured source once: its raw table or log text, and its
+    decomposed corpus."""
     by_id = {d.source_id: d for d in spec.sources}
-    corpora: dict[str, list[SuperCell]] = {}
+    fixture = Fixture(spec=spec, dictionaries=dictionaries)
     for entry in config.get("sources", []):
         desc = by_id.get(entry["source_id"])
         if desc is None:
             raise UsageError(f"source {entry['source_id']!r} not in mapping spec")
         path = config["_resolve"](entry["path"])
         if desc.format == "log_lines":
-            lines = path.read_text(encoding="utf-8").splitlines()
-            corpora[desc.source_id] = decompose_log(lines, desc, dictionaries)
+            text = fixture.logs[desc.source_id] = path.read_text(encoding="utf-8")
+            cells = decompose_log(text.splitlines(), desc, dictionaries)
         else:
-            corpora[desc.source_id] = decompose(RawTable.read(path), desc, dictionaries)
-    return corpora
+            table = fixture.tables[desc.source_id] = RawTable.read(path)
+            cells = decompose(table, desc, dictionaries)
+        fixture.corpora[desc.source_id] = cells
+    return fixture
 
 
 def _read_corpora(path: Path) -> dict[str, list[SuperCell]]:
@@ -120,27 +129,12 @@ def _read_corpora(path: Path) -> dict[str, list[SuperCell]]:
     return corpora
 
 
-def _fixture(config: dict, spec, dictionaries, corpora) -> Fixture:
-    tables = {}
-    for entry in config.get("sources", []):
-        desc = spec.descriptor(entry["source_id"])
-        if desc.format != "log_lines":
-            tables[entry["source_id"]] = RawTable.read(config["_resolve"](entry["path"]))
-    return Fixture(
-        spec=spec, tables=tables, corpora=corpora, dictionaries=dictionaries,
-        parent_component=spec.parent_components(),
-    )
-
-
 def cmd_decompose(config: dict) -> int:
     dictionaries = _dictionaries(config)
-    spec = _spec(config)
-    corpora = _decompose_all(config, spec, dictionaries)
+    fixture = _fixture(config, _spec(config), dictionaries)
     out = _out_dir(config) / "supercells.jsonl"
-    n = 0
     with open(out, "w", encoding="utf-8") as fh:
-        for desc in spec.sources:
-            n += write_cells(corpora.get(desc.source_id, ()), fh)
+        n = write_cells(fixture.all_cells(), fh)
     log(f"decompose: {n} super cells -> {out}")
     return 0
 
@@ -195,14 +189,19 @@ def cmd_augment(config: dict) -> int:
     if "plan" not in config:
         raise UsageError("config needs a 'plan' path")
     plan = _plan(config)
-    corpora = _read_corpora(out_dir / "supercells.jsonl")
-    cells = [c for d in spec.sources for c in corpora.get(d.source_id, ())]
-    with open(out_dir / "samples.jsonl", encoding="utf-8") as fh:
+    cells_path, samples_path = out_dir / "supercells.jsonl", out_dir / "samples.jsonl"
+    cells = spec.cells(_read_corpora(cells_path))
+    with open(samples_path, encoding="utf-8") as fh:
         samples = [mapping.LabeledSample.from_json(line) for line in fh if line.strip()]
+    if len(cells) != len(samples):
+        raise DataError(
+            f"{cells_path} holds {len(cells)} super cells but {samples_path} holds "
+            f"{len(samples)} samples; rerun gen-train"
+        )
     plog = perturb.PerturbationLog()
     augmented = perturb.augment(
         samples, plan, dictionaries,
-        corpus=cells if len(cells) == len(samples) else None,
+        corpus=cells,
         hierarchy=spec.key_hierarchy,
         parent_component=spec.parent_components() or None,
         log=plog,
@@ -253,8 +252,7 @@ def cmd_integrate(config: dict) -> int:
     spec = _spec(config)
     if params.schema.to_dict() != spec.target.to_dict():
         raise UsageError(f"model {model_path} was trained for a different target schema")
-    corpora = _read_corpora(out_dir / "supercells.jsonl")
-    cells = [c for d in spec.sources for c in corpora.get(d.source_id, ())]
+    cells = spec.cells(_read_corpora(out_dir / "supercells.jsonl"))
     started = time.perf_counter()
     table = learner.integrate_predictions(cells, params)
     path, report = assemble.finalize_and_write(table, out_dir / "target.csv")
@@ -272,8 +270,7 @@ def cmd_baseline(config: dict) -> int:
     dictionaries = _dictionaries(config)
     spec = _spec(config)
     out_dir = _out_dir(config)
-    corpora = _decompose_all(config, spec, dictionaries)
-    fixture = _fixture(config, spec, dictionaries, corpora)
+    fixture = _fixture(config, spec, dictionaries)
     example = evaluate.target_example_from_oracle(fixture)
     matches = baseline.match_columns(fixture.tables, example)
     sigs = {}
@@ -308,8 +305,7 @@ def cmd_eval(config: dict) -> int:
     dictionaries = _dictionaries(config)
     spec = _spec(config)
     out_dir = _out_dir(config)
-    corpora = _decompose_all(config, spec, dictionaries)
-    fixture = _fixture(config, spec, dictionaries, corpora)
+    fixture = _fixture(config, spec, dictionaries)
     model_path = config["_resolve"](config["model"]) if "model" in config else out_dir / "model.npz"
     params = learner.ModelParams.load(model_path)
     report = evaluate.compare_baseline(
@@ -323,8 +319,7 @@ def cmd_ablate(config: dict) -> int:
     dictionaries = _dictionaries(config)
     spec = _spec(config)
     out_dir = _out_dir(config)
-    corpora = _decompose_all(config, spec, dictionaries)
-    fixture = _fixture(config, spec, dictionaries, corpora)
+    fixture = _fixture(config, spec, dictionaries)
     seed = int(config.get("seed", 0))
     train_plan = (
         _plan(config) if config.get("plan")

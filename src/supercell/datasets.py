@@ -57,13 +57,13 @@ class Fixture:
     logs: dict[str, str] = field(default_factory=dict)
     corpora: dict[str, list[SuperCell]] = field(default_factory=dict)
     dictionaries: DictionaryStore = field(default_factory=dict)
-    parent_component: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def parent_component(self) -> dict[str, int]:
+        return self.spec.parent_components()
 
     def all_cells(self) -> list[SuperCell]:
-        out: list[SuperCell] = []
-        for desc in self.spec.sources:
-            out.extend(self.corpora.get(desc.source_id, ()))
-        return out
+        return self.spec.cells(self.corpora)
 
 
 def _iso_dates(start: tuple[int, int, int], n: int) -> list[str]:
@@ -213,7 +213,6 @@ def build_covid_fixture(
         tables={"covid": covid_table, "mobility": mobility_table},
         corpora=corpora,
         dictionaries=dictionaries,
-        parent_component={"covid": 1, "mobility": 1},
     )
 
 

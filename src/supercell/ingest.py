@@ -209,17 +209,59 @@ class DecomposeStats:
     canon: CanonCounters = field(default_factory=CanonCounters)
 
 
+def _emit(
+    cells: list[SuperCell],
+    desc: SourceDescriptor,
+    keys: tuple[str, ...],
+    pairs,
+    ordinal: int,
+    dictionaries: DictionaryStore | None,
+    stats: DecomposeStats,
+    axis: str | None = None,
+) -> None:
+    """Append one super cell of the present (attribute, raw value) pairs.
+
+    Missing values are skipped and counted; a cell with no present value is
+    not emitted. ``axis`` (a pivoted column's header) is canonicalized as
+    the pivot axis and appended as the last key component.
+    """
+    attrs: list[str] = []
+    values: list[str] = []
+    for name, raw in pairs:
+        if raw is None or is_missing(raw):
+            stats.skipped_empty_cells += 1
+            continue
+        attrs.append(canonicalize(name, NONE))
+        values.append(canonicalize(raw, desc.canon_kind(name), dictionaries, stats.canon))
+    if not attrs:
+        return
+    if axis is not None:
+        axis_kind = desc.canon_kind(desc.pivot.pivot_axis_name)
+        keys = keys + (canonicalize(axis, axis_kind, dictionaries, stats.canon),)
+    cells.append(SuperCell(desc.source_id, keys, tuple(attrs), tuple(values), ordinal))
+    stats.cells += 1
+
+
 def _group_plan(
-    header: tuple[str, ...], desc: SourceDescriptor
-) -> list[tuple[str, ...]]:
-    """Declared groups first, then singleton groups for remaining non-key columns."""
+    header: tuple[str, ...], col_index: dict[str, int], desc: SourceDescriptor
+) -> list[tuple[str | None, tuple[tuple[str, int], ...]]]:
+    """Per emitted cell of a row: its pivot-axis header (None for a plain
+    table) and its (attribute, column index) pairs.
+
+    A plain table plans its declared groups first, then a singleton group
+    for each remaining non-key column. A pivoted table plans one singleton
+    group per non-key column, whose header becomes the last key component.
+    """
     keyset = set(desc.key_columns)
-    grouped = {c for g in desc.supercell_groups for c in g}
-    groups = [g for g in desc.supercell_groups]
-    for col in header:
-        if col not in keyset and col not in grouped:
-            groups.append((col,))
-    return groups
+    rest = [c for c in header if c not in keyset]
+    if desc.format == "pivoted_csv":
+        return [(c, ((desc.pivot.value_attr_name, col_index[c]),)) for c in rest]
+    grouped = [c for g in desc.supercell_groups for c in g]
+    for col in grouped:
+        if col not in col_index:
+            raise MissingKeyColumn(f"grouped column {col!r} absent from header")
+    groups = list(desc.supercell_groups) + [(c,) for c in rest if c not in grouped]
+    return [(None, tuple((c, col_index[c]) for c in g)) for g in groups]
 
 
 def decompose(
@@ -246,15 +288,7 @@ def decompose(
     for key_col in desc.key_columns:
         if key_col not in col_index:
             raise MissingKeyColumn(key_col)
-
-    if desc.format == "pivoted_csv":
-        return _decompose_pivoted(table, desc, col_index, dictionaries, stats)
-
-    groups = _group_plan(table.header, desc)
-    for group in groups:
-        for col in group:
-            if col not in col_index:
-                raise MissingKeyColumn(f"grouped column {col!r} absent from header")
+    plan = _group_plan(table.header, col_index, desc)
 
     cells: list[SuperCell] = []
     for ordinal, row in enumerate(table.rows):
@@ -267,57 +301,9 @@ def decompose(
             canonicalize(v, desc.canon_kind(c), dictionaries, stats.canon)
             for c, v in zip(desc.key_columns, raw_keys)
         )
-        for group in groups:
-            attrs: list[str] = []
-            values: list[str] = []
-            for col in group:
-                raw = row[col_index[col]]
-                if is_missing(raw):
-                    stats.skipped_empty_cells += 1
-                    continue
-                attrs.append(canonicalize(col, NONE))
-                values.append(canonicalize(raw, desc.canon_kind(col), dictionaries, stats.canon))
-            if attrs:
-                cells.append(SuperCell(desc.source_id, keys, tuple(attrs), tuple(values), ordinal))
-                stats.cells += 1
-    return cells
-
-
-def _decompose_pivoted(
-    table: RawTable,
-    desc: SourceDescriptor,
-    col_index: dict[str, int],
-    dictionaries: DictionaryStore | None,
-    stats: DecomposeStats,
-) -> list[SuperCell]:
-    assert desc.pivot is not None
-    axis_kind = desc.canon_kind(desc.pivot.pivot_axis_name)
-    value_kind = desc.canon_kind(desc.pivot.value_attr_name)
-    attr = canonicalize(desc.pivot.value_attr_name, NONE)
-    keyset = set(desc.key_columns)
-    pivot_cols = [c for c in table.header if c not in keyset]
-
-    cells: list[SuperCell] = []
-    for ordinal, row in enumerate(table.rows):
-        stats.rows += 1
-        raw_keys = [row[col_index[c]] for c in desc.key_columns]
-        if any(is_missing(v) for v in raw_keys):
-            stats.skipped_missing_key_rows += 1
-            continue
-        base_keys = [
-            canonicalize(v, desc.canon_kind(c), dictionaries, stats.canon)
-            for c, v in zip(desc.key_columns, raw_keys)
-        ]
-        for col in pivot_cols:
-            raw = row[col_index[col]]
-            if is_missing(raw):
-                stats.skipped_empty_cells += 1
-                continue
-            axis_value = canonicalize(col, axis_kind, dictionaries, stats.canon)
-            keys = tuple(base_keys + [axis_value])
-            value = canonicalize(raw, value_kind, dictionaries, stats.canon)
-            cells.append(SuperCell(desc.source_id, keys, (attr,), (value,), ordinal))
-            stats.cells += 1
+        for axis, columns in plan:
+            pairs = [(name, row[i]) for name, i in columns]
+            _emit(cells, desc, keys, pairs, ordinal, dictionaries, stats, axis)
     return cells
 
 
@@ -360,22 +346,8 @@ def decompose_log(
                         f"no ambient value for key(s) {missing_keys} at line {lineno}"
                     )
                 keys = tuple(ambient[k] for k in desc.key_columns)
-                attrs: list[str] = []
-                values: list[str] = []
-                for attr_name, capture in rule.attr_value_captures.items():
-                    raw = m.group(capture)
-                    if raw is None or is_missing(raw):
-                        stats.skipped_empty_cells += 1
-                        continue
-                    attrs.append(canonicalize(attr_name, NONE))
-                    values.append(
-                        canonicalize(raw, desc.canon_kind(attr_name), dictionaries, stats.canon)
-                    )
-                if attrs:
-                    cells.append(
-                        SuperCell(desc.source_id, keys, tuple(attrs), tuple(values), lineno)
-                    )
-                    stats.cells += 1
+                pairs = [(a, m.group(c)) for a, c in rule.attr_value_captures.items()]
+                _emit(cells, desc, keys, pairs, lineno, dictionaries, stats)
             break
         else:
             stats.unmatched_lines += 1

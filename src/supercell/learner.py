@@ -37,10 +37,6 @@ class EmptyEvalSet(ValueError):
     pass
 
 
-class DegenerateVocabulary(ValueError):
-    """A head with a single class; it degenerates to a constant predictor."""
-
-
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _U64 = 0xFFFFFFFFFFFFFFFF

@@ -183,6 +183,12 @@ class MappingSpec:
                 return desc
         raise SpecViolation(f"unknown source {source_id!r}")
 
+    def cells(self, corpora: dict[str, list[SuperCell]]) -> list[SuperCell]:
+        """The corpora's cells in spec-source order, then corpus order: the
+        arrival order the REPLACE, DISCARD and CONCAT modes depend on, so
+        the oracle and the learned pipeline assemble the same table."""
+        return [cell for desc in self.sources for cell in corpora.get(desc.source_id, ())]
+
     def key_kinds(self) -> dict[str, CanonKind]:
         """Canonicalization kind per target key attribute (for COPY resolution)."""
         out: dict[str, CanonKind] = {}
@@ -418,14 +424,11 @@ def oracle_integrate(
     dictionaries: DictionaryStore | None = None,
 ) -> TargetTable:
     """Integrate by executing the spec directly; the ground truth for all
-    end-to-end tests. Sources are applied in spec order, cells in corpus
-    order, so arrival-order aggregation modes behave identically to the
+    end-to-end tests. Cells arrive in ``spec.cells`` order, as in the
     learned pipeline."""
     table = TargetTable(spec.target)
-    for desc in spec.sources:
-        for cell in corpora.get(desc.source_id, ()):
-            pos = position_for_cell(spec, cell, dictionaries, as_label=False)
-            table.apply(cell, pos)
+    for cell in spec.cells(corpora):
+        table.apply(cell, position_for_cell(spec, cell, dictionaries))
     return table
 
 
@@ -434,41 +437,34 @@ def generate_training_data(
     corpora: dict[str, list[SuperCell]],
     dictionaries: DictionaryStore | None = None,
 ) -> list[LabeledSample]:
-    """One labeled sample per source super cell, in deterministic order."""
-    samples: list[LabeledSample] = []
-    for desc in spec.sources:
-        for cell in corpora.get(desc.source_id, ()):
-            label = position_for_cell(spec, cell, dictionaries, as_label=True)
-            samples.append(
-                LabeledSample(
-                    feature=render_feature(cell),
-                    label=label,
-                    origin=(cell.source_id, cell.row_ordinal),
-                )
-            )
-    return samples
+    """One labeled sample per source super cell, in ``spec.cells`` order."""
+    return [
+        LabeledSample(
+            feature=render_feature(cell),
+            label=position_for_cell(spec, cell, dictionaries, as_label=True),
+            origin=(cell.source_id, cell.row_ordinal),
+        )
+        for cell in spec.cells(corpora)
+    ]
 
 
 def assemble_labels(
     spec: MappingSpec,
     corpora: dict[str, list[SuperCell]],
-    labels_by_source: dict[str, list[TargetPosition]],
+    labels: list[TargetPosition],
     dictionaries: DictionaryStore | None = None,
 ) -> TargetTable:
-    """Assemble (cell, label) pairs into a table, resolving COPY markers."""
+    """Assemble cells with their labels (parallel to ``spec.cells(corpora)``)
+    into a table, resolving COPY markers."""
+    cells = spec.cells(corpora)
+    if len(cells) != len(labels):
+        raise SpecViolation(f"{len(cells)} cells vs {len(labels)} labels")
     kinds_by_attr = spec.key_kinds()
     kinds = [kinds_by_attr[a] for a in spec.target.key_attributes]
     table = TargetTable(spec.target)
-    for desc in spec.sources:
-        cells = corpora.get(desc.source_id, ())
-        labels = labels_by_source.get(desc.source_id, ())
-        if len(cells) != len(labels):
-            raise SpecViolation(
-                f"{desc.source_id}: {len(cells)} cells vs {len(labels)} labels"
-            )
-        for cell, label in zip(cells, labels):
-            pos, _ = resolve_position(label, cell, kinds, dictionaries)
-            table.apply(cell, pos)
+    for cell, label in zip(cells, labels):
+        pos, _ = resolve_position(label, cell, kinds, dictionaries)
+        table.apply(cell, pos)
     return table
 
 
@@ -484,13 +480,7 @@ def consistency_check(
     """
     from .assemble import diff_tables
 
-    samples = generate_training_data(spec, corpora, dictionaries)
-    labels_by_source: dict[str, list[TargetPosition]] = {}
-    index = 0
-    for desc in spec.sources:
-        n = len(corpora.get(desc.source_id, ()))
-        labels_by_source[desc.source_id] = [s.label for s in samples[index : index + n]]
-        index += n
-    rebuilt = assemble_labels(spec, corpora, labels_by_source, dictionaries)
+    labels = [s.label for s in generate_training_data(spec, corpora, dictionaries)]
+    rebuilt = assemble_labels(spec, corpora, labels, dictionaries)
     oracle = oracle_integrate(spec, corpora, dictionaries)
     return diff_tables(oracle, rebuilt)

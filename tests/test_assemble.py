@@ -229,6 +229,23 @@ class TestAccounting:
         table.apply(cell, pos)
         assert (table.report.cells_written, table.report.cells_skipped) == (2, 0)
 
+    def test_failed_merge_leaves_no_row(self):
+        # A value that fails to parse must not leave an empty row behind for
+        # a later wildcard write to broadcast onto.
+        schema = TargetSchema(("k", "a", "b"), ("k",), {"k": KeyDomain((), open=True)})
+        table = TargetTable(schema)
+        write(table, ("x",), "oops", AggMode.SUM, attr="a")
+        assert table.rows == {}
+        assert table.to_csv() == "k,a,b\n"
+        write(table, (WILDCARD,), "v", AggMode.REPLACE, attr="a")
+        assert table.to_csv() == "k,a,b\n"
+        assert (table.report.cells_written, table.report.cells_skipped) == (0, 2)
+        # A row holding a value survives a failed merge of another attribute.
+        write(table, ("x",), "1", AggMode.SUM, attr="a")
+        write(table, ("x",), "oops", AggMode.SUM, attr="b")
+        assert table.to_csv() == "k,a,b\nx,1,\n"
+        assert (table.report.cells_written, table.report.cells_skipped) == (1, 3)
+
 
 class TestDiff:
     def test_identical_tables(self):

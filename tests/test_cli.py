@@ -244,6 +244,25 @@ class TestExitCodes:
         assert run([command, "--config", str(path)]) == 1
         assert key in capsys.readouterr().err
 
+    def test_cells_and_samples_mismatch_is_data_error(self, workspace, tmp_path, capsys):
+        root, fixture = workspace["root"], workspace["fixture"]
+        with open(tmp_path / "supercells.jsonl", "w", encoding="utf-8") as fh:
+            write_cells(fixture.all_cells(), fh)
+        samples = generate_training_data(fixture.spec, fixture.corpora, fixture.dictionaries)
+        (tmp_path / "samples.jsonl").write_text(
+            "".join(s.to_json() + "\n" for s in samples[:-1])
+        )
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "mapping_spec": str(root / "mapping_spec.json"),
+            "plan": str(root / "plan.json"),
+            "out_dir": str(tmp_path),
+        }))
+        assert run(["augment", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "supercells.jsonl" in err and "samples.jsonl" in err
+        assert not (tmp_path / "augmented.jsonl").exists()
+
     def test_model_for_another_target_is_usage_error(self, workspace, tmp_path):
         spec = json.loads((workspace["root"] / "mapping_spec.json").read_text())
         spec["target"]["attributes"].remove("grocery")

@@ -140,6 +140,41 @@ class TestPivotedDecompose:
         with pytest.raises(ValueError):
             SourceDescriptor(source_id="x", format="pivoted_csv", key_columns=("K",))
 
+    PIVOTED = SourceDescriptor(
+        source_id="deaths",
+        format="pivoted_csv",
+        key_columns=("State",),
+        pivot=Pivot(pivot_axis_name="date", value_attr_name="deaths"),
+        canonicalizers={"date": CanonKind("date"), "deaths": CanonKind("number")},
+    )
+
+    def test_empty_pivoted_cell_counted(self):
+        table = RawTable(
+            ("State", "1/22/2020", "1/23/2020"),
+            [("AZ", "17", ""), ("NY", "NA", "null"), ("", "1", "2")],
+        )
+        stats = DecomposeStats()
+        cells = decompose(table, self.PIVOTED, stats=stats)
+        assert [c.keys for c in cells] == [("az", "2020-01-22")]
+        assert stats == DecomposeStats(
+            rows=3, cells=1, skipped_missing_key_rows=1, skipped_empty_cells=3
+        )
+
+    def test_unparseable_date_header_counted_per_present_cell(self):
+        table = RawTable(
+            ("State", "someday", "1/23/2020"),
+            [("AZ", "17", "1"), ("NY", "", "2"), ("CA", "3", "x")],
+        )
+        stats = DecomposeStats()
+        cells = decompose(table, self.PIVOTED, stats=stats)
+        assert [c.keys for c in cells] == [
+            ("az", "someday"), ("az", "2020-01-23"), ("ny", "2020-01-23"),
+            ("ca", "someday"), ("ca", "2020-01-23"),
+        ]
+        assert stats.canon.unparseable_date == 2
+        assert stats.canon.unparseable_number == 1
+        assert (stats.rows, stats.cells, stats.skipped_empty_cells) == (3, 5, 1)
+
 
 class TestLogDecompose:
     UBUNTU = SourceDescriptor(
@@ -185,6 +220,24 @@ class TestLogDecompose:
             ["garbage", "T t0", "%Cpu(s): 1.0 us"], self.UBUNTU, stats=stats
         )
         assert stats.unmatched_lines == 1
+
+    def test_empty_optional_capture_counted(self):
+        desc = SourceDescriptor(
+            source_id="mem",
+            format="log_lines",
+            key_columns=("host",),
+            constant_keys={"host": "h1"},
+            log_rules=(
+                LogRule(r"^used (?P<u>\w+)(?: free (?P<f>\d+))?$", {},
+                        {"used": "u", "free": "f"}),
+            ),
+        )
+        stats = DecomposeStats()
+        cells = decompose_log(["used 5", "used NA free 7", "used na", "junk"], desc, stats=stats)
+        assert [(c.attributes, c.values, c.row_ordinal) for c in cells] == [
+            (("used",), ("5",), 0), (("free",), ("7",), 1),
+        ]
+        assert stats == DecomposeStats(cells=2, skipped_empty_cells=4, unmatched_lines=1)
 
     def test_first_matching_rule_wins(self):
         desc = SourceDescriptor(

@@ -236,10 +236,12 @@ class TestConsistency:
             attributes=("recovered", "confirmed"),  # swapped
             agg_mode=bad.agg_mode,
         )
-        rebuilt = assemble_labels(spec, corpora, {"covid": [corrupted], "mobility": []}, DICTS)
+        rebuilt = assemble_labels(spec, corpora, [corrupted], DICTS)
         oracle = oracle_integrate(spec, corpora, DICTS)
         diff = diff_tables(oracle, rebuilt)
         assert diff["mismatched"] == 2
+        with pytest.raises(SpecViolation):
+            assemble_labels(spec, corpora, [corrupted, corrupted], DICTS)
 
 
 class TestSpecValidation:
