@@ -49,6 +49,7 @@ DATA_ERRORS = (
     DataError, EmptyInput, RaggedRow, MissingKeyColumn, NoRuleMatchedAnything,
     UnknownDictionary, mapping.SpecViolation, mapping.KeyResolutionFailure,
     baseline.UncoverableAttribute, baseline.EmptyColumn, learner.EmptyEvalSet,
+    learner.CellTooWide,
     FileNotFoundError, json.JSONDecodeError, KeyError, re.error,
 )
 
@@ -107,6 +108,8 @@ def _fixture(config: dict, spec: mapping.MappingSpec, dictionaries) -> Fixture:
     by_id = {d.source_id: d for d in spec.sources}
     fixture = Fixture(spec=spec, dictionaries=dictionaries)
     for entry in config.get("sources", []):
+        if not isinstance(entry, dict) or not {"source_id", "path"} <= entry.keys():
+            raise UsageError(f"sources entry {entry!r} needs 'source_id' and 'path'")
         desc = by_id.get(entry["source_id"])
         if desc is None:
             raise UsageError(f"source {entry['source_id']!r} not in mapping spec")
@@ -203,7 +206,7 @@ def cmd_augment(config: dict) -> int:
         samples, plan, dictionaries,
         corpus=cells,
         hierarchy=spec.key_hierarchy,
-        parent_component=spec.parent_components() or None,
+        parent_component=spec.parent_components(),
         log=plog,
     )
     out = out_dir / "augmented.jsonl"

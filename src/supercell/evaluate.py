@@ -24,31 +24,21 @@ from .baseline import (
     match_columns,
     storage_report,
 )
-from .core import discard_position, render_feature
 from .datasets import Fixture, build_pivoted_deaths, build_wide_tables, covid_unpivoted_view
 from .ingest import RawTable, decompose
 from .learner import ModelParams, TrainConfig, accuracy, integrate_predictions, train
 from .mapping import LabeledSample, generate_training_data, oracle_integrate
-from .perturb import (
-    PerturbationPlan,
-    augment,
-    expand_keys,
-    noise_cells,
-    reformat_values,
-    rename_attributes,
-)
+from .perturb import PerturbationPlan, augment, noise_samples, perturb_corpus
 
 
 @dataclass(frozen=True)
 class AblationVariant:
-    """One test condition: a perturbation plan applied to the test corpus
-    only. ``reference_target`` is an informational accuracy target from
-    prior published measurements of this protocol, never a gate."""
+    """One test condition: a named perturbation plan applied to the test
+    corpus only. ``reference_target`` is an informational accuracy target
+    from prior published measurements of this protocol, never a gate."""
 
     name: str
-    plan: PerturbationPlan | None = None
-    irrelevant: bool = False
-    expansion: bool = False
+    plan: PerturbationPlan = field(default_factory=PerturbationPlan)
     reference_target: float | None = None
 
 
@@ -63,12 +53,7 @@ class AblationConfig:
     def config_hash(self) -> str:
         payload = {
             "variants": [
-                {
-                    "name": v.name,
-                    "plan": v.plan.to_dict() if v.plan else None,
-                    "irrelevant": v.irrelevant,
-                    "expansion": v.expansion,
-                }
+                {"name": v.name, "plan": v.plan.to_dict()}
                 for v in self.variants
             ],
             "with_augmentation": self.with_augmentation,
@@ -87,7 +72,7 @@ def default_variants(seed: int = 9001) -> list[AblationVariant]:
 
     return [
         AblationVariant("clean", reference_target=0.999),
-        AblationVariant("irrelevant_data", plan(), irrelevant=True,
+        AblationVariant("irrelevant_data", plan(add_remove_noise_columns=30),
                         reference_target=0.999),
         AblationVariant("rename_2_attrs", plan(attr_rename_rate=2 / 7),
                         reference_target=0.999),
@@ -101,7 +86,6 @@ def default_variants(seed: int = 9001) -> list[AblationVariant]:
         AblationVariant(
             "key_expansion",
             plan(key_expansion_rate=0.2),
-            expansion=True,
             reference_target=0.964,
         ),
     ]
@@ -114,33 +98,21 @@ def variant_test_set(
 ) -> list[LabeledSample]:
     """Build one variant's evaluation set.
 
-    Perturbations apply to the test cells only; labels are carried over
-    from the clean cells (renames and reformats never change where a cell
-    belongs), except key expansion, which rewrites aggregation labels."""
-    cells = fixture.all_cells()
-    labels = [s.label for s in base_samples]
-    if variant.irrelevant:
-        seed = (variant.plan.seed if variant.plan else 0) + 23
-        noise = noise_cells("noise_source", 30, 10, seed=seed)
-        q = fixture.spec.target.q
-        return [
-            LabeledSample(render_feature(c), discard_position(q, c.width),
-                          (c.source_id, c.row_ordinal))
-            for c in noise
-        ]
-    if variant.expansion:
-        assert fixture.spec.key_hierarchy is not None
-        cells, labels = expand_keys(
-            cells, labels, fixture.spec.key_hierarchy, variant.plan,
-            fixture.parent_component or None,
+    A plan with noise columns is scored on that many irrelevant columns
+    alone, all labeled as discards. Otherwise the plan's schema changes
+    apply to the test cells only; labels are carried over from the clean
+    cells (renames and reformats never change where a cell belongs), except
+    key expansion, which rewrites aggregation labels."""
+    plan = variant.plan
+    if plan.add_remove_noise_columns > 0:
+        return noise_samples(
+            "noise_source", plan.add_remove_noise_columns, 10, plan.seed + 23,
+            fixture.spec.target.q,
         )
-    elif variant.plan is not None:
-        cells = rename_attributes(cells, variant.plan, fixture.dictionaries)
-        cells = reformat_values(cells, variant.plan, fixture.dictionaries)
-    return [
-        LabeledSample(render_feature(c), l, (c.source_id, c.row_ordinal))
-        for c, l in zip(cells, labels)
-    ]
+    return perturb_corpus(
+        fixture.all_cells(), [s.label for s in base_samples], plan, fixture.dictionaries,
+        fixture.spec.key_hierarchy, fixture.parent_component,
+    )
 
 
 def build_training_samples(
@@ -161,7 +133,7 @@ def build_training_samples(
         dictionaries,
         corpus=fixture.all_cells(),
         hierarchy=fixture.spec.key_hierarchy,
-        parent_component=fixture.parent_component or None,
+        parent_component=fixture.parent_component,
     )
 
 
@@ -248,8 +220,6 @@ def compare_baseline(
     fixture: Fixture,
     params: ModelParams,
     out_dir: str | Path,
-    lsh_L: int = 128,
-    storage_L: int = 512,
     model_path: Path | None = None,
 ) -> dict:
     """Learner pipeline vs MinHash baseline on the clean fixture and on the
@@ -296,7 +266,7 @@ def compare_baseline(
     example = target_example_from_oracle(fixture)
     raw_sources = dict(fixture.tables)
     started = time.perf_counter()
-    matches = match_columns(raw_sources, example, threshold=0.5, L=lsh_L)
+    matches = match_columns(raw_sources, example, threshold=0.5)
     timings["baseline_match_s"] = time.perf_counter() - started
     report["baseline_unmatched_clean"] = sorted(matches.unmatched)
     kinds = fixture.spec.key_kinds()
@@ -316,18 +286,18 @@ def compare_baseline(
     # Baseline on the pivoted source: the pivot attribute has no column.
     if has_pivot_scenario:
         pivot_matches = match_columns(
-            {"covid": pivoted_table}, example, threshold=0.5, L=lsh_L
+            {"covid": pivoted_table}, example, threshold=0.5
         )
         report["baseline_pivoted_unmatched"] = sorted(pivot_matches.unmatched)
 
-    # Storage accounting.
+    # Storage accounting at L=512, the signature length criterion 8 compares.
     n_fixture_columns = sum(len(t.header) for t in fixture.tables.values())
     report["fixture_columns"] = n_fixture_columns
-    report["signature_store_bytes_fixture"] = storage_report(n_fixture_columns, storage_L)
+    report["signature_store_bytes_fixture"] = storage_report(n_fixture_columns, 512)
     wide = build_wide_tables()
     n_wide = sum(len(t.header) for t in wide.values())
     report["wide_columns"] = n_wide
-    report["signature_store_bytes_wide"] = storage_report(n_wide, storage_L)
+    report["signature_store_bytes_wide"] = storage_report(n_wide, 512)
     if model_path is not None and Path(model_path).exists():
         report["model_file_bytes"] = Path(model_path).stat().st_size
 

@@ -37,6 +37,10 @@ class EmptyEvalSet(ValueError):
     pass
 
 
+class CellTooWide(ValueError):
+    """Labeled samples wider than the model's ``max_width`` attribute slots."""
+
+
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _U64 = 0xFFFFFFFFFFFFFFFF
@@ -229,6 +233,11 @@ def encode(
 def encode_samples(
     samples: list[LabeledSample], params: ModelParams
 ) -> list[EncodedSample]:
+    max_width = params.config.max_width
+    wide = [w for w in (len(s.label.attributes) for s in samples) if w > max_width]
+    if wide:
+        raise CellTooWide(f"{len(wide)} samples are wider than max_width {max_width} "
+                          f"(widest {max(wide)})")
     return [
         encode(s.feature, params.vocab,
                np.array(params.space.render(s.label), dtype=np.int64),

@@ -269,6 +269,11 @@ class LabeledSample:
     label: TargetPosition
     origin: tuple[str, int]
 
+    @staticmethod
+    def of(cell: SuperCell, label: TargetPosition) -> "LabeledSample":
+        """The sample for ``cell`` under ``label``, with the cell's provenance."""
+        return LabeledSample(render_feature(cell), label, (cell.source_id, cell.row_ordinal))
+
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -439,11 +444,7 @@ def generate_training_data(
 ) -> list[LabeledSample]:
     """One labeled sample per source super cell, in ``spec.cells`` order."""
     return [
-        LabeledSample(
-            feature=render_feature(cell),
-            label=position_for_cell(spec, cell, dictionaries, as_label=True),
-            origin=(cell.source_id, cell.row_ordinal),
-        )
+        LabeledSample.of(cell, position_for_cell(spec, cell, dictionaries, as_label=True))
         for cell in spec.cells(corpora)
     ]
 

@@ -2,6 +2,9 @@
 
 Five change families are simulated: domain pivoting, key expansion,
 attribute rename/reorder, value reformatting, and noise-column addition.
+Each family is implemented once here and serves both uses of a
+``PerturbationPlan``: ``augment`` mixes perturbed copies into training
+data, and ``perturb_corpus`` builds the test sets of the robustness ladder.
 Renames, reformats, and character noise never alter labels; key expansion
 switches the label's aggregation mode to the hierarchy's rollup mode.
 Everything is driven by a single 64-bit seed and is fully deterministic.
@@ -53,6 +56,10 @@ class PerturbationPlan:
     def to_dict(self) -> dict:
         return asdict(self)
 
+    def dictionary(self, dictionaries: DictionaryStore) -> SynonymDictionary | None:
+        """The synonym dictionary the plan names, or None when it names none."""
+        return dictionaries.get(self.synonym_dict) if self.synonym_dict else None
+
 
 def _rng(seed: int, *salt: int) -> np.random.Generator:
     return np.random.default_rng(np.array([seed & 0xFFFFFFFFFFFFFFFF, *salt], dtype=np.uint64))
@@ -93,7 +100,7 @@ def rename_map(
     ordered = sorted(set(attributes))
     n_pick = int(round(plan.attr_rename_rate * len(ordered)))
     picked = list(rng.choice(len(ordered), size=min(n_pick, len(ordered)), replace=False))
-    dictionary = dictionaries.get(plan.synonym_dict) if plan.synonym_dict else None
+    dictionary = plan.dictionary(dictionaries)
     mapping: dict[str, str] = {}
     for i in sorted(int(j) for j in picked):
         name = ordered[i]
@@ -175,23 +182,27 @@ def reformat_values(
     if plan.value_reformat_rate <= 0:
         return list(corpus)
     rng = _rng(plan.seed, 3)
-    dictionary = dictionaries.get(plan.synonym_dict) if plan.synonym_dict else None
-    out: list[SuperCell] = []
-    for cell in corpus:
-        keys = list(cell.keys)
-        values = list(cell.values)
-        for i, key in enumerate(keys):
+    dictionary = plan.dictionary(dictionaries)
+
+    def redraw(entries: tuple[str, ...]) -> tuple[str, ...]:
+        out = []
+        for entry in entries:
+            alt = None
             if rng.random() < plan.value_reformat_rate:
-                alt = reformat_value(key, rng, dictionary)
-                if alt is not None:
-                    keys[i] = alt
-        for i, value in enumerate(values):
-            if rng.random() < plan.value_reformat_rate:
-                alt = reformat_value(value, rng, dictionary)
-                if alt is not None:
-                    values[i] = alt
-        out.append(replace(cell, keys=tuple(keys), values=tuple(values)))
-    return out
+                alt = reformat_value(entry, rng, dictionary)
+            out.append(entry if alt is None else alt)
+        return tuple(out)
+
+    # Keyword arguments evaluate left to right: keys draw before values.
+    return [replace(cell, keys=redraw(cell.keys), values=redraw(cell.values)) for cell in corpus]
+
+
+def _rename_reformat(
+    corpus: list[SuperCell],
+    plan: PerturbationPlan,
+    dictionaries: DictionaryStore,
+) -> list[SuperCell]:
+    return reformat_values(rename_attributes(corpus, plan, dictionaries), plan, dictionaries)
 
 
 def _partition_integer(total: int, parts: int, rng: np.random.Generator) -> list[int]:
@@ -209,9 +220,9 @@ def _partition_integer(total: int, parts: int, rng: np.random.Generator) -> list
 def expand_keys(
     corpus: list[SuperCell],
     labels: list[TargetPosition],
-    hierarchy: KeyHierarchy,
+    hierarchy: KeyHierarchy | None,
     plan: PerturbationPlan,
-    parent_component: dict[str, int] | None = None,
+    parent_component: dict[str, int],
     counters: dict | None = None,
 ) -> tuple[list[SuperCell], list[TargetPosition]]:
     """Split selected rows into child-keyed rows at finer key granularity.
@@ -224,12 +235,15 @@ def expand_keys(
     switch the aggregation mode to the rollup mode.
 
     ``parent_component`` maps source_id to the index of the expandable key
-    component (defaults to scanning for a value with children).
+    component (``MappingSpec.parent_components``); rows of a source absent
+    from it stay unexpanded.
     """
     if len(corpus) != len(labels):
         raise ValueError("corpus and labels must be parallel")
     if plan.key_expansion_rate <= 0:
         return list(corpus), list(labels)
+    if hierarchy is None:
+        raise ValueError("key expansion needs a key hierarchy")
     rng = _rng(plan.seed, 4)
     rows: dict[tuple[str, int], list[int]] = {}
     for i, cell in enumerate(corpus):
@@ -244,31 +258,17 @@ def expand_keys(
     out_labels: list[TargetPosition] = []
     for row_id in row_ids:
         indices = rows[row_id]
-        if row_id not in picked:
-            for i in indices:
-                out_cells.append(corpus[i])
-                out_labels.append(labels[i])
-            continue
-        source_id = row_id[0]
+        comp = parent_component.get(row_id[0]) if row_id in picked else None
         first = corpus[indices[0]]
-        if parent_component is not None and source_id in parent_component:
-            comp = parent_component[source_id]
-            children = hierarchy.children.get(first.keys[comp], ())
-        else:
-            comp, children = -1, ()
-            for j, key in enumerate(first.keys):
-                if key in hierarchy.children:
-                    comp, children = j, hierarchy.children[key]
-                    break
-        numeric_ok = hierarchy.rollup is not AggMode.SUM or all(
+        children = () if comp is None else hierarchy.children.get(first.keys[comp], ())
+        if len(children) >= 2 and hierarchy.rollup is AggMode.SUM and not all(
             _all_int(corpus[i].values) for i in indices
-        )
-        if len(children) < 2 or not numeric_ok:
-            if len(children) >= 2 and not numeric_ok:
-                skipped_non_numeric += 1
-            for i in indices:
-                out_cells.append(corpus[i])
-                out_labels.append(labels[i])
+        ):
+            skipped_non_numeric += 1
+            children = ()
+        if len(children) < 2:
+            out_cells += [corpus[i] for i in indices]
+            out_labels += [labels[i] for i in indices]
             continue
         for i in indices:
             cell = corpus[i]
@@ -305,43 +305,38 @@ _NOISE_SYLLABLES = [
 ]
 
 
-def noise_cells(
+def noise_samples(
     source_id: str,
     n_columns: int,
     n_rows: int,
     seed: int,
-    keys_of_row=None,
-) -> list[SuperCell]:
-    """Singleton super cells from synthetic irrelevant columns.
+    q: int,
+) -> list[LabeledSample]:
+    """Discard-labeled singleton super cells from synthetic irrelevant
+    columns of a wholly irrelevant source (rows get their own synthetic
+    keys); ``q`` is the target's key count.
 
     This is the one generator behind both the irrelevant-data test variant
-    and the discard examples mixed into augmented training sets. With
-    ``keys_of_row`` the noise shares real row keys (an added column on a
-    real source); without it, rows get their own synthetic keys (a wholly
-    irrelevant source).
+    and the discard examples mixed into augmented training sets.
     """
     rng = _rng(seed, 5)
-    cells: list[SuperCell] = []
+    out: list[LabeledSample] = []
     for c in range(n_columns):
         name = "".join(
             _NOISE_SYLLABLES[int(rng.integers(len(_NOISE_SYLLABLES)))]
             for _ in range(2 + c % 2)
         ) + f"_{c}"
         for r in range(n_rows):
-            if keys_of_row is not None:
-                keys = tuple(keys_of_row(r))
-            else:
-                keys = (
-                    _NOISE_SYLLABLES[int(rng.integers(len(_NOISE_SYLLABLES)))]
-                    + str(int(rng.integers(10**6))),
-                    _NOISE_SYLLABLES[int(rng.integers(len(_NOISE_SYLLABLES)))]
-                    + str(int(rng.integers(10**4))),
-                )
-            value = str(int(rng.integers(0, 100000)))
-            cells.append(
-                SuperCell(source_id, keys, (name,), (value,), r)
+            keys = (
+                _NOISE_SYLLABLES[int(rng.integers(len(_NOISE_SYLLABLES)))]
+                + str(int(rng.integers(10**6))),
+                _NOISE_SYLLABLES[int(rng.integers(len(_NOISE_SYLLABLES)))]
+                + str(int(rng.integers(10**4))),
             )
-    return cells
+            value = str(int(rng.integers(0, 100000)))
+            cell = SuperCell(source_id, keys, (name,), (value,), r)
+            out.append(LabeledSample.of(cell, discard_position(q, cell.width)))
+    return out
 
 
 @dataclass
@@ -368,7 +363,7 @@ def perturb_sentence(
     rename: dict[str, str],
 ) -> tuple[FeatureSentence, list[str]]:
     """Token-level rename/reformat/char-noise on one feature sentence."""
-    dictionary = dictionaries.get(plan.synonym_dict) if plan.synonym_dict else None
+    dictionary = plan.dictionary(dictionaries)
     ops: set[str] = set()
     tokens: list[str] = []
     for token, tag in zip(sentence.tokens, sentence.segment_tags):
@@ -390,11 +385,30 @@ def perturb_sentence(
     return FeatureSentence(tuple(tokens), sentence.segment_tags), sorted(ops)
 
 
+def perturb_corpus(
+    corpus: list[SuperCell],
+    labels: list[TargetPosition],
+    plan: PerturbationPlan,
+    dictionaries: DictionaryStore,
+    hierarchy: KeyHierarchy | None,
+    parent_component: dict[str, int],
+) -> list[LabeledSample]:
+    """The corpus under the plan's schema changes, as labeled samples.
+
+    Applies rename, then reformat, then key expansion; a family at rate 0
+    returns its input untouched. Labels (parallel to ``corpus``) carry over
+    except where key expansion rewrites the aggregation mode."""
+    cells, labels = expand_keys(
+        _rename_reformat(corpus, plan, dictionaries), labels, hierarchy, plan, parent_component
+    )
+    return [LabeledSample.of(cell, label) for cell, label in zip(cells, labels)]
+
+
 def augment(
     samples: list[LabeledSample],
     plan: PerturbationPlan,
     dictionaries: DictionaryStore,
-    corpus: list[SuperCell] | None = None,
+    corpus: list[SuperCell],
     hierarchy: KeyHierarchy | None = None,
     parent_component: dict[str, int] | None = None,
     log: PerturbationLog | None = None,
@@ -403,16 +417,16 @@ def augment(
     except key-expansion copies whose aggregation label becomes the
     hierarchy's rollup mode.
 
-    Token-level rename/reformat/char-noise always applies. When ``corpus``
-    (the cells the samples came from, in the same order) is given, two
-    richer families are added: whole-component rename+reformat copies, so
-    multi-word values like state names gain their alternate surface forms,
-    and — with ``hierarchy`` — key-expansion copies at finer key
-    granularity. A nonzero ``add_remove_noise_columns`` mixes in synthetic
-    irrelevant columns labeled as discards. Deterministic per (input order,
-    plan seed).
+    ``corpus`` holds the cells the samples came from, in the same order.
+    Three families of copies are added: token-level rename/reformat/char
+    noise; whole-component rename+reformat copies, so multi-word values like
+    state names gain their alternate surface forms; and, with ``hierarchy``,
+    key-expansion copies at finer key granularity (sources absent from
+    ``parent_component`` are not expanded). A nonzero
+    ``add_remove_noise_columns`` mixes in synthetic irrelevant columns
+    labeled as discards. Deterministic per (input order, plan seed).
     """
-    if corpus is not None and len(corpus) != len(samples):
+    if len(corpus) != len(samples):
         raise ValueError("corpus must parallel samples")
     attr_tokens = sorted(
         {
@@ -424,50 +438,34 @@ def augment(
     )
     rename = rename_map(attr_tokens, plan, dictionaries)
     out = list(samples)
+
+    def add(sample: LabeledSample, ops: list[str]) -> None:
+        out.append(sample)
+        if log is not None:
+            log.add(len(out) - 1, ops)
+
     for i, sample in enumerate(samples):
         rng = _rng(plan.seed ^ 0x5CE11, 6, i)
         sentence, ops = perturb_sentence(sample.feature, plan, dictionaries, rng, rename)
         if ops and sentence != sample.feature:
-            out.append(LabeledSample(sentence, sample.label, sample.origin))
-            if log is not None:
-                log.add(len(out) - 1, ops)
+            add(LabeledSample(sentence, sample.label, sample.origin), ops)
 
-    if corpus is not None:
-        perturbed = reformat_values(
-            rename_attributes(corpus, plan, dictionaries), plan, dictionaries
+    for cell, base in zip(_rename_reformat(corpus, plan, dictionaries), samples):
+        feature = render_feature(cell)
+        if feature != base.feature:
+            add(LabeledSample(feature, base.label, base.origin), ["corpus_rename_reformat"])
+
+    if hierarchy is not None and plan.key_expansion_rate > 0:
+        base_key_len = {c.source_id: len(c.keys) for c in corpus}
+        cells, labels = expand_keys(
+            corpus, [s.label for s in samples], hierarchy, plan, parent_component or {}
         )
-        for cell, base in zip(perturbed, samples):
-            feature = render_feature(cell)
-            if feature != base.feature:
-                out.append(LabeledSample(feature, base.label, base.origin))
-                if log is not None:
-                    log.add(len(out) - 1, ["corpus_rename_reformat"])
-        if hierarchy is not None and plan.key_expansion_rate > 0:
-            base_key_len = {c.source_id: len(c.keys) for c in corpus}
-            cells2, labels2 = expand_keys(
-                corpus, [s.label for s in samples], hierarchy, plan, parent_component
-            )
-            for cell, label in zip(cells2, labels2):
-                if len(cell.keys) > base_key_len.get(cell.source_id, len(cell.keys)):
-                    out.append(
-                        LabeledSample(
-                            render_feature(cell), label, (cell.source_id, cell.row_ordinal)
-                        )
-                    )
-                    if log is not None:
-                        log.add(len(out) - 1, ["key_expansion"])
+        for cell, label in zip(cells, labels):
+            if len(cell.keys) > base_key_len[cell.source_id]:
+                add(LabeledSample.of(cell, label), ["key_expansion"])
 
     if plan.add_remove_noise_columns > 0:
         q = len(samples[0].label.keys) if samples else 1
-        for cell in noise_cells(
-            "noise", plan.add_remove_noise_columns, 4, seed=plan.seed + 5
-        ):
-            out.append(
-                LabeledSample(
-                    render_feature(cell), discard_position(q, cell.width),
-                    (cell.source_id, cell.row_ordinal),
-                )
-            )
-            if log is not None:
-                log.add(len(out) - 1, ["noise_column"])
+        for sample in noise_samples("noise", plan.add_remove_noise_columns, 4, plan.seed + 5, q):
+            add(sample, ["noise_column"])
     return out

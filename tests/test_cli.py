@@ -281,6 +281,41 @@ class TestExitCodes:
         }))
         assert run(["decompose", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("entry", [{"source_id": "covid"}, {"path": "covid.csv"}])
+    def test_incomplete_sources_entry_is_usage_error(self, workspace, tmp_path, capsys,
+                                                     entry):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "sources": [entry],
+            "mapping_spec": str(workspace["root"] / "mapping_spec.json"),
+            "out_dir": str(tmp_path),
+        }))
+        assert run(["decompose", "--config", str(path)]) == 1
+        assert repr(entry) in capsys.readouterr().err
+
+    def test_cell_wider_than_max_width_is_data_error(self, workspace, tmp_path, capsys):
+        root, fixture = workspace["root"], workspace["fixture"]
+        config = json.loads(open(workspace["config_path"]).read())
+        config.update(
+            sources=[{**e, "path": str(root / e["path"])} for e in config["sources"]],
+            dictionaries={k: str(root / v) for k, v in config["dictionaries"].items()},
+            mapping_spec=str(root / "mapping_spec.json"),
+            out_dir=str(tmp_path), learner={"max_width": 1, "epochs": 1},
+        )
+        del config["plan"], config["model"]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        for command in ("decompose", "gen-train"):
+            assert run([command, "--config", str(path)]) == 0
+        capsys.readouterr()
+        assert run(["train", "--config", str(path)]) == 2
+        widths = [len(s.label.attributes) for s in generate_training_data(
+            fixture.spec, fixture.corpora, fixture.dictionaries)]
+        wide = [w for w in widths if w > 1]
+        err = capsys.readouterr().err
+        assert wide and f"{len(wide)} samples" in err and f"widest {max(wide)}" in err
+        assert not (tmp_path / "model.npz").exists()
+
     def test_corrupt_model_is_internal_error(self, workspace, tmp_path):
         root = workspace["root"]
         bad_model = tmp_path / "model.npz"

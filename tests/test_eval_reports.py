@@ -61,7 +61,6 @@ class TestVariants:
         variant = AblationVariant(
             "expand",
             PerturbationPlan(seed=2, key_expansion_rate=1.0),
-            expansion=True,
         )
         out = variant_test_set(fixture, base, variant)
         assert len(out) > len(base)
@@ -70,10 +69,23 @@ class TestVariants:
     def test_irrelevant_all_discard(self):
         fixture = tiny_fixture()
         base = generate_training_data(fixture.spec, fixture.corpora, fixture.dictionaries)
-        variant = AblationVariant("noise", PerturbationPlan(seed=3), irrelevant=True)
+        variant = AblationVariant(
+            "noise", PerturbationPlan(seed=3, add_remove_noise_columns=30)
+        )
         out = variant_test_set(fixture, base, variant)
         assert out
         assert all(s.label.is_discard for s in out)
+        assert len({s.feature for s in out}) == len(out) == 30 * 10
+
+    def test_plan_payload_names_the_variant(self):
+        # Two variants differ only by their plans, so the run directory
+        # hash follows the plan.
+        plain = AblationConfig(variants=[AblationVariant("v")])
+        noisy = AblationConfig(variants=[
+            AblationVariant("v", PerturbationPlan(add_remove_noise_columns=1))
+        ])
+        assert AblationVariant("v").plan == PerturbationPlan()
+        assert plain.config_hash() != noisy.config_hash()
 
 
 class TestAblationReport:

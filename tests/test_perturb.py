@@ -1,18 +1,25 @@
 """Perturbation operators: renames, reformats, expansion, augmentation."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from supercell.canon import CanonKind, SynonymDictionary, canonicalize
-from supercell.core import AggMode, SuperCell, render_feature
-from supercell.mapping import KeyHierarchy, LabeledSample
+from supercell.core import ATTR, AggMode, SuperCell
+from supercell.datasets import build_covid_fixture
+from supercell.evaluate import default_variants, variant_test_set
+from supercell.mapping import KeyHierarchy, LabeledSample, generate_training_data
 from supercell.perturb import (
     PerturbationLog,
     PerturbationPlan,
     augment,
     char_noise,
     expand_keys,
-    noise_cells,
+    noise_samples,
+    perturb_corpus,
     reformat_value,
     reformat_values,
     rename_attributes,
@@ -165,10 +172,24 @@ class TestExpandKeys:
         corpus = cells()
         labels = labeled(corpus)
         out_cells, out_labels = expand_keys(
-            corpus, labels, hierarchy(), plan(key_expansion_rate=0.0)
+            corpus, labels, hierarchy(), plan(key_expansion_rate=0.0), {"s": 1}
         )
         assert out_cells == corpus
         assert out_labels == labels
+
+    def test_source_absent_from_parent_component_unexpanded(self):
+        corpus = [
+            SuperCell("s", ("2020-10-06", "arizona"), ("confirmed",), ("10",), 0)
+        ]
+        labels = labeled(corpus)
+        counters = {}
+        out_cells, out_labels = expand_keys(
+            corpus, labels, hierarchy(), plan(key_expansion_rate=1.0),
+            {"other": 1}, counters,
+        )
+        assert out_cells == corpus
+        assert out_labels == labels
+        assert counters["non_numeric_expansion"] == 0
 
     def test_non_numeric_row_skipped(self):
         corpus = [SuperCell("s", ("2020-10-06", "arizona"), ("note",), ("abc",), 0)]
@@ -191,20 +212,22 @@ class TestExpandKeys:
 
 
 def samples(corpus):
-    return [
-        LabeledSample(render_feature(c), l, (c.source_id, c.row_ordinal))
-        for c, l in zip(corpus, labeled(corpus))
-    ]
+    return [LabeledSample.of(c, l) for c, l in zip(corpus, labeled(corpus))]
 
 
 class TestAugment:
     def test_all_rates_zero_is_identity(self):
         base = samples(cells())
-        assert augment(base, plan(), DICTS) == base
+        assert augment(base, plan(), DICTS, corpus=cells()) == base
+
+    def test_corpus_must_parallel_samples(self):
+        with pytest.raises(ValueError):
+            augment(samples(cells()), plan(), DICTS, corpus=cells(3))
 
     def test_originals_prefix_preserved(self):
         base = samples(cells())
-        out = augment(base, plan(attr_rename_rate=1.0, char_noise_rate=0.2), DICTS)
+        out = augment(base, plan(attr_rename_rate=1.0, char_noise_rate=0.2), DICTS,
+                      corpus=cells())
         assert out[: len(base)] == base
         assert len(out) > len(base)
 
@@ -245,7 +268,7 @@ class TestAugment:
 
     def test_noise_columns_added_as_discards(self):
         base = samples(cells())
-        out = augment(base, plan(add_remove_noise_columns=2), DICTS)
+        out = augment(base, plan(add_remove_noise_columns=2), DICTS, corpus=cells())
         added = out[len(base):]
         assert added
         assert all(s.label.is_discard for s in added)
@@ -253,18 +276,134 @@ class TestAugment:
     def test_perturbation_log(self):
         base = samples(cells())
         log = PerturbationLog()
-        augment(base, plan(attr_rename_rate=1.0), DICTS, log=log)
+        augment(base, plan(attr_rename_rate=1.0), DICTS, corpus=cells(), log=log)
         assert log.entries
         assert all("ops_applied" in e for e in log.entries)
 
 
-def test_noise_cells_deterministic_and_singleton():
-    a = noise_cells("n", 3, 2, seed=1)
-    b = noise_cells("n", 3, 2, seed=1)
+def test_noise_samples_deterministic_and_singleton():
+    a = noise_samples("n", 3, 2, seed=1, q=2)
+    b = noise_samples("n", 3, 2, seed=1, q=2)
     assert a == b
-    assert all(c.width == 1 for c in a)
+    assert all(len(s.label.attributes) == 1 for s in a)
+    assert all(s.label.is_discard and len(s.label.keys) == 2 for s in a)
     assert len(a) == 6
-    assert len({c.attributes[0] for c in a}) == 3
+    attr_tokens = {
+        tuple(t for t, tag in zip(s.feature.tokens, s.feature.segment_tags) if tag == ATTR)
+        for s in a
+    }
+    assert len(attr_tokens) == 3
+
+
+def numeric_cells():
+    """Rows of two sources, some with an expandable state and integer values."""
+    return [
+        SuperCell(source, ("2020-10-06", state), ("confirmed", "deaths"),
+                  (str(10 * i), str(i)), i)
+        for source in ("s", "t")
+        for i, state in enumerate(["arizona", "texas", "arizona", "arizona"])
+    ]
+
+
+class TestComposedPath:
+    """``perturb_corpus`` applies rename, reformat and key expansion in turn."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**63), synonyms=st.sampled_from(["d", None]))
+    def test_zero_plan_is_identity(self, seed, synonyms):
+        corpus = numeric_cells()
+        labels = labeled(corpus)
+        p = PerturbationPlan(seed=seed, synonym_dict=synonyms)
+        out = perturb_corpus(corpus, labels, p, DICTS, hierarchy(), {"s": 1, "t": 1})
+        assert out == [LabeledSample.of(c, l) for c, l in zip(corpus, labels)]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**63),
+        family=st.sampled_from(["attr_rename_rate", "value_reformat_rate",
+                                "key_expansion_rate"]),
+        rate=st.floats(0.05, 1.0),
+    )
+    def test_single_family_equals_its_function(self, seed, family, rate):
+        corpus = numeric_cells()
+        labels = labeled(corpus)
+        p = PerturbationPlan(seed=seed, synonym_dict="d", **{family: rate})
+        parents = {"s": 1}
+        if family == "attr_rename_rate":
+            cells_out, labels_out = rename_attributes(corpus, p, DICTS), labels
+        elif family == "value_reformat_rate":
+            cells_out, labels_out = reformat_values(corpus, p, DICTS), labels
+        else:
+            cells_out, labels_out = expand_keys(corpus, labels, hierarchy(), p, parents)
+        out = perturb_corpus(corpus, labels, p, DICTS, hierarchy(), parents)
+        assert out == [LabeledSample.of(c, l) for c, l in zip(cells_out, labels_out)]
+
+    def test_expansion_without_hierarchy_rejected(self):
+        corpus = numeric_cells()
+        with pytest.raises(ValueError):
+            perturb_corpus(corpus, labeled(corpus), plan(key_expansion_rate=0.5), DICTS,
+                           None, {})
+
+
+def digest(samples, entries=()):
+    h = hashlib.sha256()
+    for s in samples:
+        h.update(s.to_json().encode() + b"\n")
+    for entry in entries:
+        h.update(json.dumps(entry, sort_keys=True).encode() + b"\n")
+    return h.hexdigest()
+
+
+class TestPinnedOutput:
+    """Augmentation and the ablation ladder are pure functions of their
+    seeds: these digests pin their output on a small COVID fixture, with a
+    plan that turns on every family, so a refactor that moves an RNG draw
+    fails here."""
+
+    PLAN = PerturbationPlan(
+        seed=7, attr_rename_rate=0.6, char_noise_rate=0.1, value_reformat_rate=0.6,
+        key_expansion_rate=0.3, add_remove_noise_columns=3, synonym_dict="covid_synonyms",
+    )
+    VARIANTS = {
+        "clean": "db036483a5eca7f244d36c8d8507d819d54c51f804e8981a623183e304f05308",
+        "irrelevant_data": "d3a0e5f754bb42c48eee5e29d4478214f005ecb763375c26cb6cb306baa45f92",
+        "rename_2_attrs": "3ba6eefda392d75e720b3f9066171eb028f74324aaf1e3f488b9440bcf4aeb4d",
+        "rename_5_attrs": "14fbcefd4c5993d6c9f96aacad208871602763717665c5f034f59c208130d417",
+        "rename_6_attrs_value_formats":
+            "6f3f3420cc0b2af916400281307a5c063bf914b0f8cfa3ce0f26d9515ed15cb1",
+        "key_expansion": "b2c1a1323eb7e5dabef1693249c08114fc02d51afe278429ad0ff6915ecb9f49",
+    }
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        fixture = build_covid_fixture(n_dates=2, n_states=4)
+        base = generate_training_data(fixture.spec, fixture.corpora, fixture.dictionaries)
+        return fixture, base
+
+    def test_augment_and_log(self, small):
+        fixture, base = small
+        log = PerturbationLog()
+        out = augment(
+            base, self.PLAN, fixture.dictionaries, corpus=fixture.all_cells(),
+            hierarchy=fixture.spec.key_hierarchy,
+            parent_component=fixture.parent_component, log=log,
+        )
+        assert {op for e in log.entries for op in e["ops_applied"]} == {
+            "rename", "reformat", "char_noise", "corpus_rename_reformat",
+            "key_expansion", "noise_column",
+        }
+        assert (len(base), len(out), len(log.entries)) == (25, 103, 78)
+        assert digest(out, log.entries) == (
+            "42b416c09907d5775062c3f0855ee8f80df8b4cb8cfa0d9f5d41b4215d13c035"
+        )
+
+    def test_default_variant_test_sets(self, small):
+        fixture, base = small
+        digests = {
+            v.name: digest(variant_test_set(fixture, base, v))
+            for v in default_variants(9001)
+        }
+        assert digests == self.VARIANTS
 
 
 def test_plan_rates_validated():
