@@ -3,7 +3,9 @@
 Renames, value reformats, and character noise change how a cell *looks*
 without changing where it belongs, so labels carry over untouched. Key
 expansion is the exception: children aggregate back to the parent cell, so
-the label's aggregation mode switches to the rollup mode.
+the label's aggregation mode switches to the rollup mode, and each child
+re-points its COPY markers at the same key components, which can move once
+the new child key sorts among them.
 """
 
 from supercell.datasets import build_covid_fixture
@@ -51,6 +53,8 @@ expanded_cells, expanded_labels = expand_keys(
 children = [c for c in expanded_cells if len(c.keys) == 4]
 print(f"key expansion split rows into {len(children)} child-keyed cells, e.g.")
 print("  keys:", children[0].keys, "values:", children[0].values)
+print("  sorted keys:", children[0].sorted_keys())
+print("  label keys:", expanded_labels[expanded_cells.index(children[0])].keys)
 parent_total = sum(
     int(c.values[0]) for c in children if c.keys[:3] == children[0].keys[:3]
     and c.attributes == children[0].attributes

@@ -12,7 +12,7 @@ samples for the learner.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .assemble import TargetTable
@@ -101,12 +101,21 @@ class KeyHierarchy:
 
     ``children`` maps a parent key value (of target key attribute
     ``key_attr``) to its child names; values of expanded rows aggregate back
-    to the parent cell with ``rollup``.
+    to the parent cell with ``rollup``. Expansion splits each value into an
+    integer sum, so ``rollup`` must be SUM: no other mode gives the parent
+    value back.
     """
 
     key_attr: str
     children: dict[str, tuple[str, ...]]
     rollup: AggMode = AggMode.SUM
+
+    def __post_init__(self) -> None:
+        if self.rollup is not AggMode.SUM:
+            raise SpecViolation(
+                f"key hierarchy rollup must be sum, got {self.rollup.value!r}: "
+                f"key expansion splits values as integer sums"
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -376,7 +385,7 @@ def position_for_cell(
     if not as_label:
         return TargetPosition(tuple(values), tuple(attrs), agg)
 
-    sorted_keys = list(cell.sorted_keys())
+    sorted_keys = cell.sorted_keys()
     kinds = spec.key_kinds()
     keys: list[str | None] = []
     for slot, (value, entry) in enumerate(zip(values, used)):
@@ -384,14 +393,45 @@ def position_for_cell(
             keys.append(WILDCARD)
             continue
         slot_kind = kinds[spec.target.key_attributes[slot]]
-        component_value = cell.keys[entry.component]
-        sorted_i = sorted_keys.index(component_value)
-        resolved = canonicalize(component_value, slot_kind, dictionaries)
-        if resolved == value:
-            keys.append(copy_marker(sorted_i))
+        component = cell.keys[entry.component]
+        if canonicalize(component, slot_kind, dictionaries) == value:
+            keys.append(_marker_for(sorted_keys, component))
         else:
             keys.append(value)
     return TargetPosition(tuple(keys), tuple(attrs), agg)
+
+
+def _marker_for(sorted_keys: tuple[str, ...], component: str) -> str:
+    """The COPY marker naming ``component`` among a cell's sorted keys."""
+    return copy_marker(sorted_keys.index(component))
+
+
+def _component_named(sorted_keys: tuple[str, ...], index: int) -> str | None:
+    """The sorted key COPY(``index``) names, or None when out of range."""
+    return sorted_keys[index] if index < len(sorted_keys) else None
+
+
+def carry_label(label: TargetPosition, parent: SuperCell, child: SuperCell) -> TargetPosition:
+    """``parent``'s label carried over to ``child``, a cell that keeps every
+    key component of its parent and may add more (as key expansion does).
+
+    Each COPY marker is re-pointed at the same component among the child's
+    canonically ordered keys, where an added component can move it; other
+    key entries carry over unchanged."""
+    parent_keys, child_keys = parent.sorted_keys(), child.sorted_keys()
+    keys: list[str | None] = []
+    for entry in label.keys:
+        idx = copy_index(entry)
+        if idx is None:
+            keys.append(entry)
+            continue
+        component = _component_named(parent_keys, idx)
+        if component is None:
+            raise KeyResolutionFailure(
+                f"{entry} is out of range for {len(parent_keys)} key components"
+            )
+        keys.append(_marker_for(child_keys, component))
+    return replace(label, keys=tuple(keys))
 
 
 def resolve_position(
@@ -415,11 +455,12 @@ def resolve_position(
         if idx is None:
             out.append(entry)
             continue
-        if idx >= len(sorted_keys):
+        component = _component_named(sorted_keys, idx)
+        if component is None:
             out.append(None)
             degraded += 1
             continue
-        out.append(canonicalize(sorted_keys[idx], key_kinds[slot], dictionaries))
+        out.append(canonicalize(component, key_kinds[slot], dictionaries))
     return TargetPosition(tuple(out), pos.attributes, pos.agg_mode), degraded
 
 

@@ -5,9 +5,10 @@ attribute rename/reorder, value reformatting, and noise-column addition.
 Each family is implemented once here and serves both uses of a
 ``PerturbationPlan``: ``augment`` mixes perturbed copies into training
 data, and ``perturb_corpus`` builds the test sets of the robustness ladder.
-Renames, reformats, and character noise never alter labels; key expansion
-switches the label's aggregation mode to the hierarchy's rollup mode.
-Everything is driven by a single 64-bit seed and is fully deterministic.
+Renames, reformats, and character noise never alter labels. Key expansion
+labels each child with ``mapping.carry_label`` under the hierarchy's
+rollup mode; this module builds no key label itself. Everything is driven
+by a single 64-bit seed and is fully deterministic.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 from .canon import DictionaryStore, SynonymDictionary, parse_date
 from .core import (
     ATTR,
-    AggMode,
     FeatureSentence,
     KEY,
     SuperCell,
@@ -31,7 +31,7 @@ from .core import (
     render_feature,
 )
 from .ingest import RawTable
-from .mapping import KeyHierarchy, LabeledSample
+from .mapping import KeyHierarchy, LabeledSample, carry_label
 
 
 @dataclass(frozen=True)
@@ -229,10 +229,11 @@ def expand_keys(
 
     A selected row's super cells are replaced by one copy per child of its
     expandable key value, with the child name appended as a new key
-    component. For a sum rollup the children's numeric values partition the
-    parent value exactly; rows with non-numeric values are left unexpanded
-    and counted. Labels of expanded cells keep the parent's target keys and
-    switch the aggregation mode to the rollup mode.
+    component. The children's integer values sum to the parent value (the
+    hierarchy's rollup is always a sum); rows with non-integer values are
+    left unexpanded and counted. Each child is labelled with
+    ``mapping.carry_label`` of its parent's label, so its COPY markers name
+    the same key components as the parent's, under the rollup mode.
 
     ``parent_component`` maps source_id to the index of the expandable key
     component (``MappingSpec.parent_components``); rows of a source absent
@@ -261,9 +262,7 @@ def expand_keys(
         comp = parent_component.get(row_id[0]) if row_id in picked else None
         first = corpus[indices[0]]
         children = () if comp is None else hierarchy.children.get(first.keys[comp], ())
-        if len(children) >= 2 and hierarchy.rollup is AggMode.SUM and not all(
-            _all_int(corpus[i].values) for i in indices
-        ):
+        if len(children) >= 2 and not all(_all_int(corpus[i].values) for i in indices):
             skipped_non_numeric += 1
             children = ()
         if len(children) < 2:
@@ -277,11 +276,10 @@ def expand_keys(
             ]
             for c, child in enumerate(children):
                 child_values = tuple(str(splits[v][c]) for v in range(len(cell.values)))
-                out_cells.append(
-                    replace(cell, keys=cell.keys + (child,), values=child_values)
-                )
+                child_cell = replace(cell, keys=cell.keys + (child,), values=child_values)
+                out_cells.append(child_cell)
                 out_labels.append(
-                    TargetPosition(labels[i].keys, labels[i].attributes, hierarchy.rollup)
+                    replace(carry_label(labels[i], cell, child_cell), agg_mode=hierarchy.rollup)
                 )
     if counters is not None:
         counters["non_numeric_expansion"] = (
@@ -395,12 +393,13 @@ def perturb_corpus(
 ) -> list[LabeledSample]:
     """The corpus under the plan's schema changes, as labeled samples.
 
-    Applies rename, then reformat, then key expansion; a family at rate 0
-    returns its input untouched. Labels (parallel to ``corpus``) carry over
-    except where key expansion rewrites the aggregation mode."""
-    cells, labels = expand_keys(
-        _rename_reformat(corpus, plan, dictionaries), labels, hierarchy, plan, parent_component
-    )
+    Applies key expansion, then rename, then reformat; a family at rate 0
+    returns its input untouched. Expansion runs first so that it finds
+    children under the canonical key values. Labels (parallel to
+    ``corpus``) carry over; expanded children get theirs from
+    ``expand_keys``."""
+    cells, labels = expand_keys(corpus, labels, hierarchy, plan, parent_component)
+    cells = _rename_reformat(cells, plan, dictionaries)
     return [LabeledSample.of(cell, label) for cell, label in zip(cells, labels)]
 
 

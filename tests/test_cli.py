@@ -263,6 +263,25 @@ class TestExitCodes:
         assert "supercells.jsonl" in err and "samples.jsonl" in err
         assert not (tmp_path / "augmented.jsonl").exists()
 
+    def test_non_sum_rollup_is_data_error(self, workspace, tmp_path, capsys):
+        root, fixture = workspace["root"], workspace["fixture"]
+        spec = json.loads((root / "mapping_spec.json").read_text())
+        spec["key_hierarchy"]["rollup"] = "max"
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        with open(tmp_path / "supercells.jsonl", "w", encoding="utf-8") as fh:
+            write_cells(fixture.all_cells(), fh)
+        samples = generate_training_data(fixture.spec, fixture.corpora, fixture.dictionaries)
+        (tmp_path / "samples.jsonl").write_text("".join(s.to_json() + "\n" for s in samples))
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "mapping_spec": str(tmp_path / "spec.json"),
+            "plan": str(root / "plan.json"),
+            "out_dir": str(tmp_path),
+        }))
+        assert run(["augment", "--config", str(path)]) == 2
+        assert "rollup" in capsys.readouterr().err
+        assert not (tmp_path / "augmented.jsonl").exists()
+
     def test_model_for_another_target_is_usage_error(self, workspace, tmp_path):
         spec = json.loads((workspace["root"] / "mapping_spec.json").read_text())
         spec["target"]["attributes"].remove("grocery")

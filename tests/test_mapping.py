@@ -3,14 +3,25 @@
 import pytest
 
 from supercell.canon import CanonKind, SynonymDictionary
-from supercell.core import AggMode, KeyDomain, SuperCell, TargetSchema, copy_marker
+from supercell.core import (
+    WILDCARD,
+    AggMode,
+    KeyDomain,
+    SuperCell,
+    TargetPosition,
+    TargetSchema,
+    copy_marker,
+)
 from supercell.ingest import SourceDescriptor
 from supercell.mapping import (
     DISCARD,
+    KeyHierarchy,
     KeyMapEntry,
+    KeyResolutionFailure,
     LabeledSample,
     MappingSpec,
     SpecViolation,
+    carry_label,
     consistency_check,
     generate_training_data,
     oracle_integrate,
@@ -213,6 +224,41 @@ class TestResolvePosition:
         assert resolved.keys == (None,)
 
 
+class TestCarryLabel:
+    def test_copy_markers_follow_their_components(self):
+        parent = covid_cell()
+        child = SuperCell("covid", parent.keys + ("arizona north",), parent.attributes,
+                          parent.values, 0)
+        # Parent sorts date < arizona < united states; the child puts
+        # "arizona north" before "united states".
+        label = TargetPosition(
+            (copy_marker(0), copy_marker(1), copy_marker(2)),
+            ("confirmed", "recovered"), AggMode.REPLACE,
+        )
+        carried = carry_label(label, parent, child)
+        assert carried.keys == (copy_marker(0), copy_marker(1), copy_marker(3))
+        assert (carried.attributes, carried.agg_mode) == (label.attributes, label.agg_mode)
+
+    def test_literal_and_wildcard_entries_carry_over(self):
+        parent = covid_cell()
+        child = SuperCell("covid", parent.keys + ("a",), parent.attributes, parent.values, 0)
+        label = TargetPosition(
+            ("2020-10-06", WILDCARD, copy_marker(2)), ("confirmed", "recovered"),
+            AggMode.SUM,
+        )
+        assert carry_label(label, parent, child).keys == (
+            "2020-10-06", WILDCARD, copy_marker(3)
+        )
+
+    def test_out_of_range_marker_rejected(self):
+        parent = covid_cell()
+        label = TargetPosition(
+            (copy_marker(3), None, None), ("confirmed", "recovered"), AggMode.REPLACE
+        )
+        with pytest.raises(KeyResolutionFailure):
+            carry_label(label, parent, parent)
+
+
 class TestConsistency:
     def test_clean_fixture_is_consistent(self):
         spec = two_source_spec()
@@ -277,6 +323,15 @@ class TestSpecValidation:
                 "mobility": {"workplace": DISCARD},
             },
         )
+
+    @pytest.mark.parametrize("mode", [m for m in AggMode if m is not AggMode.SUM])
+    def test_hierarchy_rollup_must_be_sum(self, mode):
+        # Key expansion splits values as integer sums; a max rollup of the
+        # children 7 and 5 of the value 12 would give 7 back.
+        with pytest.raises(SpecViolation):
+            KeyHierarchy("state", {"arizona": ("arizona north", "arizona south")}, mode)
+        with pytest.raises(SpecViolation):
+            KeyHierarchy.from_dict({"key_attr": "state", "children": {}, "rollup": mode.value})
 
     def test_json_round_trip(self, tmp_path):
         spec = two_source_spec()

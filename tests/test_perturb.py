@@ -11,7 +11,12 @@ from supercell.canon import CanonKind, SynonymDictionary, canonicalize
 from supercell.core import ATTR, AggMode, SuperCell
 from supercell.datasets import build_covid_fixture
 from supercell.evaluate import default_variants, variant_test_set
-from supercell.mapping import KeyHierarchy, LabeledSample, generate_training_data
+from supercell.mapping import (
+    KeyHierarchy,
+    LabeledSample,
+    generate_training_data,
+    position_for_cell,
+)
 from supercell.perturb import (
     PerturbationLog,
     PerturbationPlan,
@@ -211,6 +216,56 @@ class TestExpandKeys:
         assert sum(int(c.values[0]) for c in out_cells) == -7
 
 
+class TestExpandedLabels:
+    """An expanded child is labelled by the oracle's rule: its COPY markers
+    index the child's own canonically ordered keys, among which the new
+    child component can sort before a parent component."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        fixture_seed=st.integers(0, 2**32 - 1),
+        n_states=st.integers(1, 50),
+        plan_seed=st.integers(0, 2**63),
+        rate=st.floats(0.1, 1.0),
+    )
+    def test_child_label_is_oracle_label(self, fixture_seed, n_states, plan_seed, rate):
+        fixture = build_covid_fixture(seed=fixture_seed, n_dates=1, n_states=n_states)
+        corpus = fixture.all_cells()
+        base = generate_training_data(fixture.spec, fixture.corpora, fixture.dictionaries)
+        out_cells, out_labels = expand_keys(
+            corpus, [s.label for s in base], fixture.spec.key_hierarchy,
+            PerturbationPlan(seed=plan_seed, key_expansion_rate=rate),
+            fixture.parent_component,
+        )
+        children = [(c, l) for c, l in zip(out_cells, out_labels) if len(c.keys) == 4]
+        assert len(children) == 2 * (len(out_cells) - len(corpus))
+        for child, label in children:
+            assert label == position_for_cell(
+                fixture.spec, child, fixture.dictionaries, as_label=True
+            )
+
+    def test_combined_plan_expands_as_many_rows(self):
+        fixture = build_covid_fixture()
+        labels = [
+            s.label
+            for s in generate_training_data(fixture.spec, fixture.corpora, fixture.dictionaries)
+        ]
+
+        def perturbed(**rates):
+            return perturb_corpus(
+                fixture.all_cells(), labels,
+                PerturbationPlan(seed=9001, synonym_dict="covid_synonyms",
+                                 key_expansion_rate=0.2, **rates),
+                fixture.dictionaries, fixture.spec.key_hierarchy, fixture.parent_component,
+            )
+
+        alone = perturbed()
+        combined = perturbed(value_reformat_rate=0.5)
+        assert len(alone) > len(labels)
+        assert len(combined) == len(alone)
+        assert [s.label for s in combined] == [s.label for s in alone]
+
+
 def samples(corpus):
     return [LabeledSample.of(c, l) for c, l in zip(corpus, labeled(corpus))]
 
@@ -371,7 +426,7 @@ class TestPinnedOutput:
         "rename_5_attrs": "14fbcefd4c5993d6c9f96aacad208871602763717665c5f034f59c208130d417",
         "rename_6_attrs_value_formats":
             "6f3f3420cc0b2af916400281307a5c063bf914b0f8cfa3ce0f26d9515ed15cb1",
-        "key_expansion": "b2c1a1323eb7e5dabef1693249c08114fc02d51afe278429ad0ff6915ecb9f49",
+        "key_expansion": "9c5a6d8206c2b6ef03ae065bceaeb490d51e4a29a8c9592383eac3a3765bbf04",
     }
 
     @pytest.fixture(scope="class")
@@ -394,7 +449,7 @@ class TestPinnedOutput:
         }
         assert (len(base), len(out), len(log.entries)) == (25, 103, 78)
         assert digest(out, log.entries) == (
-            "42b416c09907d5775062c3f0855ee8f80df8b4cb8cfa0d9f5d41b4215d13c035"
+            "71ef3d6bae4f9fa7ace873c03f76b60cde378c2ebf98733aea21190680183c47"
         )
 
     def test_default_variant_test_sets(self, small):
