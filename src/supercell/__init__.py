@@ -42,7 +42,9 @@ from .baseline import (
     baseline_integrate,
     estimate_jaccard,
     match_columns,
+    match_signatures,
     select_sources,
+    sign_columns,
     signature,
     storage_report,
 )
@@ -58,6 +60,6 @@ __all__ = [
     "canonicalize", "consistency_check", "decompose", "decompose_log",
     "estimate_jaccard", "expand_keys", "finalize_and_write",
     "generate_training_data", "gradient_check", "match_columns",
-    "oracle_integrate", "predict_cells", "render_feature",
-    "select_sources", "signature", "storage_report", "train",
+    "match_signatures", "oracle_integrate", "predict_cells", "render_feature",
+    "select_sources", "sign_columns", "signature", "storage_report", "train",
 ]

@@ -11,7 +11,6 @@ a pivoted source whose key dimension lives in the headers.
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -84,7 +83,7 @@ def signature(column: list[str], L: int = 128, seed: int = 0) -> MinHashSignatur
     if not shingle_set:
         raise EmptyColumn("no shingles after dropping missing cells")
     matrix = _hash_matrix(shingle_set, L, seed)
-    return MinHashSignature(tuple(int(v) for v in matrix.min(axis=0)), L, seed)
+    return MinHashSignature(matrix.min(axis=0).tolist(), L, seed)
 
 
 def estimate_jaccard(a: MinHashSignature, b: MinHashSignature) -> float:
@@ -112,36 +111,45 @@ class MatchReport:
     unmatched: list[str]
 
 
-def match_columns(
-    sources: dict[str, RawTable],
-    target_example: RawTable,
-    threshold: float = 0.5,
-    L: int = 128,
-    seed: int = 0,
-) -> MatchReport:
-    """Best source column per target attribute, by estimated Jaccard.
-
-    Sources are scanned in insertion order and columns in header order, so
-    ties resolve deterministically. An unmatched attribute is recorded,
-    not fatal.
-    """
-    source_sigs: list[tuple[str, str, MinHashSignature]] = []
+def sign_columns(
+    sources: dict[str, RawTable], L: int = 128, seed: int = 0
+) -> dict[tuple[str, str], MinHashSignature]:
+    """The signature store: one signature per non-empty column, keyed
+    ``(source_id, column)`` in source insertion order, then header order.
+    A column with no shingles (``EmptyColumn``) has no entry."""
+    store: dict[tuple[str, str], MinHashSignature] = {}
     for source_id, table in sources.items():
         for column in table.header:
             try:
-                source_sigs.append((source_id, column, signature(table.column(column), L, seed)))
+                store[(source_id, column)] = signature(table.column(column), L, seed)
             except EmptyColumn:
                 continue
+    return store
+
+
+def match_signatures(
+    store: dict[tuple[str, str], MinHashSignature],
+    target_example: RawTable,
+    threshold: float = 0.5,
+) -> MatchReport:
+    """Best stored column per target attribute, by estimated Jaccard.
+
+    The example's columns are signed with the store's own L and seed; a
+    store that mixes them raises ``IncompatibleSignatures``. Stored columns
+    are scanned in insertion order, so ties go to the earlier column. An
+    unmatched attribute is recorded, not fatal.
+    """
+    first = next(iter(store.values()), None)
+    if first is None:
+        return MatchReport({}, {}, list(target_example.header))
     best: dict[str, ColumnMatch] = {}
     per_source: dict[tuple[str, str], ColumnMatch] = {}
-    unmatched: list[str] = []
     for attr in target_example.header:
         try:
-            target_sig = signature(target_example.column(attr), L, seed)
+            target_sig = signature(target_example.column(attr), first.L, first.seed)
         except EmptyColumn:
-            unmatched.append(attr)
             continue
-        for source_id, column, sig in source_sigs:
+        for (source_id, column), sig in store.items():
             score = estimate_jaccard(target_sig, sig)
             if score < threshold:
                 continue
@@ -150,9 +158,19 @@ def match_columns(
                 per_source[key] = ColumnMatch(source_id, column, score)
             if attr not in best or score > best[attr].score:
                 best[attr] = ColumnMatch(source_id, column, score)
-        if attr not in best:
-            unmatched.append(attr)
+    unmatched = [a for a in target_example.header if a not in best]
     return MatchReport(best, per_source, unmatched)
+
+
+def match_columns(
+    sources: dict[str, RawTable],
+    target_example: RawTable,
+    threshold: float = 0.5,
+    L: int = 128,
+    seed: int = 0,
+) -> MatchReport:
+    """``match_signatures`` over a store signed from ``sources``."""
+    return match_signatures(sign_columns(sources, L, seed), target_example, threshold)
 
 
 def select_sources(matches: dict[str, ColumnMatch]) -> list[str]:
@@ -251,7 +269,7 @@ def save_signatures(
     with open(path, "wb") as fh:
         offset = 0
         for (source, column), sig in signatures.items():
-            fh.write(struct.pack(f"<{sig.L}I", *sig.values))
+            fh.write(np.asarray(sig.values, "<u4").tobytes())
             index.append(
                 {"source": source, "column": column, "L": sig.L, "seed": sig.seed,
                  "offset": offset}
@@ -270,6 +288,6 @@ def load_signatures(path: str | Path) -> dict[tuple[str, str], MinHashSignature]
         blob = fh.read()
     for entry in index:
         L = entry["L"]
-        values = struct.unpack_from(f"<{L}I", blob, entry["offset"])
+        values = np.frombuffer(blob, "<u4", L, entry["offset"]).tolist()
         out[(entry["source"], entry["column"])] = MinHashSignature(values, L, entry["seed"])
     return out

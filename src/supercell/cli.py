@@ -274,16 +274,10 @@ def cmd_baseline(config: dict) -> int:
     spec = _spec(config)
     out_dir = _out_dir(config)
     fixture = _fixture(config, spec, dictionaries)
-    example = evaluate.target_example_from_oracle(fixture)
-    matches = baseline.match_columns(fixture.tables, example)
-    sigs = {}
-    for source_id, table in fixture.tables.items():
-        for column in table.header:
-            try:
-                sigs[(source_id, column)] = baseline.signature(table.column(column))
-            except baseline.EmptyColumn:
-                continue
-    baseline.save_signatures(sigs, out_dir / "signatures.bin")
+    store = baseline.sign_columns(fixture.tables)
+    baseline.save_signatures(store, out_dir / "signatures.bin")
+    oracle = mapping.oracle_integrate(spec, fixture.corpora, dictionaries)
+    matches = baseline.match_signatures(store, evaluate.target_example_from_oracle(oracle))
     with open(out_dir / "matches.json", "w", encoding="utf-8") as fh:
         json.dump(
             {

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .assemble import diff_tables, finalize_and_write
+from .assemble import TargetTable, diff_tables, finalize_and_write
 from .baseline import (
     UncoverableAttribute,
     baseline_integrate,
@@ -209,10 +209,9 @@ def run_ablation(
     return rows
 
 
-def target_example_from_oracle(fixture: Fixture) -> RawTable:
+def target_example_from_oracle(oracle: TargetTable) -> RawTable:
     """The user-provided example of the expected output: here, the oracle
     table itself, the most generous example the baseline could hope for."""
-    oracle = oracle_integrate(fixture.spec, fixture.corpora, fixture.dictionaries)
     return RawTable(tuple(oracle.header()), tuple(tuple(r) for r in oracle.finalized_rows()))
 
 
@@ -263,7 +262,7 @@ def compare_baseline(
         )
 
     # Baseline on the clean raw tables.
-    example = target_example_from_oracle(fixture)
+    example = target_example_from_oracle(oracle)
     raw_sources = dict(fixture.tables)
     started = time.perf_counter()
     matches = match_columns(raw_sources, example, threshold=0.5)

@@ -413,11 +413,13 @@ def _component_named(sorted_keys: tuple[str, ...], index: int) -> str | None:
 
 def carry_label(label: TargetPosition, parent: SuperCell, child: SuperCell) -> TargetPosition:
     """``parent``'s label carried over to ``child``, a cell that keeps every
-    key component of its parent and may add more (as key expansion does).
+    key slot of its parent, perhaps with a reformatted value, and may append
+    more (as key expansion does).
 
-    Each COPY marker is re-pointed at the same component among the child's
-    canonically ordered keys, where an added component can move it; other
-    key entries carry over unchanged."""
+    Each COPY marker is re-pointed by key slot: at the child's component in
+    the slot that held the named parent component, among the child's
+    canonically ordered keys, where a reformat or an added component can
+    move it. Other key entries carry over unchanged."""
     parent_keys, child_keys = parent.sorted_keys(), child.sorted_keys()
     keys: list[str | None] = []
     for entry in label.keys:
@@ -430,7 +432,7 @@ def carry_label(label: TargetPosition, parent: SuperCell, child: SuperCell) -> T
             raise KeyResolutionFailure(
                 f"{entry} is out of range for {len(parent_keys)} key components"
             )
-        keys.append(_marker_for(child_keys, component))
+        keys.append(_marker_for(child_keys, child.keys[parent.keys.index(component)]))
     return replace(label, keys=tuple(keys))
 
 

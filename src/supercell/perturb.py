@@ -5,9 +5,11 @@ attribute rename/reorder, value reformatting, and noise-column addition.
 Each family is implemented once here and serves both uses of a
 ``PerturbationPlan``: ``augment`` mixes perturbed copies into training
 data, and ``perturb_corpus`` builds the test sets of the robustness ladder.
-Renames, reformats, and character noise never alter labels. Key expansion
-labels each child with ``mapping.carry_label`` under the hierarchy's
-rollup mode; this module builds no key label itself. Everything is driven
+Renames, reformats, and character noise never alter what a label points
+at. Key expansion labels each child with ``mapping.carry_label`` under the
+hierarchy's rollup mode, and ``perturb_corpus`` carries each label through
+the reformat the same way, since an abbreviation can move a key component
+in the canonical order; this module builds no key label itself. Everything is driven
 by a single 64-bit seed and is fully deterministic.
 """
 
@@ -397,10 +399,14 @@ def perturb_corpus(
     returns its input untouched. Expansion runs first so that it finds
     children under the canonical key values. Labels (parallel to
     ``corpus``) carry over; expanded children get theirs from
-    ``expand_keys``."""
+    ``expand_keys``, and every label follows its cell through the reformat
+    by ``mapping.carry_label``, since an abbreviation can move a key
+    component in the canonical order."""
     cells, labels = expand_keys(corpus, labels, hierarchy, plan, parent_component)
-    cells = _rename_reformat(cells, plan, dictionaries)
-    return [LabeledSample.of(cell, label) for cell, label in zip(cells, labels)]
+    return [
+        LabeledSample.of(after, carry_label(label, before, after))
+        for before, after, label in zip(cells, _rename_reformat(cells, plan, dictionaries), labels)
+    ]
 
 
 def augment(

@@ -1,5 +1,7 @@
 """MinHash signatures, column matching, source selection, baseline join."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,11 @@ from supercell.baseline import (
     estimate_jaccard,
     load_signatures,
     match_columns,
+    match_signatures,
     save_signatures,
     select_sources,
     shingles,
+    sign_columns,
     signature,
     storage_report,
 )
@@ -113,6 +117,75 @@ class TestMatchColumns:
         )
         report = match_columns({"deaths_pivoted": pivoted}, target)
         assert "date" in report.unmatched
+
+
+class TestSignColumns:
+    def test_skips_empty_columns_in_source_then_header_order(self):
+        words = ["alpha", "beta", "gamma"]
+        sources = {
+            "b": table(["x", "blank", "y"], [words, ["", "NA", "null"], words[::-1]]),
+            "a": table(["z"], [["delta", "epsilon", "zeta"]]),
+        }
+        store = sign_columns(sources, L=16, seed=4)
+        assert list(store) == [("b", "x"), ("b", "y"), ("a", "z")]
+        for (source_id, column), sig in store.items():
+            assert sig == signature(sources[source_id].column(column), L=16, seed=4)
+
+    def test_no_sources_no_store(self):
+        assert sign_columns({}) == {}
+
+
+class TestMatchSignatures:
+    """Matching over a signed store is ``match_columns`` split in two."""
+
+    VALUES = [f"value_{i:04d}" for i in range(40)]
+
+    def assert_same_as_match_columns(self, sources, example):
+        report = match_signatures(sign_columns(sources), example)
+        assert report == match_columns(sources, example)
+        return report
+
+    def test_tie_goes_to_earlier_source(self):
+        sources = {
+            "first": table(["c"], [self.VALUES]),
+            "second": table(["c"], [self.VALUES]),
+        }
+        report = self.assert_same_as_match_columns(
+            sources, table(["wanted"], [self.VALUES])
+        )
+        assert report.best["wanted"].source_id == "first"
+        assert set(report.per_source) == {("wanted", "first"), ("wanted", "second")}
+
+    def test_duplicate_header_keeps_each_unmatched_entry(self):
+        sources = {"src": table(["c"], [self.VALUES])}
+        example = table(
+            ["wanted", "lost", "wanted", "lost"],
+            [self.VALUES, ["zz"] * 40, self.VALUES, ["zz"] * 40],
+        )
+        report = self.assert_same_as_match_columns(sources, example)
+        assert list(report.best) == ["wanted"]
+        assert report.unmatched == ["lost", "lost"]
+
+    def test_empty_store_leaves_every_attribute_unmatched(self):
+        example = table(["b", "a", "blank"], [self.VALUES, self.VALUES, [""] * 40])
+        report = self.assert_same_as_match_columns({}, example)
+        assert report.unmatched == ["b", "a", "blank"]
+        assert (report.best, report.per_source) == ({}, {})
+
+    def test_example_signed_with_store_l_and_seed(self):
+        sources = {"src": table(["c"], [self.VALUES])}
+        example = table(["wanted"], [self.VALUES])
+        report = match_signatures(sign_columns(sources, L=32, seed=9), example)
+        assert report == match_columns(sources, example, L=32, seed=9)
+        assert report.best["wanted"].score == 1.0
+
+    def test_mixed_l_store_rejected(self):
+        store = {
+            ("s", "a"): signature(self.VALUES, L=16),
+            ("s", "b"): signature(self.VALUES, L=32),
+        }
+        with pytest.raises(IncompatibleSignatures):
+            match_signatures(store, table(["wanted"], [self.VALUES]))
 
 
 class TestSelectSources:
@@ -221,6 +294,9 @@ class TestStorage:
         path = tmp_path / "sigs.bin"
         save_signatures(sigs, path)
         assert path.stat().st_size == 2 * 16 * 4
+        assert path.read_bytes() == b"".join(
+            struct.pack("<16I", *sig.values) for sig in sigs.values()
+        )
         assert load_signatures(path) == sigs
 
 

@@ -137,6 +137,26 @@ class TestPipeline:
         matches = json.loads((root / "out" / "matches.json").read_text())
         assert "date" in matches["best"]
 
+    def test_baseline_signs_each_column_once(self, workspace, monkeypatch):
+        from supercell import baseline
+        from supercell.mapping import oracle_integrate
+
+        fixture = workspace["fixture"]
+        calls = []
+        sign = baseline.signature
+
+        def counted(column, *args, **kwargs):
+            calls.append(1)
+            return sign(column, *args, **kwargs)
+
+        monkeypatch.setattr(baseline, "signature", counted)
+        assert run(["baseline", "--config", workspace["config_path"]]) == 0
+        oracle = oracle_integrate(fixture.spec, fixture.corpora, fixture.dictionaries)
+        n_columns = sum(len(t.header) for t in fixture.tables.values())
+        assert len(calls) == n_columns + len(oracle.header())
+        store = baseline.load_signatures(workspace["root"] / "out" / "signatures.bin")
+        assert store == baseline.sign_columns(fixture.tables)
+
     def test_eval_subcommand(self, workspace):
         config = workspace["config_path"]
         root = workspace["root"]

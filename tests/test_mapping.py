@@ -239,6 +239,20 @@ class TestCarryLabel:
         assert carried.keys == (copy_marker(0), copy_marker(1), copy_marker(3))
         assert (carried.attributes, carried.agg_mode) == (label.attributes, label.agg_mode)
 
+    def test_copy_markers_follow_reformatted_slots(self):
+        parent = covid_cell()
+        # The child abbreviates "arizona" and appends "arizona north", which
+        # now sorts between the date and "az".
+        keys = tuple("az" if k == "arizona" else k for k in parent.keys)
+        child = SuperCell("covid", keys + ("arizona north",), parent.attributes,
+                          parent.values, 0)
+        label = TargetPosition(
+            (copy_marker(0), copy_marker(1), copy_marker(2)),
+            ("confirmed", "recovered"), AggMode.REPLACE,
+        )
+        carried = carry_label(label, parent, child)
+        assert carried.keys == (copy_marker(0), copy_marker(2), copy_marker(3))
+
     def test_literal_and_wildcard_entries_carry_over(self):
         parent = covid_cell()
         child = SuperCell("covid", parent.keys + ("a",), parent.attributes, parent.values, 0)

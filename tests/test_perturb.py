@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from supercell.canon import CanonKind, SynonymDictionary, canonicalize
-from supercell.core import ATTR, AggMode, SuperCell
+from supercell.core import ATTR, AggMode, SuperCell, render_feature
 from supercell.datasets import build_covid_fixture
 from supercell.evaluate import default_variants, variant_test_set
 from supercell.mapping import (
@@ -251,19 +251,33 @@ class TestExpandedLabels:
             for s in generate_training_data(fixture.spec, fixture.corpora, fixture.dictionaries)
         ]
 
-        def perturbed(**rates):
+        def plan(**rates):
+            return PerturbationPlan(seed=9001, synonym_dict="covid_synonyms",
+                                    key_expansion_rate=0.2, **rates)
+
+        def perturbed(plan):
             return perturb_corpus(
-                fixture.all_cells(), labels,
-                PerturbationPlan(seed=9001, synonym_dict="covid_synonyms",
-                                 key_expansion_rate=0.2, **rates),
+                fixture.all_cells(), labels, plan,
                 fixture.dictionaries, fixture.spec.key_hierarchy, fixture.parent_component,
             )
 
-        alone = perturbed()
-        combined = perturbed(value_reformat_rate=0.5)
+        alone = perturbed(plan())
+        combined_plan = plan(value_reformat_rate=0.5)
+        combined = perturbed(combined_plan)
         assert len(alone) > len(labels)
         assert len(combined) == len(alone)
-        assert [s.label for s in combined] == [s.label for s in alone]
+        # An abbreviation can move a key component in the canonical order,
+        # so each label must follow its reformatted cell.
+        expanded, _ = expand_keys(
+            fixture.all_cells(), labels, fixture.spec.key_hierarchy, combined_plan,
+            fixture.parent_component,
+        )
+        reformatted = reformat_values(expanded, combined_plan, fixture.dictionaries)
+        for sample, cell in zip(combined, reformatted, strict=True):
+            assert sample.feature == render_feature(cell)
+            assert sample.label == position_for_cell(
+                fixture.spec, cell, fixture.dictionaries, as_label=True
+            )
 
 
 def samples(corpus):
