@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import asdict, dataclass
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
@@ -141,20 +140,24 @@ class TargetTable:
         Values past the position's last attribute (a cell wider than the
         model's ``max_width``) have nowhere to go and count as skipped, as do
         the placed values of a position that addresses no row. A NULL
-        attribute slot drops its value uncounted."""
+        attribute slot drops its value uncounted. On an AggModeConflict the
+        conflicting value and every value after it count as skipped before
+        the conflict propagates; values written before it stay written."""
         if pos.is_discard:
             return
         unplaced = max(len(cell.values) - len(pos.attributes), 0)
+        placed = [(a, v) for a, v in zip(pos.attributes, cell.values) if a is not None]
         targets = self._target_rows(pos.keys)
         if not targets:
-            placed = sum(a is not None for a in pos.attributes)
-            self.report.cells_skipped += placed + unplaced
+            self.report.cells_skipped += len(placed) + unplaced
             return
-        for attr, value in zip(pos.attributes, cell.values):
-            if attr is None:
-                continue
-            for key in targets:
-                self._write(key, attr, value, pos.agg_mode)
+        for done, (attr, value) in enumerate(placed):
+            try:
+                for key in targets:
+                    self._write(key, attr, value, pos.agg_mode)
+            except AggModeConflict:
+                self.report.cells_skipped += len(placed) - done + unplaced
+                raise
         self.report.cells_skipped += unplaced
 
     def _target_rows(self, keys: tuple) -> list[tuple[str, ...]]:
@@ -175,24 +178,20 @@ class TargetTable:
         return [tuple(keys)]
 
     def _write(self, key: tuple[str, ...], attr: str, value: str, mode: AggMode) -> None:
-        """Merge one value; a row exists only while some value has landed in it."""
-        row = self.rows.setdefault(key, {})
-        state = row.get(attr)
-        if state is None:
-            state = CellState(mode=mode)
-            row[attr] = state
-        elif state.mode is not mode:
+        """Merge one value; a row and its cell state are stored only once a
+        value has landed in them."""
+        row = self.rows.get(key, {})
+        state = row.get(attr) or CellState(mode=mode)
+        if state.mode is not mode:
             raise AggModeConflict(
                 f"cell ({key}, {attr!r}) written with {state.mode.value} then {mode.value}"
             )
-        if state.merge(value):
-            self.report.cells_written += 1
-        else:
+        if not state.merge(value):
             self.report.cells_skipped += 1
-            if state.count == 0 and state.number is None and not state.value:
-                del row[attr]
-                if not row:
-                    del self.rows[key]
+            return
+        row[attr] = state
+        self.rows[key] = row
+        self.report.cells_written += 1
 
     def finalized_rows(self) -> list[list[str]]:
         """Rows sorted by key tuple: key attributes first, then the remaining
@@ -237,12 +236,6 @@ def finalize_and_write(
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
     return path, table.report
-
-
-def write_report(report: AssemblyReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=1)
-        fh.write("\n")
 
 
 def diff_tables(expected: TargetTable, actual: TargetTable) -> dict:

@@ -17,10 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .canon import CanonKind, DictionaryStore, NONE, canonicalize
-from .core import AggMode, TargetPosition, TargetSchema
+from .core import AggMode, SuperCell, TargetPosition, TargetSchema, fnv1a64
 from .assemble import TargetTable
 from .ingest import RawTable, is_missing
-from .learner import fnv1a64
 
 
 class EmptyColumn(ValueError):
@@ -208,8 +207,6 @@ def baseline_integrate(
     Every selected source must have matched all target key attributes
     against its own columns, or the join key cannot be stated for its rows.
     """
-    from .core import SuperCell
-
     missing_keys = [k for k in schema.key_attributes if k not in report.best]
     if missing_keys:
         raise UncoverableAttribute(missing_keys)

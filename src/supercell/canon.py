@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
+from .core import write_json
+
 
 class UnknownDictionary(KeyError):
     """A Dictionary(name) canonicalizer references a dictionary that is not loaded."""
@@ -95,8 +97,7 @@ class SynonymDictionary:
             return SynonymDictionary(name, json.load(fh))
 
     def dump(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.groups, fh, ensure_ascii=False, indent=1)
+        write_json(self.groups, path)
 
 
 DictionaryStore = dict[str, SynonymDictionary]
@@ -207,9 +208,6 @@ class CanonCounters:
 
     unparseable_date: int = 0
     unparseable_number: int = 0
-
-    def total(self) -> int:
-        return self.unparseable_date + self.unparseable_number
 
 
 def canonicalize(

@@ -14,12 +14,10 @@ import dataclasses
 import json
 import re
 import sys
-import time
 from pathlib import Path
 
-from . import assemble, baseline, evaluate, learner, mapping, perturb
+from . import assemble, baseline, core, evaluate, learner, mapping, perturb
 from .canon import SynonymDictionary, UnknownDictionary
-from .core import SuperCell, read_cells, write_cells
 from .datasets import Fixture
 from .ingest import (
     EmptyInput,
@@ -49,8 +47,8 @@ DATA_ERRORS = (
     DataError, EmptyInput, RaggedRow, MissingKeyColumn, NoRuleMatchedAnything,
     UnknownDictionary, mapping.SpecViolation, mapping.KeyResolutionFailure,
     baseline.UncoverableAttribute, baseline.EmptyColumn, learner.EmptyEvalSet,
-    learner.CellTooWide,
-    FileNotFoundError, json.JSONDecodeError, KeyError, re.error,
+    learner.CellTooWide, core.MalformedRecord, core.UnknownKeyValue,
+    FileNotFoundError, json.JSONDecodeError, re.error,
 )
 
 
@@ -61,6 +59,8 @@ def log(message: str) -> None:
 def load_config(path: str, seed: int | None, out: str | None) -> dict:
     with open(path, encoding="utf-8") as fh:
         config = json.load(fh)
+    if not isinstance(config, dict):
+        raise UsageError(f"run config {path} must be a JSON object")
     unknown = set(config) - _CONFIG_KEYS
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -70,7 +70,6 @@ def load_config(path: str, seed: int | None, out: str | None) -> dict:
         candidate = Path(p)
         return candidate if candidate.is_absolute() else base / candidate
 
-    config["_base"] = base
     config["_resolve"] = resolve
     if seed is not None:
         config["seed"] = seed
@@ -78,15 +77,14 @@ def load_config(path: str, seed: int | None, out: str | None) -> dict:
         config["out_dir"] = out
     config.setdefault("seed", 0)
     config.setdefault("out_dir", "runs")
+    config["_out"] = resolve(config["out_dir"])
+    config["_model"] = resolve(config.get("model", config["_out"] / "model.npz"))
     return config
 
 
 def _out_dir(config: dict) -> Path:
-    out = Path(config["out_dir"])
-    if not out.is_absolute():
-        out = config["_base"] / out
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    config["_out"].mkdir(parents=True, exist_ok=True)
+    return config["_out"]
 
 
 def _dictionaries(config: dict) -> dict:
@@ -102,11 +100,12 @@ def _spec(config: dict) -> mapping.MappingSpec:
     return mapping.MappingSpec.load(config["_resolve"](config["mapping_spec"]))
 
 
-def _fixture(config: dict, spec: mapping.MappingSpec, dictionaries) -> Fixture:
-    """Read each configured source once: its raw table or log text, and its
-    decomposed corpus."""
-    by_id = {d.source_id: d for d in spec.sources}
-    fixture = Fixture(spec=spec, dictionaries=dictionaries)
+def _fixture(config: dict) -> Fixture:
+    """The configured dictionaries and spec, and each configured source read
+    once: its raw table or log text, and its decomposed corpus."""
+    dictionaries = _dictionaries(config)
+    fixture = Fixture(spec=_spec(config), dictionaries=dictionaries)
+    by_id = {d.source_id: d for d in fixture.spec.sources}
     for entry in config.get("sources", []):
         if not isinstance(entry, dict) or not {"source_id", "path"} <= entry.keys():
             raise UsageError(f"sources entry {entry!r} needs 'source_id' and 'path'")
@@ -124,20 +123,17 @@ def _fixture(config: dict, spec: mapping.MappingSpec, dictionaries) -> Fixture:
     return fixture
 
 
-def _read_corpora(path: Path) -> dict[str, list[SuperCell]]:
-    corpora: dict[str, list[SuperCell]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for cell in read_cells(fh):
-            corpora.setdefault(cell.source_id, []).append(cell)
+def _read_corpora(path: Path) -> dict[str, list[core.SuperCell]]:
+    corpora: dict[str, list[core.SuperCell]] = {}
+    for cell in core.read_jsonl(path, core.SuperCell):
+        corpora.setdefault(cell.source_id, []).append(cell)
     return corpora
 
 
 def cmd_decompose(config: dict) -> int:
-    dictionaries = _dictionaries(config)
-    fixture = _fixture(config, _spec(config), dictionaries)
+    fixture = _fixture(config)
     out = _out_dir(config) / "supercells.jsonl"
-    with open(out, "w", encoding="utf-8") as fh:
-        n = write_cells(fixture.all_cells(), fh)
+    n = core.write_jsonl(fixture.all_cells(), out)
     log(f"decompose: {n} super cells -> {out}")
     return 0
 
@@ -148,18 +144,18 @@ def cmd_gen_train(config: dict) -> int:
     corpora = _read_corpora(_out_dir(config) / "supercells.jsonl")
     samples = mapping.generate_training_data(spec, corpora, dictionaries)
     out = _out_dir(config) / "samples.jsonl"
-    with open(out, "w", encoding="utf-8") as fh:
-        for sample in samples:
-            fh.write(sample.to_json() + "\n")
+    core.write_jsonl(samples, out)
     log(f"gen-train: {len(samples)} samples -> {out}")
     return 0
 
 
 def _checked(cls, block: dict, what: str) -> dict:
-    """``block`` as keyword arguments for the dataclass ``cls``: every key is
-    a field, and every value has its field's default type (an int passes
-    for a float and is stored as one, a bool never passes for a number).
-    None defaults are unchecked."""
+    """``block`` as keyword arguments for the dataclass ``cls``: a JSON
+    object whose every key is a field, and whose every value has its
+    field's default type (an int passes for a float and is stored as one,
+    a bool never passes for a number). None defaults are unchecked."""
+    if not isinstance(block, dict):
+        raise UsageError(f"{what} must be a JSON object, got {block!r}")
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     unknown = set(block) - set(defaults)
     if unknown:
@@ -181,8 +177,11 @@ def _checked(cls, block: dict, what: str) -> dict:
 
 def _plan(config: dict) -> perturb.PerturbationPlan:
     with open(config["_resolve"](config["plan"]), encoding="utf-8") as fh:
-        block = json.load(fh)
-    return perturb.PerturbationPlan(**_checked(perturb.PerturbationPlan, block, "plan"))
+        block = _checked(perturb.PerturbationPlan, json.load(fh), "plan")
+    try:
+        return perturb.PerturbationPlan(**block)
+    except ValueError as exc:
+        raise UsageError(f"plan: {exc}") from exc
 
 
 def cmd_augment(config: dict) -> int:
@@ -194,8 +193,7 @@ def cmd_augment(config: dict) -> int:
     plan = _plan(config)
     cells_path, samples_path = out_dir / "supercells.jsonl", out_dir / "samples.jsonl"
     cells = spec.cells(_read_corpora(cells_path))
-    with open(samples_path, encoding="utf-8") as fh:
-        samples = [mapping.LabeledSample.from_json(line) for line in fh if line.strip()]
+    samples = core.read_jsonl(samples_path, mapping.LabeledSample)
     if len(cells) != len(samples):
         raise DataError(
             f"{cells_path} holds {len(cells)} super cells but {samples_path} holds "
@@ -210,9 +208,7 @@ def cmd_augment(config: dict) -> int:
         log=plog,
     )
     out = out_dir / "augmented.jsonl"
-    with open(out, "w", encoding="utf-8") as fh:
-        for sample in augmented:
-            fh.write(sample.to_json() + "\n")
+    core.write_jsonl(augmented, out)
     plog.dump(out_dir / "perturb_log.jsonl")
     log(f"augment: {len(samples)} -> {len(augmented)} samples -> {out}")
     return 0
@@ -232,64 +228,51 @@ def cmd_train(config: dict) -> int:
     samples_path = out_dir / "augmented.jsonl"
     if not samples_path.exists():
         samples_path = out_dir / "samples.jsonl"
-    with open(samples_path, encoding="utf-8") as fh:
-        samples = [mapping.LabeledSample.from_json(line) for line in fh if line.strip()]
-    kinds_by_attr = spec.key_kinds()
-    key_kinds = [kinds_by_attr[a] for a in spec.target.key_attributes]
-    dict_payload = {name: d.groups for name, d in dictionaries.items()}
-    params, curve = learner.train(
-        samples, _train_config(config), spec.target, key_kinds, dict_payload
-    )
-    model_path = config["_resolve"](config["model"]) if "model" in config else out_dir / "model.npz"
-    params.save(model_path)
+    samples = core.read_jsonl(samples_path, mapping.LabeledSample)
+    params, curve = evaluate.train_from_spec(samples, _train_config(config), spec, dictionaries)
+    params.save(config["_model"])
     (out_dir / "loss_curve.csv").write_text(learner.loss_curve_csv(curve), encoding="utf-8")
     log(f"train: {len(samples)} samples, final loss {curve[-1].loss:.4f}, "
-        f"train acc {curve[-1].train_acc:.4f} -> {model_path}")
+        f"train acc {curve[-1].train_acc:.4f} -> {config['_model']}")
     return 0
 
 
 def cmd_integrate(config: dict) -> int:
     out_dir = _out_dir(config)
-    model_path = config["_resolve"](config["model"]) if "model" in config else out_dir / "model.npz"
-    params = learner.ModelParams.load(model_path)
+    params = learner.ModelParams.load(config["_model"])
     spec = _spec(config)
     if params.schema.to_dict() != spec.target.to_dict():
-        raise UsageError(f"model {model_path} was trained for a different target schema")
+        raise UsageError(f"model {config['_model']} was trained for a different target schema")
     cells = spec.cells(_read_corpora(out_dir / "supercells.jsonl"))
-    started = time.perf_counter()
-    table = learner.integrate_predictions(cells, params)
-    path, report = assemble.finalize_and_write(table, out_dir / "target.csv")
-    elapsed = time.perf_counter() - started
-    assemble.write_report(report, out_dir / "assembly_report.json")
-    with open(out_dir / "timings.json", "w", encoding="utf-8") as fh:
-        json.dump({"integrate_s": elapsed}, fh, indent=1)
-        fh.write("\n")
+    timings = core.Timings()
+    with timings.block("integrate_s"):
+        table = learner.integrate_predictions(cells, params)
+        path, report = assemble.finalize_and_write(table, out_dir / "target.csv")
+    core.write_json(report.to_dict(), out_dir / "assembly_report.json")
+    timings.write(out_dir)
     log(f"integrate: {report.cells_written} cells "
         f"({report.cells_skipped} skipped) -> {path}")
     return 0
 
 
 def cmd_baseline(config: dict) -> int:
-    dictionaries = _dictionaries(config)
-    spec = _spec(config)
-    out_dir = _out_dir(config)
-    fixture = _fixture(config, spec, dictionaries)
+    fixture = _fixture(config)
+    spec, out_dir = fixture.spec, _out_dir(config)
     store = baseline.sign_columns(fixture.tables)
     baseline.save_signatures(store, out_dir / "signatures.bin")
-    oracle = mapping.oracle_integrate(spec, fixture.corpora, dictionaries)
+    oracle = mapping.oracle_integrate(spec, fixture.corpora, fixture.dictionaries)
     matches = baseline.match_signatures(store, evaluate.target_example_from_oracle(oracle))
-    with open(out_dir / "matches.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "best": {a: [m.source_id, m.column, round(m.score, 4)]
-                         for a, m in sorted(matches.best.items())},
-                "unmatched": sorted(matches.unmatched),
-            },
-            fh, indent=1,
-        )
+    core.write_json(
+        {
+            "best": {a: [m.source_id, m.column, round(m.score, 4)]
+                     for a, m in sorted(matches.best.items())},
+            "unmatched": sorted(matches.unmatched),
+        },
+        out_dir / "matches.json",
+    )
     try:
         table = baseline.baseline_integrate(
-            matches, fixture.tables, spec.target, spec.key_kinds(), dictionaries
+            matches, fixture.tables, spec.target, spec.key_kinds(), fixture.dictionaries
         )
         assemble.finalize_and_write(table, out_dir / "baseline.csv")
         log(f"baseline: wrote {out_dir / 'baseline.csv'}")
@@ -299,24 +282,17 @@ def cmd_baseline(config: dict) -> int:
 
 
 def cmd_eval(config: dict) -> int:
-    dictionaries = _dictionaries(config)
-    spec = _spec(config)
-    out_dir = _out_dir(config)
-    fixture = _fixture(config, spec, dictionaries)
-    model_path = config["_resolve"](config["model"]) if "model" in config else out_dir / "model.npz"
-    params = learner.ModelParams.load(model_path)
+    fixture = _fixture(config)
+    params = learner.ModelParams.load(config["_model"])
     report = evaluate.compare_baseline(
-        fixture, params, out_dir / "eval", model_path=model_path
+        fixture, params, _out_dir(config) / "eval", model_path=config["_model"]
     )
     log(f"eval: learner clean agreement {report['learner_clean_agreement']}")
     return 0
 
 
 def cmd_ablate(config: dict) -> int:
-    dictionaries = _dictionaries(config)
-    spec = _spec(config)
-    out_dir = _out_dir(config)
-    fixture = _fixture(config, spec, dictionaries)
+    fixture = _fixture(config)
     seed = int(config.get("seed", 0))
     train_plan = (
         _plan(config) if config.get("plan")
@@ -328,7 +304,8 @@ def cmd_ablate(config: dict) -> int:
         train_plan=train_plan,
         seed=seed,
     )
-    rows = evaluate.run_ablation(_train_config(config), fixture, ablation, out_dir / "ablation")
+    out_dir = _out_dir(config) / "ablation"
+    rows = evaluate.run_ablation(_train_config(config), fixture, ablation, out_dir)
     for row in rows:
         log(f"ablate: {row['variant']}: {row['accuracy']}")
     return 0

@@ -18,9 +18,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+import time
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Sequence, TextIO
+from pathlib import Path
+from typing import Iterable, Iterator, Sequence
 
 
 class AggMode(Enum):
@@ -106,42 +109,62 @@ class SuperCell:
         return (self.source_id, self.sorted_keys(), self.attributes, self.values)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "source_id": self.source_id,
-                "keys": list(self.keys),
-                "attributes": list(self.attributes),
-                "values": list(self.values),
-                "row_ordinal": self.row_ordinal,
-            },
-            ensure_ascii=False,
-        )
+        return json.dumps(asdict(self), ensure_ascii=False)
 
     @staticmethod
     def from_json(line: str) -> "SuperCell":
-        obj = json.loads(line)
-        return SuperCell(
-            source_id=obj["source_id"],
-            keys=tuple(obj["keys"]),
-            attributes=tuple(obj["attributes"]),
-            values=tuple(obj["values"]),
-            row_ordinal=obj["row_ordinal"],
-        )
+        return SuperCell(**json.loads(line))
 
 
-def write_cells(cells: Iterable[SuperCell], fh: TextIO) -> int:
-    n = 0
-    for cell in cells:
-        fh.write(cell.to_json() + "\n")
-        n += 1
-    return n
+class MalformedRecord(ValueError):
+    """A JSONL line that does not parse as the record its file holds."""
 
 
-def read_cells(fh: TextIO) -> Iterator[SuperCell]:
-    for line in fh:
-        line = line.strip()
-        if line:
-            yield SuperCell.from_json(line)
+def write_jsonl(records: Iterable, path: str | Path) -> int:
+    """Write one ``record.to_json()`` per line; returns the record count."""
+    lines = [record.to_json() + "\n" for record in records]
+    Path(path).write_text("".join(lines), encoding="utf-8")
+    return len(lines)
+
+
+def read_jsonl(path: str | Path, record_type) -> list:
+    """Every non-blank line of ``path`` as ``record_type.from_json(line)``.
+
+    Raises MalformedRecord naming the file and line of the first bad line."""
+    records = []
+    with open(path, encoding="utf-8") as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                records.append(record_type.from_json(line))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise MalformedRecord(
+                    f"{path}:{number}: not a {record_type.__name__}: "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
+    return records
+
+
+def write_json(obj, path: str | Path) -> None:
+    """The one writer of JSON files (reports, specs, dictionaries): UTF-8,
+    one-space indent, keys in the object's order, trailing newline."""
+    Path(path).write_text(json.dumps(obj, ensure_ascii=False, indent=1) + "\n", encoding="utf-8")
+
+
+class Timings(dict):
+    """Wall-clock seconds of named stage blocks. Hardware-bound, so they go
+    to ``timings.json`` apart from the deterministic reports."""
+
+    @contextmanager
+    def block(self, name: str) -> Iterator[None]:
+        """Time the body under ``name``; a body that raises records nothing."""
+        started = time.perf_counter()
+        yield
+        self[name] = time.perf_counter() - started
+
+    def write(self, out_dir: str | Path) -> None:
+        write_json(self, Path(out_dir) / "timings.json")
 
 
 @dataclass(frozen=True)
@@ -287,6 +310,20 @@ class FeatureSentence:
 def tokenize(text: str) -> list[str]:
     """Lower-case and split on whitespace; punctuation stays inside tokens."""
     return text.strip().lower().split()
+
+
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+_U64 = 0xFFFFFFFFFFFFFFFF
+
+
+def fnv1a64(text: str) -> int:
+    """Deterministic, platform-independent 64-bit string hash (subword
+    buckets and MinHash shingles)."""
+    acc = _FNV_OFFSET
+    for byte in text.encode("utf-8"):
+        acc = ((acc ^ byte) * _FNV_PRIME) & _U64
+    return acc
 
 
 def render_feature(cell: SuperCell) -> FeatureSentence:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,10 +23,12 @@ from .baseline import (
     match_columns,
     storage_report,
 )
+from .canon import DictionaryStore
+from .core import Timings, write_json
 from .datasets import Fixture, build_pivoted_deaths, build_wide_tables, covid_unpivoted_view
 from .ingest import RawTable, decompose
 from .learner import ModelParams, TrainConfig, accuracy, integrate_predictions, train
-from .mapping import LabeledSample, generate_training_data, oracle_integrate
+from .mapping import LabeledSample, MappingSpec, generate_training_data, oracle_integrate
 from .perturb import PerturbationPlan, augment, noise_samples, perturb_corpus
 
 
@@ -137,6 +138,23 @@ def build_training_samples(
     )
 
 
+def train_from_spec(
+    samples: list[LabeledSample],
+    config: TrainConfig,
+    spec: MappingSpec,
+    dictionaries: DictionaryStore,
+) -> tuple[ModelParams, list]:
+    """Train a model for ``spec``'s target: the model carries the key kinds
+    in key-slot order and the dictionaries, for COPY resolution at
+    prediction time."""
+    kinds = spec.key_kinds()
+    return train(
+        samples, config, spec.target,
+        [kinds[a] for a in spec.target.key_attributes],
+        {name: d.groups for name, d in dictionaries.items()},
+    )
+
+
 def train_on_fixture(
     fixture: Fixture,
     config: TrainConfig,
@@ -145,12 +163,7 @@ def train_on_fixture(
     dictionary: str = "local",
 ) -> tuple[ModelParams, list, list[LabeledSample]]:
     samples = build_training_samples(fixture, plan, with_augmentation, dictionary)
-    kinds_by_attr = fixture.spec.key_kinds()
-    key_kinds = [kinds_by_attr[a] for a in fixture.spec.target.key_attributes]
-    dict_payload = {name: d.groups for name, d in fixture.dictionaries.items()}
-    params, curve = train(
-        samples, config, fixture.spec.target, key_kinds, dict_payload
-    )
+    params, curve = train_from_spec(samples, config, fixture.spec, fixture.dictionaries)
     return params, curve, samples
 
 
@@ -166,14 +179,12 @@ def run_ablation(
     run directory named by the config hash; returns the report rows."""
     run_dir = Path(out_dir) / ablation.config_hash()
     run_dir.mkdir(parents=True, exist_ok=True)
-    timings: dict[str, float] = {}
-
-    started = time.perf_counter()
-    params, _, _ = train_on_fixture(
-        fixture, model_config, ablation.train_plan,
-        ablation.with_augmentation, ablation.dictionary,
-    )
-    timings["train_s"] = time.perf_counter() - started
+    timings = Timings()
+    with timings.block("train_s"):
+        params, _, _ = train_on_fixture(
+            fixture, model_config, ablation.train_plan,
+            ablation.with_augmentation, ablation.dictionary,
+        )
 
     base_samples = generate_training_data(
         fixture.spec, fixture.corpora, fixture.dictionaries
@@ -181,9 +192,8 @@ def run_ablation(
     rows: list[dict] = []
     for variant in ablation.variants:
         test_set = variant_test_set(fixture, base_samples, variant)
-        started = time.perf_counter()
-        acc = accuracy(test_set, params)
-        timings[f"eval_{variant.name}_s"] = time.perf_counter() - started
+        with timings.block(f"eval_{variant.name}_s"):
+            acc = accuracy(test_set, params)
         rows.append(
             {
                 "variant": variant.name,
@@ -204,8 +214,7 @@ def run_ablation(
         )
         writer.writeheader()
         writer.writerows(rows)
-    with open(run_dir / "timings.json", "w", encoding="utf-8") as fh:
-        json.dump(timings, fh, indent=1)
+    timings.write(run_dir)
     return rows
 
 
@@ -227,14 +236,13 @@ def compare_baseline(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     oracle = oracle_integrate(fixture.spec, fixture.corpora, fixture.dictionaries)
-    timings: dict[str, float] = {}
+    timings = Timings()
     report: dict = {}
 
     # Learner on the clean corpus.
     cells = fixture.all_cells()
-    started = time.perf_counter()
-    learner_table = integrate_predictions(cells, params)
-    timings["learner_predict_assemble_s"] = time.perf_counter() - started
+    with timings.block("learner_predict_assemble_s"):
+        learner_table = integrate_predictions(cells, params)
     report["learner_clean_agreement"] = round(
         diff_tables(oracle, learner_table)["agreement"], 4
     )
@@ -249,13 +257,12 @@ def compare_baseline(
     if has_pivot_scenario:
         pivoted_table, pivoted_desc = build_pivoted_deaths(fixture)
         cr_table, cr_desc = covid_unpivoted_view(fixture)
-        started = time.perf_counter()
-        pivoted_cells = (
-            decompose(cr_table, cr_desc, fixture.dictionaries)
-            + decompose(pivoted_table, pivoted_desc, fixture.dictionaries)
-            + fixture.corpora["mobility"]
-        )
-        timings["pivot_decompose_s"] = time.perf_counter() - started
+        with timings.block("pivot_decompose_s"):
+            pivoted_cells = (
+                decompose(cr_table, cr_desc, fixture.dictionaries)
+                + decompose(pivoted_table, pivoted_desc, fixture.dictionaries)
+                + fixture.corpora["mobility"]
+            )
         pivot_learner = integrate_predictions(pivoted_cells, params)
         report["learner_pivoted_agreement"] = round(
             diff_tables(oracle, pivot_learner)["agreement"], 4
@@ -264,17 +271,15 @@ def compare_baseline(
     # Baseline on the clean raw tables.
     example = target_example_from_oracle(oracle)
     raw_sources = dict(fixture.tables)
-    started = time.perf_counter()
-    matches = match_columns(raw_sources, example, threshold=0.5)
-    timings["baseline_match_s"] = time.perf_counter() - started
+    with timings.block("baseline_match_s"):
+        matches = match_columns(raw_sources, example, threshold=0.5)
     report["baseline_unmatched_clean"] = sorted(matches.unmatched)
     kinds = fixture.spec.key_kinds()
     try:
-        started = time.perf_counter()
-        baseline_table = baseline_integrate(
-            matches, raw_sources, fixture.spec.target, kinds, fixture.dictionaries
-        )
-        timings["baseline_join_s"] = time.perf_counter() - started
+        with timings.block("baseline_join_s"):
+            baseline_table = baseline_integrate(
+                matches, raw_sources, fixture.spec.target, kinds, fixture.dictionaries
+            )
         report["baseline_clean_agreement"] = round(
             diff_tables(oracle, baseline_table)["agreement"], 4
         )
@@ -300,11 +305,8 @@ def compare_baseline(
     if model_path is not None and Path(model_path).exists():
         report["model_file_bytes"] = Path(model_path).stat().st_size
 
-    with open(out_dir / "comparison.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    with open(out_dir / "timings.json", "w", encoding="utf-8") as fh:
-        json.dump(timings, fh, indent=1)
+    write_json(dict(sorted(report.items())), out_dir / "comparison.json")
+    timings.write(out_dir)
     finalize_and_write(oracle, out_dir / "oracle.csv")
     finalize_and_write(learner_table, out_dir / "learner.csv")
     return report

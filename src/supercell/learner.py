@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .assemble import AggModeConflict, TargetTable
 from .canon import CanonKind, DictionaryStore, SynonymDictionary
 from .core import (
     FeatureSentence,
@@ -28,6 +29,7 @@ from .core import (
     SuperCell,
     TargetPosition,
     TargetSchema,
+    fnv1a64,
     render_feature,
 )
 from .mapping import LabeledSample, resolve_position
@@ -39,19 +41,6 @@ class EmptyEvalSet(ValueError):
 
 class CellTooWide(ValueError):
     """Labeled samples wider than the model's ``max_width`` attribute slots."""
-
-
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_U64 = 0xFFFFFFFFFFFFFFFF
-
-
-def fnv1a64(text: str) -> int:
-    """Deterministic, platform-independent 64-bit string hash."""
-    acc = _FNV_OFFSET
-    for byte in text.encode("utf-8"):
-        acc = ((acc ^ byte) * _FNV_PRIME) & _U64
-    return acc
 
 
 class SubwordVocab:
@@ -551,16 +540,15 @@ def integrate_predictions(cells: list[SuperCell], params: ModelParams):
     schema.
 
     A mispredicted aggregation mode that conflicts with an existing cell is
-    skipped and counted rather than aborting the run; a handful of wrong
-    cells is the tolerable failure mode here."""
-    from .assemble import AggModeConflict, TargetTable
-
+    skipped rather than aborting the run (``apply`` counts the values it
+    could not write); a handful of wrong cells is the tolerable failure
+    mode here."""
     table = TargetTable(params.schema)
     for cell, prediction in zip(cells, predict_cells(cells, params)):
         try:
             table.apply(cell, prediction.position)
         except AggModeConflict:
-            table.report.cells_skipped += cell.width
+            pass
     return table
 
 

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .assemble import TargetTable
+from .assemble import TargetTable, diff_tables
 from .canon import CanonKind, DictionaryStore, NONE, canonicalize, long_date
 from .core import (
     AggMode,
@@ -28,6 +28,7 @@ from .core import (
     copy_marker,
     discard_position,
     render_feature,
+    write_json,
 )
 from .ingest import SourceDescriptor
 
@@ -261,13 +262,19 @@ class MappingSpec:
 
     @staticmethod
     def load(path: str | Path) -> "MappingSpec":
+        """Read a spec file; raises SpecViolation naming the file for any
+        content that does not describe a valid MappingSpec."""
         with open(path, encoding="utf-8") as fh:
-            return MappingSpec.from_dict(json.load(fh))
+            obj = json.load(fh)
+        try:
+            return MappingSpec.from_dict(obj)
+        except SpecViolation:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SpecViolation(f"{path}: {type(exc).__name__}: {exc}") from exc
 
     def dump(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, ensure_ascii=False, indent=1)
-            fh.write("\n")
+        write_json(self.to_dict(), path)
 
 
 @dataclass(frozen=True)
@@ -522,8 +529,6 @@ def consistency_check(
     Returns a cell-level diff report; an empty diff means the label
     representation loses nothing the oracle knows.
     """
-    from .assemble import diff_tables
-
     labels = [s.label for s in generate_training_data(spec, corpora, dictionaries)]
     rebuilt = assemble_labels(spec, corpora, labels, dictionaries)
     oracle = oracle_integrate(spec, corpora, dictionaries)

@@ -246,6 +246,18 @@ class TestAccounting:
         assert table.to_csv() == "k,a,b\nx,1,\n"
         assert (table.report.cells_written, table.report.cells_skipped) == (1, 3)
 
+    def test_conflict_counts_the_rest_of_the_cell_once(self):
+        # The value that conflicts and every value after it are skipped;
+        # the value written before the conflict stays written.
+        schema = TargetSchema(("k", "a", "b", "c"), ("k",), {"k": KeyDomain((), open=True)})
+        table = TargetTable(schema)
+        write(table, ("x",), "1", AggMode.SUM, attr="b")
+        cell = SuperCell("s", ("x",), ("a", "b", "c", "d"), ("2", "3", "4", "5"), 0)
+        with pytest.raises(AggModeConflict):
+            table.apply(cell, TargetPosition(("x",), ("a", "b", "c"), AggMode.REPLACE))
+        assert (table.report.cells_written, table.report.cells_skipped) == (2, 3)
+        assert table.to_csv() == "k,a,b,c\nx,2,1,\n"
+
 
 class TestDiff:
     def test_identical_tables(self):

@@ -6,7 +6,7 @@ import pytest
 
 from supercell import cli
 from supercell.assemble import finalize_and_write
-from supercell.core import read_cells, write_cells
+from supercell.core import SuperCell, read_jsonl, write_jsonl
 from supercell.datasets import build_covid_fixture, write_fixture_files
 from supercell.learner import TrainConfig, init_params, integrate_predictions, train
 from supercell.mapping import generate_training_data
@@ -67,8 +67,7 @@ def integrate_config(workspace, tmp_path, spec=None):
     model = tmp_path / "model.npz"
     config = TrainConfig(embed_dim=4, hidden=4, bucket_count=64, seed=5)
     init_params(config, fixture.spec.target).save(model)
-    with open(tmp_path / "supercells.jsonl", "w", encoding="utf-8") as fh:
-        write_cells(fixture.all_cells(), fh)
+    write_jsonl(fixture.all_cells(), tmp_path / "supercells.jsonl")
     path = tmp_path / "integrate.json"
     path.write_text(json.dumps({
         "mapping_spec": str(spec or root / "mapping_spec.json"),
@@ -86,9 +85,7 @@ class TestPipeline:
         plan = workspace["plan"]
 
         assert run(["decompose", "--config", config]) == 0
-        cells_path = root / "out" / "supercells.jsonl"
-        with open(cells_path) as fh:
-            cli_cells = list(read_cells(fh))
+        cli_cells = read_jsonl(root / "out" / "supercells.jsonl", SuperCell)
         expected_cells = fixture.all_cells()
         assert cli_cells == expected_cells
 
@@ -266,8 +263,7 @@ class TestExitCodes:
 
     def test_cells_and_samples_mismatch_is_data_error(self, workspace, tmp_path, capsys):
         root, fixture = workspace["root"], workspace["fixture"]
-        with open(tmp_path / "supercells.jsonl", "w", encoding="utf-8") as fh:
-            write_cells(fixture.all_cells(), fh)
+        write_jsonl(fixture.all_cells(), tmp_path / "supercells.jsonl")
         samples = generate_training_data(fixture.spec, fixture.corpora, fixture.dictionaries)
         (tmp_path / "samples.jsonl").write_text(
             "".join(s.to_json() + "\n" for s in samples[:-1])
@@ -288,8 +284,7 @@ class TestExitCodes:
         spec = json.loads((root / "mapping_spec.json").read_text())
         spec["key_hierarchy"]["rollup"] = "max"
         (tmp_path / "spec.json").write_text(json.dumps(spec))
-        with open(tmp_path / "supercells.jsonl", "w", encoding="utf-8") as fh:
-            write_cells(fixture.all_cells(), fh)
+        write_jsonl(fixture.all_cells(), tmp_path / "supercells.jsonl")
         samples = generate_training_data(fixture.spec, fixture.corpora, fixture.dictionaries)
         (tmp_path / "samples.jsonl").write_text("".join(s.to_json() + "\n" for s in samples))
         path = tmp_path / "c.json"
@@ -368,6 +363,85 @@ class TestExitCodes:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))
         assert run(["integrate", "--config", str(path)]) == 3
+
+    @pytest.mark.parametrize("edit", [
+        lambda spec: spec.update(agg_map={"covid": {"Confirmed": "median"}}),
+        lambda spec: spec["sources"][0].update(format="xlsx"),
+        lambda spec: spec["sources"][0]["canonicalizers"].update(Date="weekday"),
+        lambda spec: spec["target"]["attributes"].remove("country"),
+        lambda spec: spec.pop("target"),
+    ], ids=["agg_mode", "format", "canonicalizer", "key_attribute", "no_target"])
+    def test_malformed_spec_is_data_error(self, workspace, tmp_path, capsys, edit):
+        root = workspace["root"]
+        spec = json.loads((root / "mapping_spec.json").read_text())
+        edit(spec)
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        config = json.loads(open(workspace["config_path"]).read())
+        config.update(
+            sources=[{**e, "path": str(root / e["path"])} for e in config["sources"]],
+            dictionaries={k: str(root / v) for k, v in config["dictionaries"].items()},
+            mapping_spec=str(tmp_path / "spec.json"), out_dir=str(tmp_path),
+        )
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        assert run(["decompose", "--config", str(path)]) == 2
+        assert "SpecViolation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["augment", "ablate"])
+    def test_out_of_range_plan_rate_is_usage_error(self, workspace, tmp_path, capsys,
+                                                   command):
+        (tmp_path / "plan.json").write_text(json.dumps({"attr_rename_rate": 2.0}))
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "mapping_spec": str(workspace["root"] / "mapping_spec.json"),
+            "plan": "plan.json",
+            "out_dir": str(tmp_path),
+        }))
+        assert run([command, "--config", str(path)]) == 1
+        assert "attr_rename_rate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["config", "plan", "learner"])
+    def test_non_object_block_is_usage_error(self, workspace, tmp_path, capsys, name):
+        (tmp_path / "plan.json").write_text(json.dumps([1] if name == "plan" else {}))
+        (tmp_path / "samples.jsonl").write_text("")
+        config = {
+            "mapping_spec": str(workspace["root"] / "mapping_spec.json"),
+            "plan": "plan.json",
+            "out_dir": str(tmp_path),
+            "learner": [1] if name == "learner" else {},
+        }
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps([config] if name == "config" else config))
+        command = "train" if name == "learner" else "augment"
+        assert run([command, "--config", str(path)]) == 1
+        assert "must be a JSON object" in capsys.readouterr().err
+
+    def test_sample_line_without_label_is_data_error(self, workspace, tmp_path, capsys):
+        fixture = workspace["fixture"]
+        samples = generate_training_data(fixture.spec, fixture.corpora, fixture.dictionaries)
+        lines = [s.to_json() for s in samples[:3]]
+        broken = json.loads(lines[1])
+        del broken["label"]
+        lines[1] = json.dumps(broken)
+        (tmp_path / "samples.jsonl").write_text("\n".join(lines) + "\n")
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "mapping_spec": str(workspace["root"] / "mapping_spec.json"),
+            "out_dir": str(tmp_path),
+        }))
+        assert run(["train", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "MalformedRecord" in err and f"{tmp_path / 'samples.jsonl'}:2" in err
+        assert "'label'" in err
+
+    def test_key_error_from_a_bug_is_internal_error(self, workspace, tmp_path, monkeypatch):
+        def buggy(*args, **kwargs):
+            return {}["no such key"]
+
+        monkeypatch.setattr(cli, "decompose", buggy)
+        config = workspace["config_path"]
+        assert run(["decompose", "--config", config, "--out", str(tmp_path)]) == 3
+        assert not (tmp_path / "supercells.jsonl").exists()
 
     def test_ragged_csv_is_data_error(self, workspace, tmp_path):
         root = workspace["root"]

@@ -12,16 +12,22 @@ from supercell.core import (
     InvalidPosition,
     KeyDomain,
     LabelSpace,
+    MalformedRecord,
     SuperCell,
     TargetPosition,
     TargetSchema,
+    Timings,
     UnknownKeyValue,
     WILDCARD,
     copy_index,
     copy_marker,
     discard_position,
+    read_jsonl,
     render_feature,
+    write_json,
+    write_jsonl,
 )
+from supercell.mapping import LabeledSample
 
 
 def make_cell(keys, attrs, values, source="s", ordinal=0):
@@ -85,6 +91,49 @@ class TestSuperCell:
         a = make_cell(["x", "y"], ["a"], ["1"])
         b = make_cell(["y", "x"], ["a"], ["1"])
         assert a.signature() == b.signature()
+
+
+class TestRecordFiles:
+    def test_jsonl_round_trip_for_cells_and_samples(self, tmp_path):
+        cells = [make_cell(["é", "az"], ["confirmed"], ["3"], ordinal=i) for i in range(3)]
+        samples = [LabeledSample.of(c, discard_position(2, 1)) for c in cells]
+        for records, kind in ((cells, SuperCell), (samples, LabeledSample)):
+            path = tmp_path / f"{kind.__name__}.jsonl"
+            assert write_jsonl(records, path) == 3
+            assert path.read_text(encoding="utf-8") == "".join(
+                r.to_json() + "\n" for r in records)
+            assert read_jsonl(path, kind) == records
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        cell = make_cell(["k"], ["a"], ["1"])
+        path = tmp_path / "c.jsonl"
+        path.write_text("\n" + cell.to_json() + "\n\n", encoding="utf-8")
+        assert read_jsonl(path, SuperCell) == [cell]
+
+    @pytest.mark.parametrize("bad", [
+        "{not json", "[1, 2]", '{"source_id": "s"}',
+        '{"source_id": "s", "keys": [], "attributes": [], "values": [], "row_ordinal": 0}',
+    ])
+    def test_malformed_line_names_file_and_line(self, tmp_path, bad):
+        path = tmp_path / "c.jsonl"
+        path.write_text(make_cell(["k"], ["a"], ["1"]).to_json() + "\n" + bad + "\n")
+        with pytest.raises(MalformedRecord, match=rf"c\.jsonl:2: not a SuperCell"):
+            read_jsonl(path, SuperCell)
+
+    def test_write_json_keeps_key_order(self, tmp_path):
+        write_json({"b": 1, "a": [2]}, tmp_path / "r.json")
+        assert (tmp_path / "r.json").read_text() == '{\n "b": 1,\n "a": [\n  2\n ]\n}\n'
+
+    def test_timings_record_only_blocks_that_finish(self, tmp_path):
+        timings = Timings()
+        with timings.block("ok_s"):
+            pass
+        with pytest.raises(KeyError):
+            with timings.block("raised_s"):
+                raise KeyError("x")
+        timings.write(tmp_path)
+        written = json.loads((tmp_path / "timings.json").read_text())
+        assert list(written) == ["ok_s"] and written["ok_s"] >= 0
 
 
 SCHEMA = TargetSchema(

@@ -16,8 +16,10 @@ from supercell.core import (
     TargetSchema,
     copy_marker,
     discard_position,
+    fnv1a64,
     render_feature,
 )
+from supercell import learner
 from supercell.learner import (
     EmptyEvalSet,
     ModelParams,
@@ -28,7 +30,6 @@ from supercell.learner import (
     accuracy,
     encode,
     encode_samples,
-    fnv1a64,
     gradient_check,
     init_params,
     integrate_predictions,
@@ -311,6 +312,18 @@ class TestIntegrate:
         assert table.cells() == {("x", "a"): "1"}
         report = table.report
         assert report.cells_written + report.cells_skipped == cell.width
+
+    def test_mode_conflict_counts_each_value_once(self, monkeypatch):
+        # A width-2 REPLACE cell whose second attribute meets a SUM cell:
+        # three values, two written and one skipped.
+        positions = [TargetPosition(("x",), ("b",), AggMode.SUM),
+                     TargetPosition(("x",), ("a", "b"), AggMode.REPLACE)]
+        monkeypatch.setattr(learner, "predict_cells", lambda cells, params: [
+            learner.Prediction(pos, [], 1.0) for pos in positions])
+        cells = [SuperCell("s", ("x",), ("bravo",), ("1",), 0),
+                 SuperCell("s", ("x",), ("alpha", "bravo"), ("2", "3"), 1)]
+        table = integrate_predictions(cells, init_params(tiny_config(), SCHEMA))
+        assert (table.report.cells_written, table.report.cells_skipped) == (2, 1)
 
 
 class TestAccuracy:
