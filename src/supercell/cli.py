@@ -29,9 +29,11 @@ from .ingest import (
     decompose_log,
 )
 
-_CONFIG_KEYS = {
-    "sources", "dictionaries", "mapping_spec", "plan", "model",
-    "out_dir", "learner", "seed",
+# Each run-config key and the JSON type its value must have; the learner
+# block is checked field by field against TrainConfig.
+_CONFIG_TYPES = {
+    "sources": list, "dictionaries": dict, "mapping_spec": str, "plan": str,
+    "model": str, "out_dir": str, "learner": object, "seed": int,
 }
 
 
@@ -61,9 +63,16 @@ def load_config(path: str, seed: int | None, out: str | None) -> dict:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise UsageError(f"run config {path} must be a JSON object")
-    unknown = set(config) - _CONFIG_KEYS
+    unknown = set(config) - set(_CONFIG_TYPES)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in config.items():
+        wanted = _CONFIG_TYPES[key]
+        ok = isinstance(value, wanted) and not (wanted is int and isinstance(value, bool))
+        if ok and key == "dictionaries":
+            ok = all(isinstance(v, str) for v in value.values())
+        if not ok:
+            raise UsageError(f"config key {key!r} must be {wanted.__name__}, got {value!r}")
     base = Path(path).resolve().parent
 
     def resolve(p: str) -> Path:
@@ -216,9 +225,11 @@ def cmd_augment(config: dict) -> int:
 
 def _train_config(config: dict) -> learner.TrainConfig:
     block = _checked(learner.TrainConfig, config.get("learner", {}), "learner config")
-    cfg = learner.TrainConfig(**block)
-    cfg.seed = int(config.get("seed", cfg.seed))
-    return cfg
+    block["seed"] = config["seed"]
+    try:
+        return learner.TrainConfig(**block)
+    except ValueError as exc:
+        raise UsageError(f"learner config: {exc}") from exc
 
 
 def cmd_train(config: dict) -> int:
@@ -293,7 +304,7 @@ def cmd_eval(config: dict) -> int:
 
 def cmd_ablate(config: dict) -> int:
     fixture = _fixture(config)
-    seed = int(config.get("seed", 0))
+    seed = config["seed"]
     train_plan = (
         _plan(config) if config.get("plan")
         else perturb.PerturbationPlan(seed=seed, synonym_dict=None)

@@ -236,6 +236,26 @@ class TestExitCodes:
         assert run(["train", "--config", self.learner_config(workspace, tmp_path, block)]) == 1
         assert repr(next(iter(block))) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("block", [
+        {"encoder": "lstm"}, {"epochs": 0}, {"batch_size": 0},
+    ])
+    def test_out_of_range_learner_value_is_usage_error(self, workspace, tmp_path,
+                                                       capsys, block):
+        assert run(["train", "--config", self.learner_config(workspace, tmp_path, block)]) == 1
+        assert "learner config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("out_dir", 5), ("dictionaries", ["x"])])
+    def test_wrongly_typed_config_value_is_usage_error(self, workspace, tmp_path,
+                                                       capsys, key, value):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "mapping_spec": str(workspace["root"] / "mapping_spec.json"),
+            "out_dir": str(tmp_path),
+            key: value,
+        }))
+        assert run(["decompose", "--config", str(path)]) == 1
+        assert repr(key) in capsys.readouterr().err
+
     def test_int_learner_value_passes_for_float(self, workspace, tmp_path):
         block = {"learning_rate": 1, "epochs": 1, "embed_dim": 4, "hidden": 4,
                  "bucket_count": 64}

@@ -25,8 +25,11 @@ from supercell.learner import (
     ModelParams,
     SubwordVocab,
     TrainConfig,
+    _accuracy_encoded,
+    _embed_backward,
     _embed_batch,
     _forward_batch,
+    _sigmoid,
     accuracy,
     encode,
     encode_samples,
@@ -186,6 +189,80 @@ class TestLoss:
     def test_gradients_match_finite_differences(self, encoder):
         for seed in (0, 1, 2):
             assert gradient_check(encoder, seed=seed) < 1e-3
+
+
+class TestKernels:
+    def test_embed_backward_stays_in_model_dtype(self):
+        params = init_params(tiny_config(bucket_count=16), SCHEMA)
+        sentences = [
+            FeatureSentence(("alpha", "bravo", "alpha"), ("VAL",) * 3),
+            FeatureSentence(("charlie",), ("VAL",)),
+            FeatureSentence(("delta", "echo"), ("VAL",) * 2),
+        ]
+        batch = [encode(s, params.vocab) for s in sentences]
+        X, _, cache = _embed_batch(batch, params)
+        dX = np.random.default_rng(0).standard_normal(X.shape).astype(X.dtype)
+        grads = {"E": np.zeros_like(params.arrays["E"])}
+        _embed_backward(dX, cache, grads, params)
+        assert grads["E"].dtype == np.float32
+
+        reference = np.zeros(params.arrays["E"].shape, dtype=np.float64)
+        for row, sample in enumerate(batch):
+            start = 0
+            for col, length in enumerate(sample.lengths):
+                for bucket in sample.bucket_ids[start : start + length]:
+                    reference[bucket] += dX[row, col].astype(np.float64) / length
+                start += length
+        assert np.abs(grads["E"] - reference).max() < 1e-6
+
+    def test_sigmoid_matches_logistic_without_overflow(self):
+        x = np.linspace(-30, 30, 601)
+        assert np.abs(_sigmoid(x) - 1 / (1 + np.exp(-x))).max() < 1e-6
+        with np.errstate(all="raise"):
+            for dtype in (np.float32, np.float64):
+                out = _sigmoid(np.array([-1e4, 1e4], dtype=dtype))
+                assert np.isfinite(out).all()
+                assert out.tolist() == [0.0, 1.0]
+
+    def test_accuracy_does_not_depend_on_sample_order(self):
+        samples = make_samples(24)
+        params, _ = train(samples, tiny_config(epochs=3), SCHEMA)
+        encoded = encode_samples(samples, params)
+        shuffled = [encoded[i] for i in np.random.default_rng(1).permutation(len(encoded))]
+        acc = _accuracy_encoded(encoded, params, chunk=5)
+        assert 0.0 < acc < 1.0
+        assert _accuracy_encoded(shuffled, params, chunk=5) == acc
+
+    @pytest.mark.parametrize("encoder", ["pooled", "recurrent"])
+    def test_predict_cells_returns_input_order(self, encoder):
+        params = init_params(tiny_config(encoder=encoder), SCHEMA)
+        cells = [
+            SuperCell("s", ("y", "2020-01-01")[: 1 + i % 2],
+                      tuple(["bravo charlie delta echo"[: 5 * (i % 4 + 1)]] * (1 + i % 2)),
+                      tuple(str(i * j) for j in range(1 + i % 2)), i)
+            for i in range(9)
+        ]
+        assert len({len(render_feature(c).tokens) for c in cells}) > 2
+        sorted_chunks = predict_cells(cells, params, chunk=2)
+        one_chunk = predict_cells(cells, params, chunk=512)
+        for cell, a, b in zip(cells, sorted_chunks, one_chunk):
+            alone = predict_cells([cell], params)[0]
+            assert a.position == b.position == alone.position
+            assert np.isclose(a.confidence, b.confidence)
+            assert np.isclose(a.confidence, alone.confidence)
+            for p, q in zip(a.probabilities, b.probabilities):
+                assert np.allclose(p, q, atol=1e-6)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("encoder", "lstm"), ("epochs", 0), ("batch_size", 0), ("embed_dim", 0),
+        ("hidden", 0), ("bucket_count", 0), ("max_width", 0), ("ngram_min", 0),
+        ("ngram_max", 2), ("learning_rate", 0.0), ("dtype", "float16"),
+    ])
+    def test_out_of_range_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            tiny_config(**{field: value})
 
 
 class TestTrain:
