@@ -4,6 +4,7 @@ comparisons. Every builder is a pure function of its seed."""
 
 from __future__ import annotations
 
+import datetime
 import json
 from dataclasses import dataclass, field
 from importlib import resources
@@ -66,19 +67,9 @@ class Fixture:
         return self.spec.cells(self.corpora)
 
 
-def _iso_dates(start: tuple[int, int, int], n: int) -> list[str]:
-    """n consecutive ISO dates from a (year, month, day) start."""
-    y, m, d = start
-    days = [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
-    out = []
-    for _ in range(n):
-        out.append(f"{y:04d}-{m:02d}-{d:02d}")
-        d += 1
-        if d > days[m - 1]:
-            d, m = 1, m + 1
-            if m > 12:
-                m, y = 1, y + 1
-    return out
+def _iso_dates(start: datetime.date, n: int) -> list[str]:
+    """n consecutive calendar days from ``start``, as ISO dates."""
+    return [(start + datetime.timedelta(days=i)).isoformat() for i in range(n)]
 
 
 def build_covid_fixture(
@@ -97,7 +88,7 @@ def build_covid_fixture(
     states = state_names()
     if n_states is not None:
         states = states[:n_states]
-    dates = _iso_dates((2020, 10, 1), n_dates)
+    dates = _iso_dates(datetime.date(2020, 10, 1), n_dates)
 
     covid_rows = []
     mobility_rows = []

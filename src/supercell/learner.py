@@ -109,13 +109,6 @@ class TrainConfig:
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(obj: dict) -> "TrainConfig":
-        return TrainConfig(**obj)
-
 
 @dataclass
 class ModelParams:
@@ -134,16 +127,9 @@ class ModelParams:
             self.config.bucket_count, self.config.ngram_min, self.config.ngram_max
         )
         self.space = LabelSpace(self.schema, self.config.max_copy, self.config.max_width)
-
-    def dictionary_store(self) -> DictionaryStore:
-        return {
-            name: SynonymDictionary(name, groups)
-            for name, groups in self.dictionaries.items()
+        self.synonyms: DictionaryStore = {
+            name: SynonymDictionary(name, groups) for name, groups in self.dictionaries.items()
         }
-
-    @property
-    def head_sizes(self) -> list[int]:
-        return self.space.head_sizes
 
     def finite(self) -> bool:
         return all(np.isfinite(a).all() for a in self.arrays.values())
@@ -151,7 +137,7 @@ class ModelParams:
     def save(self, path: str | Path) -> None:
         meta = {
             "format_version": 1,
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
             "schema": self.schema.to_dict(),
             "key_kinds": [k.render() for k in self.key_kinds],
             "dictionaries": self.dictionaries,
@@ -169,7 +155,7 @@ class ModelParams:
         if version != 1:
             raise ValueError(f"unsupported model file format_version {version!r}")
         return ModelParams(
-            config=TrainConfig.from_dict(meta["config"]),
+            config=TrainConfig(**meta["config"]),
             schema=TargetSchema.from_dict(meta["schema"]),
             key_kinds=[CanonKind.parse(k) for k in meta["key_kinds"]],
             arrays=arrays,
@@ -363,7 +349,7 @@ def _forward_batch(batch: list[EncodedSample], params: ModelParams):
         cache.update({"H": H, "steps_f": steps_f, "steps_b": steps_b})
     logits = [
         H @ arrays[f"head{i}_W"] + arrays[f"head{i}_b"]
-        for i in range(len(params.head_sizes))
+        for i in range(len(params.space.head_sizes))
     ]
     cache["logits"] = logits
     return logits, cache
@@ -495,20 +481,38 @@ def train(
     return params, curve
 
 
+def _head_choices(
+    encoded: list[EncodedSample], params: ModelParams, chunk: int = 512
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each sample's argmax class per head and the softmax probability of
+    that class, as two ``(samples, heads)`` arrays in input order.
+
+    The argmax is taken on the logits; the chosen class's probability is
+    ``1 / sum(exp(logits - max))``. Chunks run in stable order of token
+    count, so they pad little, and masked steps are exact no-ops, so no
+    row depends on the chunk it ran in."""
+    shape = (len(encoded), len(params.space.head_sizes))
+    choices = np.zeros(shape, dtype=np.int64)
+    chosen = np.zeros(shape, dtype=params.arrays["E"].dtype)
+    order = np.argsort([len(s.lengths) for s in encoded], kind="stable")
+    for start in range(0, len(encoded), chunk):
+        part = order[start : start + chunk]
+        logits, _ = _forward_batch([encoded[i] for i in part], params)
+        for head, head_logits in enumerate(logits):
+            top = head_logits.max(axis=1, keepdims=True)
+            choices[part, head] = head_logits.argmax(axis=1)
+            chosen[part, head] = 1.0 / np.exp(head_logits - top).sum(axis=1)
+    return choices, chosen
+
+
 def _accuracy_encoded(encoded: list[EncodedSample], params: ModelParams, chunk: int = 512) -> float:
     if not encoded:
         raise EmptyEvalSet("no evaluation samples")
-    # Length-sorted chunks pad little; the count of correct samples does not
-    # depend on their order.
-    encoded = sorted(encoded, key=lambda s: len(s.lengths))
+    choices, _ = _head_choices(encoded, params, chunk)
     correct = 0
-    for start in range(0, len(encoded), chunk):
-        part = encoded[start : start + chunk]
-        logits, _ = _forward_batch(part, params)
-        pred = np.stack([l.argmax(axis=1) for l in logits], axis=1)
-        for sample, row in zip(part, pred):
-            live = params.space.live_heads(sample.width)
-            correct += int((row[live] == sample.targets[live]).all())
+    for sample, row in zip(encoded, choices):
+        live = params.space.live_heads(sample.width)
+        correct += int((row[live] == sample.targets[live]).all())
     return correct / len(encoded)
 
 
@@ -516,16 +520,13 @@ def accuracy(samples: list[LabeledSample], params: ModelParams) -> float:
     """Fraction of samples whose every head (all key components, all
     attribute slots within the cell's width, and the aggregation mode)
     matches the label."""
-    if not samples:
-        raise EmptyEvalSet("no evaluation samples")
     return _accuracy_encoded(encode_samples(samples, params), params)
 
 
 @dataclass
 class Prediction:
     position: TargetPosition
-    probabilities: list[np.ndarray]
-    confidence: float
+    confidence: float  # product of the chosen classes' probabilities over live heads
     copy_out_of_range: int = 0
 
 
@@ -533,29 +534,16 @@ def predict_cells(cells: list[SuperCell], params: ModelParams, chunk: int = 512)
     """Argmax position for each super cell, with COPY markers resolved
     against the cell's canonically ordered keys. An out-of-range COPY
     component degrades to NULL and is counted on the prediction. A cell
-    wider than ``max_width`` gets a position of ``max_width`` attributes.
-
-    Chunks run in order of token count, so they pad little; each prediction
-    is written back at its cell's index."""
-    dictionaries = params.dictionary_store()
+    wider than ``max_width`` gets a position of ``max_width`` attributes."""
     encoded = [encode(render_feature(cell), params.vocab) for cell in cells]
-    order = np.argsort([len(s.lengths) for s in encoded], kind="stable")
-    out: list[Prediction | None] = [None] * len(cells)
-    for start in range(0, len(cells), chunk):
-        part = order[start : start + chunk]
-        logits, _ = _forward_batch([encoded[i] for i in part], params)
-        probs = [_softmax(l) for l in logits]
-        choices = np.stack([p.argmax(axis=1) for p in probs], axis=1)
-        for row, index in enumerate(part):
-            cell = cells[index]
-            live = params.space.live_heads(cell.width)
-            row_probs = [probs[h][row] for h in live]
-            confidence = float(np.prod([probs[h][row, choices[row, h]] for h in live]))
-            position, degraded = resolve_position(
-                params.space.decode(choices[row], cell.width), cell,
-                params.key_kinds, dictionaries,
-            )
-            out[index] = Prediction(position, row_probs, confidence, degraded)
+    choices, chosen = _head_choices(encoded, params, chunk)
+    out = []
+    for cell, row, probs in zip(cells, choices, chosen):
+        position, degraded = resolve_position(
+            params.space.decode(row, cell.width), cell, params.key_kinds, params.synonyms,
+        )
+        confidence = float(np.prod(probs[params.space.live_heads(cell.width)]))
+        out.append(Prediction(position, confidence, degraded))
     return out
 
 
@@ -602,7 +590,7 @@ def gradient_check(encoder: str = "pooled", seed: int = 0, eps: float = 1e-4) ->
         sentences.append(FeatureSentence(toks, ("VAL",) * n))
     batch = [
         encode(sentence, params.vocab,
-               np.array([int(rng.integers(k)) for k in params.head_sizes], dtype=np.int64))
+               np.array([int(rng.integers(k)) for k in params.space.head_sizes], dtype=np.int64))
         for sentence in sentences
     ]
 

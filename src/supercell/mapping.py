@@ -322,20 +322,24 @@ def _target_key_values(
     entries: list[KeyMapEntry],
     spec: MappingSpec,
     dictionaries: DictionaryStore | None,
-) -> tuple[list[str | None], list[KeyMapEntry | None]]:
-    """Concrete target key values in schema order (WILDCARD where declared)."""
+) -> tuple[list[str | None], list[str | None], list[KeyMapEntry]]:
+    """Concrete target key values in schema order (WILDCARD where declared),
+    the canonical values before rendering (None for a wildcard), and the
+    entries they came from."""
     by_target = {e.target: e for e in entries}
     values: list[str | None] = []
-    used: list[KeyMapEntry | None] = []
+    canonical: list[str | None] = []
+    used: list[KeyMapEntry] = []
     for attr in spec.target.key_attributes:
         entry = by_target.get(attr)
         if entry is None:
             raise KeyResolutionFailure(
                 f"{cell.source_id}: no key_map entry for target key {attr!r}"
             )
+        used.append(entry)
         if entry.wildcard:
             values.append(WILDCARD)
-            used.append(entry)
+            canonical.append(None)
             continue
         if entry.component >= len(cell.keys):
             raise KeyResolutionFailure(
@@ -343,11 +347,9 @@ def _target_key_values(
                 f"for {len(cell.keys)} key components"
             )
         value = canonicalize(cell.keys[entry.component], entry.kind, dictionaries)
-        if entry.render:
-            value = _RENDERERS[entry.render](value)
-        values.append(value)
-        used.append(entry)
-    return values, used
+        canonical.append(value)
+        values.append(_RENDERERS[entry.render](value) if entry.render else value)
+    return values, canonical, used
 
 
 def position_for_cell(
@@ -388,24 +390,18 @@ def position_for_cell(
         agg = modes.pop()
 
     entries = spec.key_map.get(cell.source_id, [])
-    values, used = _target_key_values(cell, entries, spec, dictionaries)
+    values, canonical, used = _target_key_values(cell, entries, spec, dictionaries)
     if not as_label:
         return TargetPosition(tuple(values), tuple(attrs), agg)
 
+    # A value that rendering left unchanged is the component canonicalized
+    # by its slot's one kind (validate), so COPY(i) resolves back to it.
     sorted_keys = cell.sorted_keys()
-    kinds = spec.key_kinds()
-    keys: list[str | None] = []
-    for slot, (value, entry) in enumerate(zip(values, used)):
-        if value == WILDCARD:
-            keys.append(WILDCARD)
-            continue
-        slot_kind = kinds[spec.target.key_attributes[slot]]
-        component = cell.keys[entry.component]
-        if canonicalize(component, slot_kind, dictionaries) == value:
-            keys.append(_marker_for(sorted_keys, component))
-        else:
-            keys.append(value)
-    return TargetPosition(tuple(keys), tuple(attrs), agg)
+    keys = tuple(
+        _marker_for(sorted_keys, cell.keys[entry.component]) if value == canon else value
+        for value, canon, entry in zip(values, canonical, used)
+    )
+    return TargetPosition(keys, tuple(attrs), agg)
 
 
 def _marker_for(sorted_keys: tuple[str, ...], component: str) -> str:

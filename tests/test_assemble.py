@@ -4,6 +4,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from supercell.assemble import (
     AggModeConflict,
@@ -168,6 +169,80 @@ class TestBruteForceEquivalence:
                 write(table, ("d", "s"), values[int(i)], mode)
             outputs.add(cell_value(table, ("d", "s")))
         assert len(outputs) == 1
+
+
+WIDE = TargetSchema(
+    attributes=("date", "state", "u", "v", "w"),
+    key_attributes=("date", "state"),
+    key_domains={"date": KeyDomain((), open=True), "state": KeyDomain((), open=True)},
+)
+NUMERIC = (AggMode.SUM, AggMode.AVG, AggMode.MIN, AggMode.MAX)
+
+
+@st.composite
+def cell_sequences(draw):
+    """Multi-attribute cells over WIDE, each target attribute with one fixed
+    mode, under concrete and wildcard keys; some values do not parse, some
+    slots are NULL and some cells are wider than their position."""
+    attrs = WIDE.value_attributes
+    modes = dict(zip(attrs, draw(st.lists(st.sampled_from(list(AggMode)),
+                                          min_size=len(attrs), max_size=len(attrs)))))
+    value = st.one_of(st.integers(-50, 50).map(str), st.sampled_from(["t1", "t2", "oops"]))
+    sequence = []
+    for ordinal in range(draw(st.integers(1, 12))):
+        mode = modes[draw(st.sampled_from(attrs))]
+        same_mode = [a for a in attrs if modes[a] is mode]
+        placed = draw(st.permutations(same_mode))[: draw(st.integers(1, len(same_mode)))]
+        slots = list(placed) + [None] * draw(st.integers(0, 1))
+        slots = [slots[i] for i in draw(st.permutations(range(len(slots))))]
+        values = draw(st.lists(value, min_size=len(slots) + draw(st.integers(0, 1)),
+                               max_size=len(slots) + 1))
+        keys = tuple(draw(st.sampled_from([WILDCARD, "x1", "x2"])) for _ in range(2))
+        cell = SuperCell("s", keys, tuple(f"c{i}" for i in range(len(values))),
+                         tuple(values), ordinal)
+        sequence.append((cell, TargetPosition(keys, tuple(slots), mode)))
+    return sequence
+
+
+def replay(sequence):
+    """Brute-force assembly: the values each (row, attribute) receives in
+    arrival order, plus the written and skipped counts."""
+    merged: dict[tuple, list[str]] = {}
+    modes: dict[str, AggMode] = {}
+    written = skipped = 0
+    for cell, pos in sequence:
+        skipped += len(cell.values) - len(pos.attributes)
+        concrete = [(i, k) for i, k in enumerate(pos.keys) if k != WILDCARD]
+        if len(concrete) == len(pos.keys):
+            rows = [pos.keys]
+        else:
+            existing = {key[:-1] for key in merged}
+            rows = [r for r in existing if all(r[i] == k for i, k in concrete)]
+        for attr, value in zip(pos.attributes, cell.values):
+            if attr is None:
+                continue
+            modes[attr] = pos.agg_mode
+            if not rows:
+                skipped += 1
+            for row in rows:
+                if pos.agg_mode in NUMERIC and not value.lstrip("-").isdigit():
+                    skipped += 1
+                    continue
+                merged.setdefault(tuple(row) + (attr,), []).append(value)
+                written += 1
+    cells = {key: brute_force(modes[key[-1]], values) for key, values in merged.items()}
+    return cells, written, skipped
+
+
+@given(cell_sequences())
+@settings(max_examples=200, deadline=None)
+def test_multi_attribute_wildcard_replay_matches_brute_force(sequence):
+    table = TargetTable(WIDE)
+    for cell, pos in sequence:
+        table.apply(cell, pos)
+    cells, written, skipped = replay(sequence)
+    assert table.cells() == cells
+    assert (table.report.cells_written, table.report.cells_skipped) == (written, skipped)
 
 
 class TestWriter:

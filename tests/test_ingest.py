@@ -1,11 +1,13 @@
 """Decomposition of CSV, pivoted CSV, and log sources into super cells."""
 
+import datetime
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from supercell.canon import CanonKind, SynonymDictionary
+from supercell.datasets import build_covid_fixture
 from supercell.ingest import (
     DecomposeStats,
     DuplicateCellOnPivot,
@@ -326,3 +328,13 @@ def test_csv_round_trip(tmp_path):
     path = tmp_path / "t.csv"
     table.write(path)
     assert RawTable.read(path) == table
+
+
+def test_covid_fixture_dates_are_consecutive_calendar_days():
+    # 1,250 days from 2020-10-01 run through the leap day 2024-02-29.
+    fixture = build_covid_fixture(n_dates=1250, n_states=1)
+    for table in fixture.tables.values():
+        days = [datetime.date.fromisoformat(d) for d in table.column(table.header[0])]
+        assert days[0] == datetime.date(2020, 10, 1)
+        assert all(b - a == datetime.timedelta(days=1) for a, b in zip(days, days[1:]))
+        assert datetime.date(2024, 2, 29) in days

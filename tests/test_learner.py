@@ -1,6 +1,7 @@
 """Learner: subword embeddings, forward/backward, training, prediction."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -174,7 +175,7 @@ class TestLoss:
         samples = make_samples(4)
         encoded = encode_samples(samples, params)
         loss, _ = loss_and_grads(encoded, params)
-        expected = sum(math.log(k) for k in params.head_sizes)
+        expected = sum(math.log(k) for k in params.space.head_sizes)
         assert abs(loss - expected) < 1e-5
 
     def test_duplicated_batch_same_mean_loss(self):
@@ -250,8 +251,6 @@ class TestKernels:
             assert a.position == b.position == alone.position
             assert np.isclose(a.confidence, b.confidence)
             assert np.isclose(a.confidence, alone.confidence)
-            for p, q in zip(a.probabilities, b.probabilities):
-                assert np.allclose(p, q, atol=1e-6)
 
 
 class TestTrainConfig:
@@ -276,7 +275,7 @@ class TestTrain:
     def test_initial_loss_near_uniform(self):
         samples = make_samples(10)
         params, curve = train(samples, tiny_config(epochs=1), SCHEMA)
-        expected = sum(math.log(k) for k in params.head_sizes)
+        expected = sum(math.log(k) for k in params.space.head_sizes)
         assert abs(curve[0].loss - expected) / expected < 0.10
 
     def test_same_seed_identical_params(self):
@@ -314,8 +313,13 @@ class TestPredict:
         params, _ = train(samples, tiny_config(epochs=5), SCHEMA)
         cell = SuperCell("s", ("x",), ("alpha",), ("0",), 0)
         prediction = predict_cells([cell], params)[0]
-        for vector in prediction.probabilities:
-            assert abs(vector.sum() - 1.0) < 1e-5
+        # Confidence is the product, over the live heads, of the top class's
+        # probability in a softmax of the forward pass's logits.
+        probs = [np.exp(l - l.max()) / np.exp(l - l.max()).sum()
+                 for l in logits_of(render_feature(cell), params)]
+        live = params.space.live_heads(cell.width)
+        assert np.isclose(prediction.confidence, np.prod([probs[h].max() for h in live]),
+                          rtol=1e-5)
         assert 0.0 < prediction.confidence <= 1.0
 
     def test_discard_after_discard_training(self):
@@ -351,8 +355,27 @@ class TestPredict:
             assert in_batch.position == alone.position
             assert in_batch.copy_out_of_range == alone.copy_out_of_range
             assert np.isclose(in_batch.confidence, alone.confidence)
-            for p, q in zip(in_batch.probabilities, alone.probabilities):
-                assert np.allclose(p, q, atol=1e-6)
+
+    def test_predict_and_accuracy_share_the_argmax_rule(self):
+        # Two attribute logits 1e-9 apart tie in float32 after the softmax
+        # (exp(-1e-9) rounds to 1): the larger logit must still win, in
+        # predict_cells and in accuracy alike.
+        params = init_params(tiny_config(max_width=1), SCHEMA)
+        for i in range(len(params.space.head_sizes)):
+            params.arrays[f"head{i}_W"][:] = 0
+        attr_bias = params.arrays["head1_b"]
+        attr_bias[:] = -10.0
+        attr_bias[params.space.attr_vocab.index("a")] = 0.0
+        attr_bias[params.space.attr_vocab.index("b")] = 1e-9
+        params.arrays["head0_b"][params.space.key_vocabs[0].index("x")] = 10.0
+        params.arrays["head2_b"][AGG_MODES.index(AggMode.REPLACE)] = 10.0
+        cell = SuperCell("s", ("x",), ("alpha",), ("1",), 0)
+        assert predict_cells([cell], params)[0].position == TargetPosition(
+            ("x",), ("b",), AggMode.REPLACE)
+        for attr, expected in (("a", 0.0), ("b", 1.0)):
+            label = TargetPosition(("x",), (attr,), AggMode.REPLACE)
+            assert accuracy([LabeledSample(render_feature(cell), label, ("s", 0))],
+                            params) == expected
 
     def test_copy_resolution_in_predict_cells(self):
         # A trained COPY prediction resolves against the cell's keys through
@@ -396,7 +419,7 @@ class TestIntegrate:
         positions = [TargetPosition(("x",), ("b",), AggMode.SUM),
                      TargetPosition(("x",), ("a", "b"), AggMode.REPLACE)]
         monkeypatch.setattr(learner, "predict_cells", lambda cells, params: [
-            learner.Prediction(pos, [], 1.0) for pos in positions])
+            learner.Prediction(pos, 1.0) for pos in positions])
         cells = [SuperCell("s", ("x",), ("bravo",), ("1",), 0),
                  SuperCell("s", ("x",), ("alpha", "bravo"), ("2", "3"), 1)]
         table = integrate_predictions(cells, init_params(tiny_config(), SCHEMA))
@@ -413,7 +436,7 @@ class TestAccuracy:
         params = init_params(tiny_config(), SCHEMA)
         for key in params.arrays:
             params.arrays[key][:] = 0
-        agg_bias = params.arrays[f"head{len(params.head_sizes) - 1}_b"]
+        agg_bias = params.arrays[f"head{len(params.space.head_sizes) - 1}_b"]
         agg_bias[AGG_MODES.index(AggMode.DISCARD)] = 10.0
         real = make_samples(6)
         discards = [
@@ -452,7 +475,7 @@ class TestSerialization:
         assert set(loaded.arrays) == set(params.arrays)
         for key in params.arrays:
             assert np.array_equal(loaded.arrays[key], params.arrays[key])
-        assert loaded.config.to_dict() == params.config.to_dict()
+        assert asdict(loaded.config) == asdict(params.config)
         assert loaded.schema.to_dict() == params.schema.to_dict()
         assert [k.render() for k in loaded.key_kinds] == ["date"]
         assert loaded.dictionaries == {"d": [["a", "b"]]}
