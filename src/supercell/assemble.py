@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 from .canon import canonical_number
 from .core import (
     AggMode,
+    Record,
     SuperCell,
     TargetPosition,
     TargetSchema,
@@ -109,14 +110,11 @@ class CellState:
 
 
 @dataclass
-class AssemblyReport:
+class AssemblyReport(Record):
     """Value counts only, so the report is byte-identical across runs."""
 
     cells_written: int = 0
     cells_skipped: int = 0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 class TargetTable:

@@ -158,39 +158,19 @@ def cmd_gen_train(config: dict) -> int:
     return 0
 
 
-def _checked(cls, block: dict, what: str) -> dict:
-    """``block`` as keyword arguments for the dataclass ``cls``: a JSON
-    object whose every key is a field, and whose every value has its
-    field's default type (an int passes for a float and is stored as one,
-    a bool never passes for a number). None defaults are unchecked."""
-    if not isinstance(block, dict):
-        raise UsageError(f"{what} must be a JSON object, got {block!r}")
-    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-    unknown = set(block) - set(defaults)
-    if unknown:
-        raise UsageError(f"unknown {what} keys: {sorted(unknown)}")
-    out = {}
-    for key, value in block.items():
-        default = defaults[key]
-        if default is not None:
-            allowed = (int, float) if isinstance(default, float) else type(default)
-            if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, allowed):
-                raise UsageError(
-                    f"{what} key {key!r} must be {type(default).__name__}, got {value!r}"
-                )
-            if isinstance(default, float):
-                value = float(value)
-        out[key] = value
-    return out
+def _record(cls, block, what: str):
+    """``block`` read as the record ``cls`` (each key a field, each value of
+    its field's JSON type, an int passing for a float); any mismatch or
+    failed check is a usage error."""
+    try:
+        return cls.from_dict(block)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"{what}: {exc}") from exc
 
 
 def _plan(config: dict) -> perturb.PerturbationPlan:
     with open(config["_resolve"](config["plan"]), encoding="utf-8") as fh:
-        block = _checked(perturb.PerturbationPlan, json.load(fh), "plan")
-    try:
-        return perturb.PerturbationPlan(**block)
-    except ValueError as exc:
-        raise UsageError(f"plan: {exc}") from exc
+        return _record(perturb.PerturbationPlan, json.load(fh), "plan")
 
 
 def cmd_augment(config: dict) -> int:
@@ -224,12 +204,8 @@ def cmd_augment(config: dict) -> int:
 
 
 def _train_config(config: dict) -> learner.TrainConfig:
-    block = _checked(learner.TrainConfig, config.get("learner", {}), "learner config")
-    block["seed"] = config["seed"]
-    try:
-        return learner.TrainConfig(**block)
-    except ValueError as exc:
-        raise UsageError(f"learner config: {exc}") from exc
+    read = _record(learner.TrainConfig, config.get("learner", {}), "learner config")
+    return dataclasses.replace(read, seed=config["seed"])
 
 
 def cmd_train(config: dict) -> int:
@@ -252,7 +228,7 @@ def cmd_integrate(config: dict) -> int:
     out_dir = _out_dir(config)
     params = learner.ModelParams.load(config["_model"])
     spec = _spec(config)
-    if params.schema.to_dict() != spec.target.to_dict():
+    if params.schema != spec.target:
         raise UsageError(f"model {config['_model']} was trained for a different target schema")
     cells = spec.cells(_read_corpora(out_dir / "supercells.jsonl"))
     timings = core.Timings()

@@ -16,14 +16,135 @@ All types are immutable values and safe to share across threads.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import re
 import time
+import types
+import typing
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
+
+
+class Record:
+    """Base of the dataclasses that files hold: one JSON codec for all.
+
+    ``to_dict`` writes the fields in declaration order: tuples as lists,
+    enums as their values, nested records and named tuples as objects, and
+    a type with ``parse(text)`` and ``render()`` (``CanonKind``) as its
+    string. ``from_dict`` rebuilds through the constructor, so
+    ``__post_init__`` checks run; a value of the wrong shape (an object
+    where an array belongs, or the reverse) or a scalar field of the wrong
+    JSON type raises TypeError, and an unknown key raises KeyError. The
+    per-type codecs are derived once from the type hints and cached."""
+
+    __slots__ = ()
+
+    def to_dict(self) -> dict:
+        return _codec(type(self))[0](self)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), ensure_ascii=False)
+
+    @classmethod
+    def from_dict(cls, obj: dict):
+        return _codec(cls)[1](obj)
+
+    @classmethod
+    def from_json(cls, text: str):
+        return cls.from_dict(json.loads(text))
+
+
+# A codec is (encode, decode). Scalars encode as themselves (encode None),
+# and their decoder checks the JSON type; scalar elements of arrays and
+# maps pass unchecked, so long string arrays decode at list speed.
+_Codec = tuple[Callable | None, Callable]
+# The JSON values each scalar type admits: a bool is never a number, and an
+# int passes for a float (and is stored as one).
+_SCALARS = {str: (str,), int: (int,), float: (int, float), bool: (bool,),
+            type(None): (type(None),)}
+
+
+def _expect(value, kind: type, what):
+    if not isinstance(value, kind):
+        raise TypeError(f"{what} must be a JSON {'object' if kind is dict else 'array'}, "
+                        f"got {type(value).__name__}")
+    return value
+
+
+def _scalar_decoder(members: tuple) -> Callable:
+    admitted = tuple(t for m in members for t in _SCALARS[m])
+    names = " or ".join(m.__name__ for m in members)
+
+    def decode(v):
+        if not isinstance(v, admitted) or (type(v) is bool and bool not in members):
+            raise TypeError(f"must be {names}, got {v!r}")
+        return float(v) if type(v) is int and float in members else v
+
+    return decode
+
+
+@functools.cache
+def _codec(tp) -> _Codec:
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    members = args if origin in (typing.Union, types.UnionType) else (tp,)
+    if all(m in _SCALARS for m in members):
+        return None, _scalar_decoder(members)
+    if len(members) > 1:
+        (inner,) = [m for m in members if m is not type(None)]
+        enc, dec = _codec(inner)
+        return (lambda v: None if v is None else enc(v)), (lambda v: None if v is None else dec(v))
+    if origin in (tuple, list):  # tuple[X, ...] or list[X]
+        enc, dec = _codec(args[0])
+        return (
+            (lambda v: [enc(x) for x in v]) if enc else list,
+            (lambda v: origin(map(dec, _expect(v, list, tp)))) if enc
+            else (lambda v: origin(_expect(v, list, tp))),
+        )
+    if origin is dict:  # dict[str, X]
+        enc, dec = _codec(args[1])
+        return (
+            (lambda v: {k: enc(x) for k, x in v.items()}) if enc else dict,
+            (lambda v: {k: dec(x) for k, x in _expect(v, dict, tp).items()}) if enc
+            else (lambda v: dict(_expect(v, dict, tp))),
+        )
+    if issubclass(tp, Enum):
+        return (lambda v: v.value), tp
+    if hasattr(tp, "parse") and hasattr(tp, "render"):
+        text = _scalar_decoder((str,))
+        return tp.render, lambda v: tp.parse(text(v))
+    return _object_codec(tp)
+
+
+def _object_codec(tp) -> _Codec:
+    """A record or named tuple as a JSON object of its fields."""
+    hints = typing.get_type_hints(tp)
+    is_record = dataclasses.is_dataclass(tp)
+    names = [f.name for f in dataclasses.fields(tp) if f.init] if is_record else tp._fields
+    encoders = [(name, _codec(hints[name])[0]) for name in names]
+    decoders = {name: _codec(hints[name])[1] for name in names}
+
+    def encode(value) -> dict:
+        # A named-tuple field also writes a plain tuple of the same shape.
+        items = [getattr(value, name) for name in names] if is_record else value
+        return {name: enc(x) if enc else x for (name, enc), x in zip(encoders, items)}
+
+    def decode(obj):
+        kwargs = {}
+        for name, value in _expect(obj, dict, tp.__name__).items():
+            if name not in decoders:
+                raise KeyError(f"unknown {tp.__name__} field {name!r}")
+            try:
+                kwargs[name] = decoders[name](value)
+            except TypeError as exc:
+                raise TypeError(f"{tp.__name__} field {name!r}: {exc}") from None
+        return tp(**kwargs)
+
+    return encode, decode
 
 
 class AggMode(Enum):
@@ -75,7 +196,7 @@ class UnknownKeyValue(KeyError):
 
 
 @dataclass(frozen=True, slots=True)
-class SuperCell:
+class SuperCell(Record):
     """A group of cells from one source tuple that always travel together."""
 
     source_id: str
@@ -107,13 +228,6 @@ class SuperCell:
     def signature(self) -> tuple:
         """Identity modulo key order and provenance; used for multiset comparison."""
         return (self.source_id, self.sorted_keys(), self.attributes, self.values)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), ensure_ascii=False)
-
-    @staticmethod
-    def from_json(line: str) -> "SuperCell":
-        return SuperCell(**json.loads(line))
 
 
 class MalformedRecord(ValueError):
@@ -168,7 +282,7 @@ class Timings(dict):
 
 
 @dataclass(frozen=True)
-class KeyDomain:
+class KeyDomain(Record):
     """Admissible canonical values for one target key attribute.
 
     An open domain also admits values produced by COPY resolution that were
@@ -180,7 +294,7 @@ class KeyDomain:
 
 
 @dataclass(frozen=True)
-class TargetSchema:
+class TargetSchema(Record):
     """Schema of the user-specified target table."""
 
     attributes: tuple[str, ...]
@@ -209,30 +323,16 @@ class TargetSchema:
     def domain(self, key_attr: str) -> KeyDomain:
         return self.key_domains.get(key_attr, KeyDomain(open=True))
 
-    def to_dict(self) -> dict:
-        return {
-            "attributes": list(self.attributes),
-            "key_attributes": list(self.key_attributes),
-            "key_domains": {
-                k: {"values": list(d.values), "open": d.open}
-                for k, d in self.key_domains.items()
-            },
-        }
-
-    @staticmethod
-    def from_dict(obj: dict) -> "TargetSchema":
-        return TargetSchema(
-            attributes=tuple(obj["attributes"]),
-            key_attributes=tuple(obj["key_attributes"]),
-            key_domains={
-                k: KeyDomain(tuple(d.get("values", ())), bool(d.get("open", False)))
-                for k, d in obj.get("key_domains", {}).items()
-            },
-        )
+    def closed_values(self) -> list[frozenset[str] | None]:
+        """Per key attribute, the values of its closed domain; None where
+        the domain is open."""
+        return [
+            None if d.open else frozenset(d.values) for d in map(self.domain, self.key_attributes)
+        ]
 
 
 @dataclass(frozen=True, slots=True)
-class TargetPosition:
+class TargetPosition(Record):
     """A prediction label: where one super cell lands in the target table.
 
     ``keys`` has one entry per target key attribute: a literal canonical
@@ -261,21 +361,6 @@ class TargetPosition:
     def is_discard(self) -> bool:
         return all(a is None for a in self.attributes)
 
-    def to_dict(self) -> dict:
-        return {
-            "keys": list(self.keys),
-            "attributes": list(self.attributes),
-            "agg_mode": self.agg_mode.value,
-        }
-
-    @staticmethod
-    def from_dict(obj: dict) -> "TargetPosition":
-        return TargetPosition(
-            keys=tuple(obj["keys"]),
-            attributes=tuple(obj["attributes"]),
-            agg_mode=AggMode(obj["agg_mode"]),
-        )
-
 
 def discard_position(q: int, width: int) -> TargetPosition:
     return TargetPosition(
@@ -287,7 +372,7 @@ KEY, ATTR, VAL = "KEY", "ATTR", "VAL"
 
 
 @dataclass(frozen=True, slots=True)
-class FeatureSentence:
+class FeatureSentence(Record):
     """Tokenized rendering of a super cell, with per-token segment tags."""
 
     tokens: tuple[str, ...]
@@ -298,13 +383,6 @@ class FeatureSentence:
         object.__setattr__(self, "segment_tags", tuple(self.segment_tags))
         if len(self.tokens) != len(self.segment_tags) or not self.tokens:
             raise ValueError("tokens and segment_tags must be parallel and nonempty")
-
-    def to_dict(self) -> dict:
-        return {"tokens": list(self.tokens), "segment_tags": list(self.segment_tags)}
-
-    @staticmethod
-    def from_dict(obj: dict) -> "FeatureSentence":
-        return FeatureSentence(tuple(obj["tokens"]), tuple(obj["segment_tags"]))
 
 
 def tokenize(text: str) -> list[str]:
@@ -347,9 +425,6 @@ def render_feature(cell: SuperCell) -> FeatureSentence:
             tokens.append(tok)
             tags.append(VAL)
     return FeatureSentence(tuple(tokens), tuple(tags))
-
-
-NULL_CLASS = "\x00NULL"
 
 
 class LabelSpace:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .assemble import TargetTable, diff_tables, finalize_and_write
@@ -127,7 +127,7 @@ def build_training_samples(
         return base
     dictionaries = fixture.dictionaries if dictionary == "local" else {}
     if dictionary != "local":
-        plan = PerturbationPlan(**{**plan.to_dict(), "synonym_dict": None})
+        plan = replace(plan, synonym_dict=None)
     return augment(
         base,
         plan,

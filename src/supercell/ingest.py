@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .canon import CanonCounters, CanonKind, DictionaryStore, NONE, canonicalize
-from .core import SuperCell
+from .core import Record, SuperCell
 
 # Cell values treated as missing and skipped during decomposition.
 _MISSING = {"", "na", "null"}
@@ -87,7 +87,7 @@ class RawTable:
 
 
 @dataclass(frozen=True)
-class LogRule:
+class LogRule(Record):
     """One line pattern for log decomposition.
 
     ``key_captures`` maps key-column names to capture-group names; a match
@@ -103,30 +103,15 @@ class LogRule:
     def compiled(self) -> re.Pattern:
         return re.compile(self.pattern)
 
-    def to_dict(self) -> dict:
-        return {
-            "pattern": self.pattern,
-            "key_captures": dict(self.key_captures),
-            "attr_value_captures": dict(self.attr_value_captures),
-        }
-
-    @staticmethod
-    def from_dict(obj: dict) -> "LogRule":
-        return LogRule(
-            pattern=obj["pattern"],
-            key_captures=dict(obj.get("key_captures", {})),
-            attr_value_captures=dict(obj.get("attr_value_captures", {})),
-        )
-
 
 @dataclass(frozen=True)
-class Pivot:
+class Pivot(Record):
     pivot_axis_name: str
     value_attr_name: str
 
 
 @dataclass(frozen=True)
-class SourceDescriptor:
+class SourceDescriptor(Record):
     """How one raw source decomposes into super cells."""
 
     source_id: str
@@ -160,43 +145,6 @@ class SourceDescriptor:
 
     def canon_kind(self, column: str) -> CanonKind:
         return self.canonicalizers.get(column, NONE)
-
-    def to_dict(self) -> dict:
-        out: dict = {
-            "source_id": self.source_id,
-            "format": self.format,
-            "key_columns": list(self.key_columns),
-            "supercell_groups": [list(g) for g in self.supercell_groups],
-            "canonicalizers": {c: k.render() for c, k in self.canonicalizers.items()},
-        }
-        if self.pivot is not None:
-            out["pivot"] = {
-                "pivot_axis_name": self.pivot.pivot_axis_name,
-                "value_attr_name": self.pivot.value_attr_name,
-            }
-        if self.log_rules:
-            out["log_rules"] = [r.to_dict() for r in self.log_rules]
-        if self.constant_keys:
-            out["constant_keys"] = dict(self.constant_keys)
-        return out
-
-    @staticmethod
-    def from_dict(obj: dict) -> "SourceDescriptor":
-        pivot = None
-        if "pivot" in obj and obj["pivot"]:
-            pivot = Pivot(obj["pivot"]["pivot_axis_name"], obj["pivot"]["value_attr_name"])
-        return SourceDescriptor(
-            source_id=obj["source_id"],
-            format=obj.get("format", "csv"),
-            key_columns=tuple(obj.get("key_columns", ())),
-            supercell_groups=tuple(tuple(g) for g in obj.get("supercell_groups", ())),
-            pivot=pivot,
-            log_rules=tuple(LogRule.from_dict(r) for r in obj.get("log_rules", ())),
-            constant_keys=dict(obj.get("constant_keys", {})),
-            canonicalizers={
-                c: CanonKind.parse(k) for c, k in obj.get("canonicalizers", {}).items()
-            },
-        )
 
 
 @dataclass

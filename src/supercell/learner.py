@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,7 @@ from .core import (
     FeatureSentence,
     KeyDomain,
     LabelSpace,
+    Record,
     SuperCell,
     TargetPosition,
     TargetSchema,
@@ -78,7 +79,7 @@ class SubwordVocab:
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(Record):
     """Architecture and optimization knobs; the seed fixes every output."""
 
     encoder: str = "recurrent"  # recurrent | pooled
@@ -137,7 +138,7 @@ class ModelParams:
     def save(self, path: str | Path) -> None:
         meta = {
             "format_version": 1,
-            "config": asdict(self.config),
+            "config": self.config.to_dict(),
             "schema": self.schema.to_dict(),
             "key_kinds": [k.render() for k in self.key_kinds],
             "dictionaries": self.dictionaries,
@@ -155,7 +156,7 @@ class ModelParams:
         if version != 1:
             raise ValueError(f"unsupported model file format_version {version!r}")
         return ModelParams(
-            config=TrainConfig(**meta["config"]),
+            config=TrainConfig.from_dict(meta["config"]),
             schema=TargetSchema.from_dict(meta["schema"]),
             key_kinds=[CanonKind.parse(k) for k in meta["key_kinds"]],
             arrays=arrays,
@@ -528,22 +529,27 @@ class Prediction:
     position: TargetPosition
     confidence: float  # product of the chosen classes' probabilities over live heads
     copy_out_of_range: int = 0
+    copy_outside_domain: int = 0
 
 
 def predict_cells(cells: list[SuperCell], params: ModelParams, chunk: int = 512) -> list[Prediction]:
     """Argmax position for each super cell, with COPY markers resolved
-    against the cell's canonically ordered keys. An out-of-range COPY
-    component degrades to NULL and is counted on the prediction. A cell
-    wider than ``max_width`` gets a position of ``max_width`` attributes."""
+    against the cell's canonically ordered keys. A COPY component that is
+    out of range, or that resolves outside its slot's closed key domain,
+    degrades to NULL and is counted on the prediction; ``apply`` then
+    counts the cell's values as skipped. A cell wider than ``max_width``
+    gets a position of ``max_width`` attributes."""
     encoded = [encode(render_feature(cell), params.vocab) for cell in cells]
     choices, chosen = _head_choices(encoded, params, chunk)
+    closed = params.schema.closed_values()
     out = []
     for cell, row, probs in zip(cells, choices, chosen):
-        position, degraded = resolve_position(
+        position, out_of_range, outside = resolve_position(
             params.space.decode(row, cell.width), cell, params.key_kinds, params.synonyms,
+            closed,
         )
         confidence = float(np.prod(probs[params.space.live_heads(cell.width)]))
-        out.append(Prediction(position, confidence, degraded))
+        out.append(Prediction(position, confidence, out_of_range, outside))
     return out
 
 

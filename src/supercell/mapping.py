@@ -14,12 +14,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .assemble import TargetTable, diff_tables
 from .canon import CanonKind, DictionaryStore, NONE, canonicalize, long_date
 from .core import (
     AggMode,
     FeatureSentence,
+    Record,
     SuperCell,
     TargetPosition,
     TargetSchema,
@@ -50,7 +52,7 @@ _RENDERERS = {
 
 
 @dataclass(frozen=True)
-class KeyMapEntry:
+class KeyMapEntry(Record):
     """Aligns one target key attribute with a source key component.
 
     A wildcard entry means the source has no component for this attribute
@@ -74,30 +76,9 @@ class KeyMapEntry:
         if self.render is not None and self.render not in _RENDERERS:
             raise SpecViolation(f"unknown render {self.render!r}")
 
-    def to_dict(self) -> dict:
-        out: dict = {"target": self.target}
-        if self.wildcard:
-            out["wildcard"] = True
-        else:
-            out["component"] = self.component
-            out["kind"] = self.kind.render()
-        if self.render:
-            out["render"] = self.render
-        return out
-
-    @staticmethod
-    def from_dict(obj: dict) -> "KeyMapEntry":
-        return KeyMapEntry(
-            target=obj["target"],
-            component=obj.get("component"),
-            kind=CanonKind.parse(obj.get("kind", "none")),
-            render=obj.get("render"),
-            wildcard=bool(obj.get("wildcard", False)),
-        )
-
 
 @dataclass(frozen=True)
-class KeyHierarchy:
+class KeyHierarchy(Record):
     """Parent/child rollup used by key-expansion perturbations.
 
     ``children`` maps a parent key value (of target key attribute
@@ -118,30 +99,15 @@ class KeyHierarchy:
                 f"key expansion splits values as integer sums"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "key_attr": self.key_attr,
-            "children": {k: list(v) for k, v in self.children.items()},
-            "rollup": self.rollup.value,
-        }
-
-    @staticmethod
-    def from_dict(obj: dict) -> "KeyHierarchy":
-        return KeyHierarchy(
-            key_attr=obj["key_attr"],
-            children={k: tuple(v) for k, v in obj["children"].items()},
-            rollup=AggMode(obj.get("rollup", "sum")),
-        )
-
 
 @dataclass
-class MappingSpec:
+class MappingSpec(Record):
     """One integration task: target schema, sources, and their alignments."""
 
     target: TargetSchema
     sources: list[SourceDescriptor]
-    key_map: dict[str, list[KeyMapEntry]]
-    attr_map: dict[str, dict[str, str]]
+    key_map: dict[str, list[KeyMapEntry]] = field(default_factory=dict)
+    attr_map: dict[str, dict[str, str]] = field(default_factory=dict)
     agg_map: dict[str, dict[str, AggMode]] = field(default_factory=dict)
     key_hierarchy: KeyHierarchy | None = None
 
@@ -222,44 +188,6 @@ class MappingSpec:
                     out[source_id] = e.component
         return out
 
-    def to_dict(self) -> dict:
-        out: dict = {
-            "target": self.target.to_dict(),
-            "sources": [d.to_dict() for d in self.sources],
-            "key_map": {
-                s: [e.to_dict() for e in entries] for s, entries in self.key_map.items()
-            },
-            "attr_map": self.attr_map,
-            "agg_map": {
-                s: {a: m.value for a, m in amap.items()}
-                for s, amap in self.agg_map.items()
-            },
-        }
-        if self.key_hierarchy is not None:
-            out["key_hierarchy"] = self.key_hierarchy.to_dict()
-        return out
-
-    @staticmethod
-    def from_dict(obj: dict) -> "MappingSpec":
-        return MappingSpec(
-            target=TargetSchema.from_dict(obj["target"]),
-            sources=[SourceDescriptor.from_dict(d) for d in obj["sources"]],
-            key_map={
-                s: [KeyMapEntry.from_dict(e) for e in entries]
-                for s, entries in obj.get("key_map", {}).items()
-            },
-            attr_map={s: dict(a) for s, a in obj.get("attr_map", {}).items()},
-            agg_map={
-                s: {a: AggMode(m) for a, m in amap.items()}
-                for s, amap in obj.get("agg_map", {}).items()
-            },
-            key_hierarchy=(
-                KeyHierarchy.from_dict(obj["key_hierarchy"])
-                if obj.get("key_hierarchy")
-                else None
-            ),
-        )
-
     @staticmethod
     def load(path: str | Path) -> "MappingSpec":
         """Read a spec file; raises SpecViolation naming the file for any
@@ -268,8 +196,6 @@ class MappingSpec:
             obj = json.load(fh)
         try:
             return MappingSpec.from_dict(obj)
-        except SpecViolation:
-            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecViolation(f"{path}: {type(exc).__name__}: {exc}") from exc
 
@@ -277,37 +203,25 @@ class MappingSpec:
         write_json(self.to_dict(), path)
 
 
+class Origin(NamedTuple):
+    """Where a sample's cell came from; equals the plain tuple."""
+
+    source_id: str
+    row_ordinal: int
+
+
 @dataclass(frozen=True)
-class LabeledSample:
+class LabeledSample(Record):
     """One training or evaluation example: feature, label, and provenance."""
 
     feature: FeatureSentence
     label: TargetPosition
-    origin: tuple[str, int]
+    origin: Origin
 
     @staticmethod
     def of(cell: SuperCell, label: TargetPosition) -> "LabeledSample":
         """The sample for ``cell`` under ``label``, with the cell's provenance."""
-        return LabeledSample(render_feature(cell), label, (cell.source_id, cell.row_ordinal))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "feature": self.feature.to_dict(),
-                "label": self.label.to_dict(),
-                "origin": {"source_id": self.origin[0], "row_ordinal": self.origin[1]},
-            },
-            ensure_ascii=False,
-        )
-
-    @staticmethod
-    def from_json(line: str) -> "LabeledSample":
-        obj = json.loads(line)
-        return LabeledSample(
-            feature=FeatureSentence.from_dict(obj["feature"]),
-            label=TargetPosition.from_dict(obj["label"]),
-            origin=(obj["origin"]["source_id"], obj["origin"]["row_ordinal"]),
-        )
+        return LabeledSample(render_feature(cell), label, Origin(cell.source_id, cell.row_ordinal))
 
 
 def _is_expanded(cell: SuperCell, desc: SourceDescriptor, spec: MappingSpec) -> bool:
@@ -444,17 +358,20 @@ def resolve_position(
     cell: SuperCell,
     key_kinds: list[CanonKind],
     dictionaries: DictionaryStore | None = None,
-) -> tuple[TargetPosition, int]:
+    closed: list[frozenset[str] | None] | None = None,
+) -> tuple[TargetPosition, int, int]:
     """Resolve COPY markers against the cell's canonically ordered keys.
 
-    Returns the concrete position plus the number of COPY components that
-    were out of range and degraded to NULL.
+    Returns the concrete position, the number of COPY components that were
+    out of range, and the number that resolved outside their slot's closed
+    domain (``closed``, as ``TargetSchema.closed_values`` gives it; None
+    treats every domain as open); both degrade to NULL.
     """
     if pos.is_discard:
-        return pos, 0
+        return pos, 0, 0
     sorted_keys = cell.sorted_keys()
     out: list[str | None] = []
-    degraded = 0
+    out_of_range = outside = 0
     for slot, entry in enumerate(pos.keys):
         idx = copy_index(entry)
         if idx is None:
@@ -463,10 +380,15 @@ def resolve_position(
         component = _component_named(sorted_keys, idx)
         if component is None:
             out.append(None)
-            degraded += 1
+            out_of_range += 1
             continue
-        out.append(canonicalize(component, key_kinds[slot], dictionaries))
-    return TargetPosition(tuple(out), pos.attributes, pos.agg_mode), degraded
+        value = canonicalize(component, key_kinds[slot], dictionaries)
+        if closed and closed[slot] is not None and value not in closed[slot]:
+            out.append(None)
+            outside += 1
+            continue
+        out.append(value)
+    return TargetPosition(tuple(out), pos.attributes, pos.agg_mode), out_of_range, outside
 
 
 def oracle_integrate(
@@ -508,9 +430,10 @@ def assemble_labels(
         raise SpecViolation(f"{len(cells)} cells vs {len(labels)} labels")
     kinds_by_attr = spec.key_kinds()
     kinds = [kinds_by_attr[a] for a in spec.target.key_attributes]
+    closed = spec.target.closed_values()
     table = TargetTable(spec.target)
     for cell, label in zip(cells, labels):
-        pos, _ = resolve_position(label, cell, kinds, dictionaries)
+        pos, _, _ = resolve_position(label, cell, kinds, dictionaries, closed)
         table.apply(cell, pos)
     return table
 

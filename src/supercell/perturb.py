@@ -7,16 +7,17 @@ Each family is implemented once here and serves both uses of a
 data, and ``perturb_corpus`` builds the test sets of the robustness ladder.
 Renames, reformats, and character noise never alter what a label points
 at. Key expansion labels each child with ``mapping.carry_label`` under the
-hierarchy's rollup mode, and ``perturb_corpus`` carries each label through
-the reformat the same way, since an abbreviation can move a key component
-in the canonical order; this module builds no key label itself. Everything is driven
-by a single 64-bit seed and is fully deterministic.
+hierarchy's rollup mode, and both ``perturb_corpus`` and ``augment`` carry
+each label through a whole-cell reformat the same way, since an
+abbreviation can move a key component in the canonical order; this module
+builds no key label itself. Everything is driven by a single 64-bit seed
+and is fully deterministic.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from .core import (
     ATTR,
     FeatureSentence,
     KEY,
+    Record,
     SuperCell,
     TargetPosition,
     VAL,
@@ -37,7 +39,7 @@ from .mapping import KeyHierarchy, LabeledSample, carry_label
 
 
 @dataclass(frozen=True)
-class PerturbationPlan:
+class PerturbationPlan(Record):
     """Knobs for one perturbation pass; the seed fully determines the output."""
 
     seed: int = 0
@@ -54,9 +56,6 @@ class PerturbationPlan:
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     def dictionary(self, dictionaries: DictionaryStore) -> SynonymDictionary | None:
         """The synonym dictionary the plan names, or None when it names none."""
@@ -425,7 +424,8 @@ def augment(
     ``corpus`` holds the cells the samples came from, in the same order.
     Three families of copies are added: token-level rename/reformat/char
     noise; whole-component rename+reformat copies, so multi-word values like
-    state names gain their alternate surface forms; and, with ``hierarchy``,
+    state names gain their alternate surface forms, each label carried by
+    ``mapping.carry_label`` as in ``perturb_corpus``; and, with ``hierarchy``,
     key-expansion copies at finer key granularity (sources absent from
     ``parent_component`` are not expanded). A nonzero
     ``add_remove_noise_columns`` mixes in synthetic irrelevant columns
@@ -455,10 +455,11 @@ def augment(
         if ops and sentence != sample.feature:
             add(LabeledSample(sentence, sample.label, sample.origin), ops)
 
-    for cell, base in zip(_rename_reformat(corpus, plan, dictionaries), samples):
-        feature = render_feature(cell)
+    for before, after, base in zip(corpus, _rename_reformat(corpus, plan, dictionaries), samples):
+        feature = render_feature(after)
         if feature != base.feature:
-            add(LabeledSample(feature, base.label, base.origin), ["corpus_rename_reformat"])
+            label = carry_label(base.label, before, after)
+            add(LabeledSample(feature, label, base.origin), ["corpus_rename_reformat"])
 
     if hierarchy is not None and plan.key_expansion_rate > 0:
         base_key_len = {c.source_id: len(c.keys) for c in corpus}

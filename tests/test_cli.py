@@ -263,10 +263,10 @@ class TestExitCodes:
 
     def test_int_value_is_stored_as_float(self):
         # Two plans that mean the same must serialize (and hash) the same.
-        block = cli._checked(PerturbationPlan, {"seed": 1, "attr_rename_rate": 1}, "plan")
-        assert json.dumps(PerturbationPlan(**block).to_dict()) == json.dumps(
+        plan = PerturbationPlan.from_dict({"seed": 1, "attr_rename_rate": 1})
+        assert json.dumps(plan.to_dict()) == json.dumps(
             PerturbationPlan(seed=1, attr_rename_rate=1.0).to_dict())
-        assert type(block["attr_rename_rate"]) is float and type(block["seed"]) is int
+        assert type(plan.attr_rename_rate) is float and type(plan.seed) is int
 
     @pytest.mark.parametrize("command", ["augment", "ablate"])
     @pytest.mark.parametrize("key", ["pivot_enabled", "rename_rate"])
@@ -390,7 +390,15 @@ class TestExitCodes:
         lambda spec: spec["sources"][0]["canonicalizers"].update(Date="weekday"),
         lambda spec: spec["target"]["attributes"].remove("country"),
         lambda spec: spec.pop("target"),
-    ], ids=["agg_mode", "format", "canonicalizer", "key_attribute", "no_target"])
+        lambda spec: spec.update(key_map=5),
+        lambda spec: spec.update(agg_map={"covid": 5}),
+        lambda spec: spec["key_hierarchy"].update(children=5),
+        lambda spec: spec["target"].update(key_domains=5),
+        lambda spec: spec["sources"][0].update(canonicalizers=5),
+        lambda spec: spec.update(notes="an unknown key"),
+    ], ids=["agg_mode", "format", "canonicalizer", "key_attribute", "no_target",
+            "key_map_shape", "agg_map_shape", "children_shape", "key_domains_shape",
+            "canonicalizers_shape", "unknown_key"])
     def test_malformed_spec_is_data_error(self, workspace, tmp_path, capsys, edit):
         root = workspace["root"]
         spec = json.loads((root / "mapping_spec.json").read_text())

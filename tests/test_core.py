@@ -27,7 +27,7 @@ from supercell.core import (
     write_json,
     write_jsonl,
 )
-from supercell.mapping import LabeledSample
+from supercell.mapping import LabeledSample, Origin
 
 
 def make_cell(keys, attrs, values, source="s", ordinal=0):
@@ -119,6 +119,21 @@ class TestRecordFiles:
         path.write_text(make_cell(["k"], ["a"], ["1"]).to_json() + "\n" + bad + "\n")
         with pytest.raises(MalformedRecord, match=rf"c\.jsonl:2: not a SuperCell"):
             read_jsonl(path, SuperCell)
+
+    @pytest.mark.parametrize("edit", [
+        lambda obj: obj.update(weight=1),
+        lambda obj: obj["label"].update(weight=1),
+        lambda obj: obj.update(origin=5),
+        lambda obj: obj["feature"].update(tokens={"a": 1}),
+    ], ids=["unknown_field", "unknown_nested_field", "origin_shape", "tokens_shape"])
+    def test_malformed_sample_names_file_and_line(self, tmp_path, edit):
+        sample = LabeledSample.of(make_cell(["k"], ["a"], ["1"]), discard_position(1, 1))
+        bad = json.loads(sample.to_json())
+        edit(bad)
+        path = tmp_path / "s.jsonl"
+        path.write_text(sample.to_json() + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(MalformedRecord, match=r"s\.jsonl:2: not a LabeledSample"):
+            read_jsonl(path, LabeledSample)
 
     def test_write_json_keeps_key_order(self, tmp_path):
         write_json({"b": 1, "a": [2]}, tmp_path / "r.json")
@@ -271,6 +286,50 @@ def test_label_round_trip_property(case):
     pos, schema = case
     space = LabelSpace(schema, max_copy=3, max_width=4)
     assert space.decode(space.render(pos), len(pos.attributes)) == pos
+
+
+texts = st.text(max_size=8)
+sentences = st.lists(st.tuples(texts, st.sampled_from(["KEY", "ATTR", "VAL"])),
+                     min_size=1, max_size=6).map(
+    lambda pairs: FeatureSentence(*zip(*pairs)))
+
+
+@st.composite
+def any_positions(draw):
+    width = draw(st.integers(1, 4))
+    attrs = tuple(draw(st.lists(st.none() | texts, min_size=width, max_size=width)))
+    keys = draw(st.lists(st.none() | texts, min_size=1, max_size=3))
+    if all(a is None for a in attrs):
+        keys = [None] * len(keys)
+    return TargetPosition(tuple(keys), attrs, draw(st.sampled_from(list(AggMode))))
+
+
+@st.composite
+def cells(draw):
+    width = draw(st.integers(1, 4))
+    return SuperCell(
+        draw(texts), tuple(draw(st.lists(texts, max_size=3))),
+        tuple(draw(st.lists(texts, min_size=width, max_size=width))),
+        tuple(draw(st.lists(texts, min_size=width, max_size=width))),
+        draw(st.integers(0, 2**40)),
+    )
+
+
+samples = st.builds(LabeledSample, sentences, any_positions(),
+                    st.builds(Origin, texts, st.integers(0, 2**40)))
+
+
+@pytest.mark.parametrize("kind, records", [
+    (SuperCell, cells()), (TargetPosition, any_positions()),
+    (FeatureSentence, sentences), (LabeledSample, samples),
+], ids=["SuperCell", "TargetPosition", "FeatureSentence", "LabeledSample"])
+def test_record_json_round_trip(kind, records):
+    @given(records)
+    @settings(max_examples=100, deadline=None)
+    def check(record):
+        assert kind.from_json(record.to_json()) == record
+
+    check()
 
 
 def test_feature_sentence_round_trip():

@@ -166,3 +166,23 @@ def test_drift_agrees_with_oracle(family, drift_fixture, clean_oracle, covid_mod
     table = integrate_predictions(cells, covid_models["aug"])
     agreement = diff_tables(clean_oracle, table)["agreement"]
     assert agreement >= gate, f"{family}: agreement {agreement:.4f} (gate {gate})"
+
+
+def test_copy_outside_closed_domain_is_skipped(drift_fixture, covid_models):
+    # A model trained without expanded children copies a county name into
+    # the state slot; the state domain is closed, so those values are
+    # counted as skipped instead of opening rows no oracle would have.
+    cells = [
+        cell
+        for table, desc in _expanded(drift_fixture)
+        for cell in decompose(table, desc, drift_fixture.dictionaries)
+    ]
+    params = covid_models["noaug"]
+    table = integrate_predictions(cells, params)
+    closed = params.schema.closed_values()
+    outside = [
+        key for key in table.rows
+        if any(c is not None and v not in c for v, c in zip(key, closed))
+    ]
+    assert outside == []
+    assert table.report.cells_skipped > 0

@@ -12,7 +12,7 @@ from supercell.core import (
     TargetSchema,
     copy_marker,
 )
-from supercell.ingest import SourceDescriptor
+from supercell.ingest import LogRule, Pivot, SourceDescriptor
 from supercell.mapping import (
     DISCARD,
     KeyHierarchy,
@@ -210,8 +210,8 @@ class TestResolvePosition:
         cell = SuperCell("covid", ("10/6/2020", "AZ", "US"),
                          ("confirmed", "recovered"), ("1", "2"), 0)
         label = generate_training_data(spec, {"covid": [cell]}, DICTS)[0].label
-        resolved, degraded = resolve_position(label, cell, kinds, DICTS)
-        assert degraded == 0
+        resolved, degraded, outside = resolve_position(label, cell, kinds, DICTS)
+        assert degraded == outside == 0
         assert resolved.keys == ("2020-10-06", "arizona", "united states")
 
     def test_out_of_range_copy_degrades(self):
@@ -219,8 +219,8 @@ class TestResolvePosition:
 
         cell = SuperCell("covid", ("k",), ("a",), ("1",), 0)
         pos = TargetPosition((copy_marker(5),), ("a",), AggMode.REPLACE)
-        resolved, degraded = resolve_position(pos, cell, [CanonKind("none")])
-        assert degraded == 1
+        resolved, degraded, outside = resolve_position(pos, cell, [CanonKind("none")])
+        assert (degraded, outside) == (1, 0)
         assert resolved.keys == (None,)
 
 
@@ -353,6 +353,70 @@ class TestSpecValidation:
         spec.dump(path)
         again = MappingSpec.load(path)
         assert again.to_dict() == spec.to_dict()
+
+    def test_file_that_leaves_out_optional_keys_loads(self, tmp_path):
+        # Written before every field was written: no key_hierarchy, no
+        # pivot, log rules or constant keys where a source has none, and no
+        # wildcard, component, kind or render where an entry leaves them out.
+        path = tmp_path / "spec.json"
+        path.write_text(SPARSE_SPEC_JSON, encoding="utf-8")
+        assert MappingSpec.load(path) == sparse_spec()
+        assert MappingSpec.from_json(sparse_spec().to_json()) == sparse_spec()
+
+
+SPARSE_SPEC_JSON = r"""{
+ "target": {"attributes": ["day", "host", "region", "cpu", "deaths"],
+            "key_attributes": ["day", "host", "region"],
+            "key_domains": {"region": {"values": ["east", "west"], "open": false}}},
+ "sources": [
+  {"source_id": "logs", "format": "log_lines", "key_columns": ["ts", "host"],
+   "supercell_groups": [], "canonicalizers": {"ts": "date"},
+   "log_rules": [
+    {"pattern": "^Time: (?P<ts>\\S+)$", "key_captures": {"ts": "ts"},
+     "attr_value_captures": {}},
+    {"pattern": "^cpu (?P<v>\\d+)$", "key_captures": {},
+     "attr_value_captures": {"cpu": "v"}}],
+   "constant_keys": {"host": "web1"}},
+  {"source_id": "deaths", "format": "pivoted_csv", "key_columns": ["Region"],
+   "supercell_groups": [], "canonicalizers": {"Date": "date"},
+   "pivot": {"pivot_axis_name": "Date", "value_attr_name": "Deaths"}}],
+ "key_map": {
+  "logs": [{"target": "day", "component": 0, "kind": "date", "render": "long_date"},
+           {"target": "host", "component": 1, "kind": "none"},
+           {"target": "region", "wildcard": true}],
+  "deaths": [{"target": "day", "component": 1, "kind": "date"},
+             {"target": "host", "wildcard": true},
+             {"target": "region", "component": 0, "kind": "none"}]},
+ "attr_map": {"logs": {"cpu": "cpu"}, "deaths": {"deaths": "deaths"}},
+ "agg_map": {"deaths": {"deaths": "sum"}}
+}
+"""
+
+
+def sparse_spec():
+    date = CanonKind("date")
+    return MappingSpec(
+        target=TargetSchema(("day", "host", "region", "cpu", "deaths"),
+                            ("day", "host", "region"),
+                            {"region": KeyDomain(("east", "west"))}),
+        sources=[
+            SourceDescriptor(
+                "logs", format="log_lines", key_columns=("ts", "host"),
+                log_rules=(LogRule(r"^Time: (?P<ts>\S+)$", {"ts": "ts"}),
+                           LogRule(r"^cpu (?P<v>\d+)$", attr_value_captures={"cpu": "v"})),
+                constant_keys={"host": "web1"}, canonicalizers={"ts": date}),
+            SourceDescriptor("deaths", format="pivoted_csv", key_columns=("Region",),
+                             pivot=Pivot("Date", "Deaths"), canonicalizers={"Date": date}),
+        ],
+        key_map={
+            "logs": [KeyMapEntry("day", 0, date, render="long_date"), KeyMapEntry("host", 1),
+                     KeyMapEntry("region", wildcard=True)],
+            "deaths": [KeyMapEntry("day", 1, date), KeyMapEntry("host", wildcard=True),
+                       KeyMapEntry("region", 0)],
+        },
+        attr_map={"logs": {"cpu": "cpu"}, "deaths": {"deaths": "deaths"}},
+        agg_map={"deaths": {"deaths": AggMode.SUM}},
+    )
 
 
 class TestWildcard:

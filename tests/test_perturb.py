@@ -349,6 +349,28 @@ class TestAugment:
         assert log.entries
         assert all("ops_applied" in e for e in log.entries)
 
+    def test_corpus_reformat_carries_labels(self):
+        # Abbreviating "zeta" as "alpha" moves it ahead of "mid" in the
+        # canonical key order, so the copy's COPY markers must swap.
+        from supercell.core import TargetPosition, copy_marker
+        from supercell.mapping import resolve_position
+
+        dicts = {"g": SynonymDictionary("g", [["zeta", "alpha"]])}
+        cell = SuperCell("s", ("mid", "zeta"), ("confirmed",), ("1",), 0)
+        label = TargetPosition((copy_marker(1), copy_marker(0)), ("confirmed",),
+                               AggMode.REPLACE)
+        log = PerturbationLog()
+        out = augment([LabeledSample.of(cell, label)],
+                      PerturbationPlan(seed=3, value_reformat_rate=1.0, synonym_dict="g"),
+                      dicts, corpus=[cell], log=log)
+        copies = [out[e["sample_id"]] for e in log.entries
+                  if e["ops_applied"] == ["corpus_rename_reformat"]]
+        reformatted = SuperCell("s", ("mid", "alpha"), ("confirmed",), ("1",), 0)
+        assert [s.feature for s in copies] == [render_feature(reformatted)]
+        kinds = [CanonKind("dict", "g")] * 2
+        resolved, _, _ = resolve_position(copies[0].label, reformatted, kinds, dicts)
+        assert resolved.keys == ("zeta", "mid")
+
 
 def test_noise_samples_deterministic_and_singleton():
     a = noise_samples("n", 3, 2, seed=1, q=2)
