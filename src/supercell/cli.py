@@ -50,7 +50,7 @@ DATA_ERRORS = (
     UnknownDictionary, mapping.SpecViolation, mapping.KeyResolutionFailure,
     baseline.UncoverableAttribute, baseline.EmptyColumn, learner.EmptyEvalSet,
     learner.CellTooWide, core.MalformedRecord, core.UnknownKeyValue,
-    FileNotFoundError, json.JSONDecodeError, re.error,
+    FileNotFoundError, json.JSONDecodeError, UnicodeDecodeError, re.error,
 )
 
 

@@ -244,19 +244,23 @@ def write_jsonl(records: Iterable, path: str | Path) -> int:
 def read_jsonl(path: str | Path, record_type) -> list:
     """Every non-blank line of ``path`` as ``record_type.from_json(line)``.
 
-    Raises MalformedRecord naming the file and line of the first bad line."""
+    Raises MalformedRecord naming the file, and the line of the first bad
+    line when the file is UTF-8."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedRecord(f"{path}: not UTF-8: {exc}") from exc
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                records.append(record_type.from_json(line))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise MalformedRecord(
-                    f"{path}:{number}: not a {record_type.__name__}: "
-                    f"{type(exc).__name__}: {exc}"
-                ) from exc
+    for number, line in enumerate(text.split("\n"), 1):
+        if not line.strip():
+            continue
+        try:
+            records.append(record_type.from_json(line))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedRecord(
+                f"{path}:{number}: not a {record_type.__name__}: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
     return records
 
 

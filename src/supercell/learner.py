@@ -45,19 +45,29 @@ class CellTooWide(ValueError):
 
 
 class SubwordVocab:
-    """Character n-gram hashing for tokens.
+    """The token table: character n-gram hashing for tokens.
 
     Each token contributes the n-grams (sizes ``ngram_min..ngram_max``) of
     "<token>" with boundary markers, plus one whole-token bucket, all hashed
     into ``bucket_count`` buckets. Every token therefore maps to at least
     one bucket and out-of-vocabulary tokens need no special handling.
+
+    A token gets an int id the first time it is seen; ``table()`` holds the
+    bucket ids of every token so far, concatenated in id order, with each
+    token's bucket count and first index. Ids depend only on the order
+    tokens arrive, never on the embedding, so a grown table changes no
+    token's vector.
     """
 
     def __init__(self, bucket_count: int = 2**15, ngram_min: int = 3, ngram_max: int = 5):
         self.bucket_count = bucket_count
         self.ngram_min = ngram_min
         self.ngram_max = ngram_max
-        self._cache: dict[str, np.ndarray] = {}
+        self._ids: dict[str, int] = {}
+        self._new: list[np.ndarray] = []  # bucket ids of tokens not yet in the table
+        self._flat = np.zeros(0, dtype=np.int64)
+        self._lengths = np.zeros(0, dtype=np.int64)
+        self._starts = np.zeros(0, dtype=np.int64)
 
     def ngrams(self, token: str) -> list[str]:
         wrapped = f"<{token}>"
@@ -67,15 +77,29 @@ class SubwordVocab:
                 out.extend(wrapped[i : i + n] for i in range(len(wrapped) - n + 1))
         return out
 
+    def token_id(self, token: str) -> int:
+        token_id = self._ids.get(token)
+        if token_id is None:
+            token_id = self._ids[token] = len(self._ids)
+            self._new.append(np.array(
+                [fnv1a64(g) % self.bucket_count for g in self.ngrams(token)], dtype=np.int64
+            ))
+        return token_id
+
+    def table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(flat bucket ids, bucket count per token, first flat index per token)."""
+        if self._new:
+            lengths = np.array([len(b) for b in self._new], dtype=np.int64)
+            self._flat = np.concatenate([self._flat, *self._new])
+            self._lengths = np.concatenate([self._lengths, lengths])
+            self._starts = np.cumsum(self._lengths) - self._lengths
+            self._new = []
+        return self._flat, self._lengths, self._starts
+
     def buckets(self, token: str) -> np.ndarray:
-        cached = self._cache.get(token)
-        if cached is None:
-            cached = np.array(
-                [fnv1a64(g) % self.bucket_count for g in self.ngrams(token)],
-                dtype=np.int64,
-            )
-            self._cache[token] = cached
-        return cached
+        token_id = self.token_id(token)
+        flat, lengths, starts = self.table()
+        return flat[starts[token_id] : starts[token_id] + lengths[token_id]]
 
 
 @dataclass
@@ -201,10 +225,10 @@ def init_params(
 
 @dataclass
 class EncodedSample:
-    """A feature sentence flattened to bucket ids, plus label head targets."""
+    """A feature sentence as token ids into the model's vocab, plus label
+    head targets."""
 
-    bucket_ids: np.ndarray  # all buckets of all tokens, concatenated
-    lengths: np.ndarray  # bucket count of each token; len() is the token count
+    token_ids: np.ndarray
     targets: np.ndarray | None  # one class id per head, or None at predict time
     width: int = 0
 
@@ -213,9 +237,8 @@ def encode(
     sentence: FeatureSentence, vocab: SubwordVocab,
     targets: np.ndarray | None = None, width: int = 0,
 ) -> EncodedSample:
-    parts = [vocab.buckets(tok) for tok in sentence.tokens]
-    lengths = np.array([len(p) for p in parts], dtype=np.int64)
-    return EncodedSample(np.concatenate(parts), lengths, targets, width)
+    ids = np.array([vocab.token_id(tok) for tok in sentence.tokens], dtype=np.int64)
+    return EncodedSample(ids, targets, width)
 
 
 def encode_samples(
@@ -237,42 +260,54 @@ def encode_samples(
 def _embed_batch(batch: list[EncodedSample], params: ModelParams):
     """Stack a batch into (X, mask) with a cache for the embedding backward.
 
-    Each token vector is the mean of the token's subword bucket rows."""
+    Each token vector is the mean of the token's subword bucket rows. Only
+    the batch's distinct tokens are reduced, then indexed back to every
+    occurrence; each reduction sums the same rows in the same order, so
+    the vectors do not depend on which other tokens share the batch."""
     E = params.arrays["E"]
     dtype = E.dtype
     B = len(batch)
-    n_tokens = np.array([len(s.lengths) for s in batch], dtype=np.int64)
+    n_tokens = np.array([len(s.token_ids) for s in batch], dtype=np.int64)
     T = int(n_tokens.max())
     d = E.shape[1]
 
-    all_buckets = np.concatenate([s.bucket_ids for s in batch])
-    lengths = np.concatenate([s.lengths for s in batch])
-    starts = np.zeros(len(lengths), dtype=np.int64)
-    np.cumsum(lengths[:-1], out=starts[1:])
-    token_vecs = np.add.reduceat(E[all_buckets], starts, axis=0) / lengths[:, None].astype(dtype)
+    distinct, inverse = np.unique(np.concatenate([s.token_ids for s in batch]),
+                                  return_inverse=True)
+    flat, token_lengths, starts = params.vocab.table()
+    lengths = token_lengths[distinct]
+    offsets = np.cumsum(lengths) - lengths  # each distinct token's first row in `buckets`
+    buckets = flat[np.repeat(starts[distinct] - offsets, lengths) + np.arange(lengths.sum())]
+    token_vecs = np.add.reduceat(E[buckets], offsets, axis=0) / lengths[:, None].astype(dtype)
 
     X = np.zeros((B, T, d), dtype=dtype)
     mask = np.zeros((B, T), dtype=dtype)
     firsts = np.cumsum(n_tokens) - n_tokens  # each sample's first token
     rows = np.repeat(np.arange(B), n_tokens)
-    cols = np.arange(len(lengths)) - np.repeat(firsts, n_tokens)
-    X[rows, cols] = token_vecs
+    cols = np.arange(len(inverse)) - np.repeat(firsts, n_tokens)
+    X[rows, cols] = token_vecs[inverse]
     mask[rows, cols] = 1.0
-    cache = {"all_buckets": all_buckets, "lengths": lengths, "rows": rows, "cols": cols}
+    cache = {"buckets": buckets, "lengths": lengths, "inverse": inverse,
+             "rows": rows, "cols": cols}
     return X, mask, cache
 
 
 def _embed_backward(dX: np.ndarray, cache: dict, grads: dict, params: ModelParams) -> None:
-    """Scatter each token's gradient, split evenly, onto its bucket rows.
+    """Sum each distinct token's gradient over its occurrences, then
+    scatter it, split evenly, onto its bucket rows.
 
-    Stays in the model dtype, and scatters into the flat view of ``E`` at
-    ``bucket * d + column``: ``np.add.at`` is several times faster on one
-    1-D index than on row indices into a 2-D array."""
+    Stays in the model dtype, and both sums go through flat views
+    (``token * d + column``, ``bucket * d + column``): ``np.add.at`` is
+    several times faster on one 1-D index than on row indices into a 2-D
+    array."""
     lengths = cache["lengths"]
-    dtok = dX[cache["rows"], cache["cols"]] / lengths[:, None].astype(dX.dtype)
+    d = dX.shape[2]
+    columns = np.arange(d)
+    dtok = np.zeros((len(lengths), d), dtype=dX.dtype)
+    np.add.at(dtok.reshape(-1), (cache["inverse"][:, None] * d + columns).reshape(-1),
+              dX[cache["rows"], cache["cols"]].reshape(-1))
+    dtok /= lengths[:, None].astype(dX.dtype)
     contrib = np.repeat(dtok, lengths, axis=0)
-    d = contrib.shape[1]
-    flat_index = cache["all_buckets"][:, None] * d + np.arange(d)
+    flat_index = cache["buckets"][:, None] * d + columns
     np.add.at(grads["E"].reshape(-1), flat_index.reshape(-1), contrib.reshape(-1))
 
 
@@ -495,7 +530,7 @@ def _head_choices(
     shape = (len(encoded), len(params.space.head_sizes))
     choices = np.zeros(shape, dtype=np.int64)
     chosen = np.zeros(shape, dtype=params.arrays["E"].dtype)
-    order = np.argsort([len(s.lengths) for s in encoded], kind="stable")
+    order = np.argsort([len(s.token_ids) for s in encoded], kind="stable")
     for start in range(0, len(encoded), chunk):
         part = order[start : start + chunk]
         logits, _ = _forward_batch([encoded[i] for i in part], params)

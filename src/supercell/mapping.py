@@ -192,10 +192,9 @@ class MappingSpec(Record):
     def load(path: str | Path) -> "MappingSpec":
         """Read a spec file; raises SpecViolation naming the file for any
         content that does not describe a valid MappingSpec."""
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
         try:
-            return MappingSpec.from_dict(obj)
+            with open(path, encoding="utf-8") as fh:
+                return MappingSpec.from_dict(json.load(fh))
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecViolation(f"{path}: {type(exc).__name__}: {exc}") from exc
 

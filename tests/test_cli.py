@@ -77,6 +77,22 @@ def integrate_config(workspace, tmp_path, spec=None):
     return str(path)
 
 
+def workspace_config(workspace, tmp_path, **overrides):
+    """The workspace config with every path absolute and output under
+    ``tmp_path``, written to ``tmp_path``; returns its path."""
+    root = workspace["root"]
+    config = json.loads(open(workspace["config_path"]).read())
+    config.update(
+        sources=[{**e, "path": str(root / e["path"])} for e in config["sources"]],
+        dictionaries={k: str(root / v) for k, v in config["dictionaries"].items()},
+        mapping_spec=str(root / config["mapping_spec"]), out_dir=str(tmp_path),
+    )
+    config.update(overrides)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
 class TestPipeline:
     def test_full_chain_matches_in_process(self, workspace):
         config = workspace["config_path"]
@@ -414,6 +430,26 @@ class TestExitCodes:
         path.write_text(json.dumps(config))
         assert run(["decompose", "--config", str(path)]) == 2
         assert "SpecViolation" in capsys.readouterr().err
+
+    def test_supercells_not_utf8_is_data_error(self, workspace, tmp_path, capsys):
+        cells = tmp_path / "supercells.jsonl"
+        write_jsonl(workspace["fixture"].all_cells()[:3], cells)
+        text = cells.read_bytes()
+        cells.write_bytes(text[:40] + b"\xff" + text[40:])
+        path = workspace_config(workspace, tmp_path)
+        assert run(["gen-train", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "MalformedRecord" in err and f"{cells}: not UTF-8" in err
+        assert not (tmp_path / "samples.jsonl").exists()
+
+    def test_spec_not_utf8_is_data_error(self, workspace, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(b"\xff" + (workspace["root"] / "mapping_spec.json").read_bytes())
+        path = workspace_config(workspace, tmp_path, mapping_spec=str(spec))
+        assert run(["decompose", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "SpecViolation" in err and f"{spec}: UnicodeDecodeError" in err
+        assert not (tmp_path / "supercells.jsonl").exists()
 
     @pytest.mark.parametrize("command", ["augment", "ablate"])
     def test_out_of_range_plan_rate_is_usage_error(self, workspace, tmp_path, capsys,

@@ -5,6 +5,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from supercell.canon import CanonKind
 from supercell.core import (
@@ -84,6 +85,29 @@ def logits_of(sentence, params):
     return [head[0] for head in logits]
 
 
+def embed_backward_reference(sentences, dX, params):
+    """Per-occurrence float64 loop: each token's gradient, split evenly
+    over its bucket rows."""
+    reference = np.zeros(params.arrays["E"].shape, dtype=np.float64)
+    for row, sentence in enumerate(sentences):
+        for col, token in enumerate(sentence.tokens):
+            buckets = params.vocab.buckets(token)
+            for bucket in buckets:
+                reference[bucket] += dX[row, col].astype(np.float64) / len(buckets)
+    return reference
+
+
+@st.composite
+def repeating_batches(draw):
+    """Tokens seen before the batch, and a batch of sentences drawn from a
+    small pool, so tokens repeat within and across samples."""
+    pool = draw(st.lists(st.text("ab<>é1", max_size=6), min_size=1, max_size=6, unique=True))
+    seen = draw(st.lists(st.text("abc", max_size=4), max_size=5))
+    tokens = st.lists(st.sampled_from(pool), min_size=1, max_size=7)
+    sentences = draw(st.lists(tokens, min_size=1, max_size=6))
+    return seen, [FeatureSentence(tuple(t), ("VAL",) * len(t)) for t in sentences]
+
+
 class TestSubwords:
     def test_hash_deterministic(self):
         assert fnv1a64("confirmed") == fnv1a64("confirmed")
@@ -114,10 +138,13 @@ class TestSubwords:
         vocab = SubwordVocab(bucket_count=256)
         sentence = FeatureSentence(("confirmed", "ok", "ok"), ("ATTR", "VAL", "VAL"))
         sample = encode(sentence, vocab)
-        assert len(sample.lengths) == len(sentence.tokens)
-        assert sample.lengths.tolist() == [len(vocab.buckets(t)) for t in sentence.tokens]
+        flat, lengths, starts = vocab.table()
+        ids = sample.token_ids
+        assert len(ids) == len(sentence.tokens)
+        assert lengths[ids].tolist() == [len(vocab.buckets(t)) for t in sentence.tokens]
         assert np.array_equal(
-            sample.bucket_ids, np.concatenate([vocab.buckets(t) for t in sentence.tokens])
+            np.concatenate([flat[starts[i] : starts[i] + lengths[i]] for i in ids]),
+            np.concatenate([vocab.buckets(t) for t in sentence.tokens]),
         )
         assert sample.targets is None and sample.width == 0
 
@@ -139,6 +166,36 @@ class TestSubwords:
         E = params.arrays["E"]
         for i, token in enumerate(sentence.tokens):
             assert np.allclose(X[0, i], E[params.vocab.buckets(token)].mean(axis=0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(repeating_batches(), st.sampled_from(["float32", "float64"]))
+    def test_token_table_matches_per_occurrence_reference(self, drawn, dtype):
+        seen, sentences = drawn
+        params = init_params(tiny_config(bucket_count=32, dtype=dtype), SCHEMA)
+        for token in seen:
+            params.vocab.token_id(token)
+        batch = [encode(s, params.vocab) for s in sentences]
+        X, mask, cache = _embed_batch(batch, params)
+        # Reference: reduce every occurrence's bucket rows, not each distinct
+        # token's once. (``mean`` sums in another order, so it can differ in
+        # the last bit.)
+        E = params.arrays["E"]
+        occurrences = [params.vocab.buckets(t) for s in sentences for t in s.tokens]
+        lengths = np.array([len(b) for b in occurrences])
+        reference = np.add.reduceat(E[np.concatenate(occurrences)],
+                                    np.cumsum(lengths) - lengths, axis=0)
+        assert np.array_equal(X[mask == 1], reference / lengths[:, None].astype(E.dtype))
+        assert not X[mask == 0].any()
+
+        dX = np.random.default_rng(len(seen)).standard_normal(X.shape).astype(X.dtype)
+        grads = {"E": np.zeros_like(E)}
+        _embed_backward(dX, cache, grads, params)
+        assert grads["E"].dtype == E.dtype
+        reference = embed_backward_reference(sentences, dX, params)
+        # 1e-6, relative once a bucket's summed gradient exceeds 1: float32
+        # rounding grows with the magnitude of the sum.
+        tolerance = 1e-6 * max(1.0, np.abs(reference).max())
+        assert np.abs(grads["E"] - reference).max() < tolerance
 
 
 class TestForward:
@@ -207,13 +264,7 @@ class TestKernels:
         _embed_backward(dX, cache, grads, params)
         assert grads["E"].dtype == np.float32
 
-        reference = np.zeros(params.arrays["E"].shape, dtype=np.float64)
-        for row, sample in enumerate(batch):
-            start = 0
-            for col, length in enumerate(sample.lengths):
-                for bucket in sample.bucket_ids[start : start + length]:
-                    reference[bucket] += dX[row, col].astype(np.float64) / length
-                start += length
+        reference = embed_backward_reference(sentences, dX, params)
         assert np.abs(grads["E"] - reference).max() < 1e-6
 
     def test_sigmoid_matches_logistic_without_overflow(self):
@@ -513,3 +564,21 @@ class TestSerialization:
         a = predict_cells(cells, params)[0]
         b = predict_cells(cells, loaded)[0]
         assert a.position == b.position
+
+    def test_grown_vocab_changes_no_prediction(self, tmp_path):
+        params, _ = train(make_samples(10), tiny_config(epochs=3), SCHEMA)
+        path = tmp_path / "model.npz"
+        params.save(path)
+        cells = [SuperCell("s", ("y", "x"), ("bravo", "alpha"), ("7", "alpha 3"), i)
+                 for i in range(3)]
+        others = [SuperCell("t", ("2020-01-02",), ("echo fox",), ("11",), 0)]
+        fresh, grown = ModelParams.load(path), ModelParams.load(path)
+        predict_cells(others, grown)
+        expected = predict_cells(cells, fresh)
+        assert [(p.position, p.confidence) for p in predict_cells(cells, grown)] == [
+            (p.position, p.confidence) for p in expected]
+        assert grown.vocab.token_id("bravo") != fresh.vocab.token_id("bravo")
+        # The vocab is a cache of the predict path, never part of the model.
+        fresh.save(tmp_path / "fresh.npz")
+        grown.save(tmp_path / "grown.npz")
+        assert (tmp_path / "fresh.npz").read_bytes() == (tmp_path / "grown.npz").read_bytes()
