@@ -8,8 +8,6 @@ averages) to merge values in arrival order. Numeric modes use exact
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
@@ -22,7 +20,9 @@ from .core import (
     TargetPosition,
     TargetSchema,
     copy_index,
+    csv_text,
     is_wildcard,
+    write_csv,
 )
 
 NUMERIC_MODES = {AggMode.SUM, AggMode.AVG, AggMode.MIN, AggMode.MAX}
@@ -30,10 +30,6 @@ NUMERIC_MODES = {AggMode.SUM, AggMode.AVG, AggMode.MIN, AggMode.MAX}
 
 class AggModeConflict(ValueError):
     """Two different aggregation modes were written to one cell."""
-
-
-class IoFailure(OSError):
-    pass
 
 
 def _parse_decimal(value: str) -> Decimal | None:
@@ -207,11 +203,7 @@ class TargetTable:
         return list(self.schema.key_attributes + self.schema.value_attributes)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.header())
-        writer.writerows(self.finalized_rows())
-        return buf.getvalue()
+        return csv_text(self.header(), self.finalized_rows())
 
     def cells(self) -> dict[tuple[str, str], str]:
         """Finalized cell map {(key_tuple..., attr): value} for diffing."""
@@ -228,12 +220,8 @@ def finalize_and_write(
     table: TargetTable, path: str | Path
 ) -> tuple[Path, AssemblyReport]:
     """Write the finalized table as CSV and return the table's report."""
-    path = Path(path)
-    try:
-        path.write_text(table.to_csv(), encoding="utf-8", newline="")
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    return path, table.report
+    write_csv(table.header(), table.finalized_rows(), path)
+    return Path(path), table.report
 
 
 def diff_tables(expected: TargetTable, actual: TargetTable) -> dict:

@@ -13,11 +13,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .canon import CanonKind, DictionaryStore, NONE, canonicalize
-from .core import AggMode, SuperCell, TargetPosition, TargetSchema, fnv1a64
+from .core import AggMode, SuperCell, TargetPosition, TargetSchema, fnv1a64, read_json
 from .assemble import TargetTable
 from .ingest import RawTable, is_missing
 
@@ -257,6 +258,16 @@ def storage_report(n_columns: int, L: int) -> int:
     return n_columns * L * 4
 
 
+class IndexEntry(NamedTuple):
+    """Where one column's minima sit in the signature store."""
+
+    source: str
+    column: str
+    L: int
+    seed: int
+    offset: int
+
+
 def save_signatures(
     signatures: dict[tuple[str, str], MinHashSignature], path: str | Path
 ) -> None:
@@ -267,10 +278,7 @@ def save_signatures(
         offset = 0
         for (source, column), sig in signatures.items():
             fh.write(np.asarray(sig.values, "<u4").tobytes())
-            index.append(
-                {"source": source, "column": column, "L": sig.L, "seed": sig.seed,
-                 "offset": offset}
-            )
+            index.append(IndexEntry(source, column, sig.L, sig.seed, offset)._asdict())
             offset += sig.L * 4
     with open(path.with_suffix(path.suffix + ".index.json"), "w", encoding="utf-8") as fh:
         json.dump(index, fh, indent=1)
@@ -278,13 +286,11 @@ def save_signatures(
 
 def load_signatures(path: str | Path) -> dict[tuple[str, str], MinHashSignature]:
     path = Path(path)
-    with open(path.with_suffix(path.suffix + ".index.json"), encoding="utf-8") as fh:
-        index = json.load(fh)
-    out: dict[tuple[str, str], MinHashSignature] = {}
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    for entry in index:
-        L = entry["L"]
-        values = np.frombuffer(blob, "<u4", L, entry["offset"]).tolist()
-        out[(entry["source"], entry["column"])] = MinHashSignature(values, L, entry["seed"])
-    return out
+    index = read_json(path.with_suffix(path.suffix + ".index.json"), list[IndexEntry])
+    blob = path.read_bytes()
+    return {
+        (e.source, e.column): MinHashSignature(
+            np.frombuffer(blob, "<u4", e.L, e.offset).tolist(), e.L, e.seed
+        )
+        for e in index
+    }

@@ -9,13 +9,12 @@ changes the result again.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
-from .core import write_json
+from .core import read_json, write_json
 
 
 class UnknownDictionary(KeyError):
@@ -61,7 +60,8 @@ class SynonymDictionary:
     """Groups of interchangeable surface forms; the first entry of each group
     is the canonical head term.
 
-    The on-disk form is a JSON array of arrays of strings.
+    The on-disk form, which ``load`` checks, is a JSON array of arrays of
+    strings.
     """
 
     def __init__(self, name: str, groups: list[list[str]]):
@@ -93,8 +93,7 @@ class SynonymDictionary:
 
     @staticmethod
     def load(name: str, path: str | Path) -> "SynonymDictionary":
-        with open(path, encoding="utf-8") as fh:
-            return SynonymDictionary(name, json.load(fh))
+        return SynonymDictionary(name, read_json(path, list[list[str]]))
 
     def dump(self, path: str | Path) -> None:
         write_json(self.groups, path)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import re
 import sys
 from pathlib import Path
@@ -29,13 +28,6 @@ from .ingest import (
     decompose_log,
 )
 
-# Each run-config key and the JSON type its value must have; the learner
-# block is checked field by field against TrainConfig.
-_CONFIG_TYPES = {
-    "sources": list, "dictionaries": dict, "mapping_spec": str, "plan": str,
-    "model": str, "out_dir": str, "learner": object, "seed": int,
-}
-
 
 class UsageError(ValueError):
     pass
@@ -50,7 +42,7 @@ DATA_ERRORS = (
     UnknownDictionary, mapping.SpecViolation, mapping.KeyResolutionFailure,
     baseline.UncoverableAttribute, baseline.EmptyColumn, learner.EmptyEvalSet,
     learner.CellTooWide, core.MalformedRecord, core.UnknownKeyValue,
-    FileNotFoundError, json.JSONDecodeError, UnicodeDecodeError, re.error,
+    FileNotFoundError, re.error,
 )
 
 
@@ -58,104 +50,27 @@ def log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def load_config(path: str, seed: int | None, out: str | None) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        config = json.load(fh)
-    if not isinstance(config, dict):
-        raise UsageError(f"run config {path} must be a JSON object")
-    unknown = set(config) - set(_CONFIG_TYPES)
-    if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in config.items():
-        wanted = _CONFIG_TYPES[key]
-        ok = isinstance(value, wanted) and not (wanted is int and isinstance(value, bool))
-        if ok and key == "dictionaries":
-            ok = all(isinstance(v, str) for v in value.values())
-        if not ok:
-            raise UsageError(f"config key {key!r} must be {wanted.__name__}, got {value!r}")
-    base = Path(path).resolve().parent
+@dataclasses.dataclass(frozen=True)
+class Source(core.Record):
+    """One ``sources`` entry: a source of the mapping spec and its file."""
 
-    def resolve(p: str) -> Path:
-        candidate = Path(p)
-        return candidate if candidate.is_absolute() else base / candidate
-
-    config["_resolve"] = resolve
-    if seed is not None:
-        config["seed"] = seed
-    if out is not None:
-        config["out_dir"] = out
-    config.setdefault("seed", 0)
-    config.setdefault("out_dir", "runs")
-    config["_out"] = resolve(config["out_dir"])
-    config["_model"] = resolve(config.get("model", config["_out"] / "model.npz"))
-    return config
+    source_id: str
+    path: Path
 
 
-def _out_dir(config: dict) -> Path:
-    config["_out"].mkdir(parents=True, exist_ok=True)
-    return config["_out"]
+@dataclasses.dataclass(frozen=True)
+class RunConfig(core.Record):
+    """A run config file. ``load_config`` makes every path absolute; the
+    ``learner`` block is read as a ``TrainConfig`` by the stage that trains."""
 
-
-def _dictionaries(config: dict) -> dict:
-    out = {}
-    for name, rel in config.get("dictionaries", {}).items():
-        out[name] = SynonymDictionary.load(name, config["_resolve"](rel))
-    return out
-
-
-def _spec(config: dict) -> mapping.MappingSpec:
-    if "mapping_spec" not in config:
-        raise UsageError("config needs a 'mapping_spec' path")
-    return mapping.MappingSpec.load(config["_resolve"](config["mapping_spec"]))
-
-
-def _fixture(config: dict) -> Fixture:
-    """The configured dictionaries and spec, and each configured source read
-    once: its raw table or log text, and its decomposed corpus."""
-    dictionaries = _dictionaries(config)
-    fixture = Fixture(spec=_spec(config), dictionaries=dictionaries)
-    by_id = {d.source_id: d for d in fixture.spec.sources}
-    for entry in config.get("sources", []):
-        if not isinstance(entry, dict) or not {"source_id", "path"} <= entry.keys():
-            raise UsageError(f"sources entry {entry!r} needs 'source_id' and 'path'")
-        desc = by_id.get(entry["source_id"])
-        if desc is None:
-            raise UsageError(f"source {entry['source_id']!r} not in mapping spec")
-        path = config["_resolve"](entry["path"])
-        if desc.format == "log_lines":
-            text = fixture.logs[desc.source_id] = path.read_text(encoding="utf-8")
-            cells = decompose_log(text.splitlines(), desc, dictionaries)
-        else:
-            table = fixture.tables[desc.source_id] = RawTable.read(path)
-            cells = decompose(table, desc, dictionaries)
-        fixture.corpora[desc.source_id] = cells
-    return fixture
-
-
-def _read_corpora(path: Path) -> dict[str, list[core.SuperCell]]:
-    corpora: dict[str, list[core.SuperCell]] = {}
-    for cell in core.read_jsonl(path, core.SuperCell):
-        corpora.setdefault(cell.source_id, []).append(cell)
-    return corpora
-
-
-def cmd_decompose(config: dict) -> int:
-    fixture = _fixture(config)
-    out = _out_dir(config) / "supercells.jsonl"
-    n = core.write_jsonl(fixture.all_cells(), out)
-    log(f"decompose: {n} super cells -> {out}")
-    return 0
-
-
-def cmd_gen_train(config: dict) -> int:
-    dictionaries = _dictionaries(config)
-    spec = _spec(config)
-    corpora = _read_corpora(_out_dir(config) / "supercells.jsonl")
-    samples = mapping.generate_training_data(spec, corpora, dictionaries)
-    out = _out_dir(config) / "samples.jsonl"
-    core.write_jsonl(samples, out)
-    log(f"gen-train: {len(samples)} samples -> {out}")
-    return 0
+    sources: tuple[Source, ...] = ()
+    dictionaries: dict[str, Path] = dataclasses.field(default_factory=dict)
+    mapping_spec: Path | None = None
+    plan: Path | None = None
+    model: Path | None = None
+    out_dir: Path = Path("runs")
+    learner: dict[str, object] = dataclasses.field(default_factory=dict)
+    seed: int = 0
 
 
 def _record(cls, block, what: str):
@@ -168,16 +83,95 @@ def _record(cls, block, what: str):
         raise UsageError(f"{what}: {exc}") from exc
 
 
-def _plan(config: dict) -> perturb.PerturbationPlan:
-    with open(config["_resolve"](config["plan"]), encoding="utf-8") as fh:
-        return _record(perturb.PerturbationPlan, json.load(fh), "plan")
+def load_config(path: str, seed: int | None, out: str | None) -> RunConfig:
+    """The run config at ``path`` with ``--seed`` and ``--out`` applied, each
+    relative path (``--out`` too) taken from the config file's directory. A
+    file that does not parse is a data error, one of the wrong shape a usage error."""
+    config = _record(RunConfig, core.read_json(path, object), f"run config {path}")
+    base = Path(path).resolve().parent
+    out_dir = base / (out if out is not None else config.out_dir)
+    return dataclasses.replace(
+        config,
+        sources=tuple(dataclasses.replace(s, path=base / s.path) for s in config.sources),
+        dictionaries={name: base / p for name, p in config.dictionaries.items()},
+        mapping_spec=config.mapping_spec and base / config.mapping_spec,
+        plan=config.plan and base / config.plan,
+        model=base / (config.model or out_dir / "model.npz"),
+        out_dir=out_dir,
+        seed=config.seed if seed is None else seed,
+    )
 
 
-def cmd_augment(config: dict) -> int:
+def _out_dir(config: RunConfig) -> Path:
+    config.out_dir.mkdir(parents=True, exist_ok=True)
+    return config.out_dir
+
+
+def _dictionaries(config: RunConfig) -> dict:
+    return {name: SynonymDictionary.load(name, p) for name, p in config.dictionaries.items()}
+
+
+def _spec(config: RunConfig) -> mapping.MappingSpec:
+    if config.mapping_spec is None:
+        raise UsageError("config needs a 'mapping_spec' path")
+    return mapping.MappingSpec.load(config.mapping_spec)
+
+
+def _fixture(config: RunConfig) -> Fixture:
+    """The configured dictionaries and spec, and each configured source read
+    once: its raw table or log text, and its decomposed corpus."""
+    dictionaries = _dictionaries(config)
+    fixture = Fixture(spec=_spec(config), dictionaries=dictionaries)
+    by_id = {d.source_id: d for d in fixture.spec.sources}
+    for entry in config.sources:
+        desc = by_id.get(entry.source_id)
+        if desc is None:
+            raise UsageError(f"source {entry.source_id!r} not in mapping spec")
+        if desc.format == "log_lines":
+            text = fixture.logs[desc.source_id] = core.read_text(entry.path)
+            cells = decompose_log(text.splitlines(), desc, dictionaries)
+        else:
+            table = fixture.tables[desc.source_id] = RawTable.read(entry.path)
+            cells = decompose(table, desc, dictionaries)
+        fixture.corpora[desc.source_id] = cells
+    return fixture
+
+
+def _read_corpora(path: Path) -> dict[str, list[core.SuperCell]]:
+    corpora: dict[str, list[core.SuperCell]] = {}
+    for cell in core.read_jsonl(path, core.SuperCell):
+        corpora.setdefault(cell.source_id, []).append(cell)
+    return corpora
+
+
+def cmd_decompose(config: RunConfig) -> int:
+    fixture = _fixture(config)
+    out = _out_dir(config) / "supercells.jsonl"
+    n = core.write_jsonl(fixture.all_cells(), out)
+    log(f"decompose: {n} super cells -> {out}")
+    return 0
+
+
+def cmd_gen_train(config: RunConfig) -> int:
+    dictionaries = _dictionaries(config)
+    spec = _spec(config)
+    corpora = _read_corpora(_out_dir(config) / "supercells.jsonl")
+    samples = mapping.generate_training_data(spec, corpora, dictionaries)
+    out = _out_dir(config) / "samples.jsonl"
+    core.write_jsonl(samples, out)
+    log(f"gen-train: {len(samples)} samples -> {out}")
+    return 0
+
+
+def _plan(config: RunConfig) -> perturb.PerturbationPlan:
+    return _record(perturb.PerturbationPlan, core.read_json(config.plan, object), "plan")
+
+
+def cmd_augment(config: RunConfig) -> int:
     dictionaries = _dictionaries(config)
     spec = _spec(config)
     out_dir = _out_dir(config)
-    if "plan" not in config:
+    if config.plan is None:
         raise UsageError("config needs a 'plan' path")
     plan = _plan(config)
     cells_path, samples_path = out_dir / "supercells.jsonl", out_dir / "samples.jsonl"
@@ -203,12 +197,12 @@ def cmd_augment(config: dict) -> int:
     return 0
 
 
-def _train_config(config: dict) -> learner.TrainConfig:
-    read = _record(learner.TrainConfig, config.get("learner", {}), "learner config")
-    return dataclasses.replace(read, seed=config["seed"])
+def _train_config(config: RunConfig) -> learner.TrainConfig:
+    read = _record(learner.TrainConfig, config.learner, "learner config")
+    return dataclasses.replace(read, seed=config.seed)
 
 
-def cmd_train(config: dict) -> int:
+def cmd_train(config: RunConfig) -> int:
     dictionaries = _dictionaries(config)
     spec = _spec(config)
     out_dir = _out_dir(config)
@@ -217,19 +211,20 @@ def cmd_train(config: dict) -> int:
         samples_path = out_dir / "samples.jsonl"
     samples = core.read_jsonl(samples_path, mapping.LabeledSample)
     params, curve = evaluate.train_from_spec(samples, _train_config(config), spec, dictionaries)
-    params.save(config["_model"])
-    (out_dir / "loss_curve.csv").write_text(learner.loss_curve_csv(curve), encoding="utf-8")
+    params.save(config.model)
+    rows = ([p.epoch, f"{p.loss:.6f}", f"{p.train_acc:.6f}"] for p in curve)
+    core.write_csv(["epoch", "loss", "train_acc"], rows, out_dir / "loss_curve.csv")
     log(f"train: {len(samples)} samples, final loss {curve[-1].loss:.4f}, "
-        f"train acc {curve[-1].train_acc:.4f} -> {config['_model']}")
+        f"train acc {curve[-1].train_acc:.4f} -> {config.model}")
     return 0
 
 
-def cmd_integrate(config: dict) -> int:
+def cmd_integrate(config: RunConfig) -> int:
     out_dir = _out_dir(config)
-    params = learner.ModelParams.load(config["_model"])
+    params = learner.ModelParams.load(config.model)
     spec = _spec(config)
     if params.schema != spec.target:
-        raise UsageError(f"model {config['_model']} was trained for a different target schema")
+        raise UsageError(f"model {config.model} was trained for a different target schema")
     cells = spec.cells(_read_corpora(out_dir / "supercells.jsonl"))
     timings = core.Timings()
     with timings.block("integrate_s"):
@@ -242,7 +237,7 @@ def cmd_integrate(config: dict) -> int:
     return 0
 
 
-def cmd_baseline(config: dict) -> int:
+def cmd_baseline(config: RunConfig) -> int:
     fixture = _fixture(config)
     spec, out_dir = fixture.spec, _out_dir(config)
     store = baseline.sign_columns(fixture.tables)
@@ -268,21 +263,21 @@ def cmd_baseline(config: dict) -> int:
     return 0
 
 
-def cmd_eval(config: dict) -> int:
+def cmd_eval(config: RunConfig) -> int:
     fixture = _fixture(config)
-    params = learner.ModelParams.load(config["_model"])
+    params = learner.ModelParams.load(config.model)
     report = evaluate.compare_baseline(
-        fixture, params, _out_dir(config) / "eval", model_path=config["_model"]
+        fixture, params, _out_dir(config) / "eval", model_path=config.model
     )
     log(f"eval: learner clean agreement {report['learner_clean_agreement']}")
     return 0
 
 
-def cmd_ablate(config: dict) -> int:
+def cmd_ablate(config: RunConfig) -> int:
     fixture = _fixture(config)
-    seed = config["seed"]
+    seed = config.seed
     train_plan = (
-        _plan(config) if config.get("plan")
+        _plan(config) if config.plan
         else perturb.PerturbationPlan(seed=seed, synonym_dict=None)
     )
     ablation = evaluate.AblationConfig(
@@ -298,7 +293,7 @@ def cmd_ablate(config: dict) -> int:
     return 0
 
 
-def cmd_gradcheck(config: dict | None) -> int:
+def cmd_gradcheck(config: RunConfig | None) -> int:
     worst = 0.0
     for encoder in ("pooled", "recurrent"):
         err = learner.gradient_check(encoder, seed=0)

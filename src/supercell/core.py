@@ -16,8 +16,10 @@ All types are immutable values and safe to share across threads.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import functools
+import io
 import json
 import re
 import time
@@ -35,12 +37,14 @@ class Record:
 
     ``to_dict`` writes the fields in declaration order: tuples as lists,
     enums as their values, nested records and named tuples as objects, and
-    a type with ``parse(text)`` and ``render()`` (``CanonKind``) as its
-    string. ``from_dict`` rebuilds through the constructor, so
-    ``__post_init__`` checks run; a value of the wrong shape (an object
-    where an array belongs, or the reverse) or a scalar field of the wrong
-    JSON type raises TypeError, and an unknown key raises KeyError. The
-    per-type codecs are derived once from the type hints and cached."""
+    a ``Path`` or a type with ``parse(text)`` and ``render()``
+    (``CanonKind``) as its string; an ``object`` field holds any JSON value.
+    ``from_dict`` rebuilds through the constructor, so ``__post_init__``
+    checks run; a value of the wrong shape (an object where an array
+    belongs, or the reverse), a scalar field of the wrong JSON type or a
+    missing required field raises TypeError, and an unknown key raises
+    KeyError. The per-type codecs are derived once from the type hints and
+    cached."""
 
     __slots__ = ()
 
@@ -90,6 +94,11 @@ def _scalar_decoder(members: tuple) -> Callable:
 
 @functools.cache
 def _codec(tp) -> _Codec:
+    if tp is object:  # any JSON value, decoded as parsed
+        return None, lambda v: v
+    if tp is Path:
+        text = _scalar_decoder((str,))
+        return str, lambda v: Path(text(v))
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     members = args if origin in (typing.Union, types.UnionType) else (tp,)
     if all(m in _SCALARS for m in members):
@@ -142,7 +151,10 @@ def _object_codec(tp) -> _Codec:
                 kwargs[name] = decoders[name](value)
             except TypeError as exc:
                 raise TypeError(f"{tp.__name__} field {name!r}: {exc}") from None
-        return tp(**kwargs)
+        try:
+            return tp(**kwargs)
+        except TypeError as exc:  # a required field is missing
+            raise TypeError(f"{tp.__name__} {obj!r}: {exc}") from None
 
     return encode, decode
 
@@ -231,7 +243,28 @@ class SuperCell(Record):
 
 
 class MalformedRecord(ValueError):
-    """A JSONL line that does not parse as the record its file holds."""
+    """An input file, or a line of one, that does not hold what its reader
+    expects; the message names the file."""
+
+
+def read_text(path: str | Path) -> str:
+    """The text of ``path``, its line ends as they are; a file that is not
+    UTF-8 raises MalformedRecord naming it."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedRecord(f"{path}: not UTF-8: {exc}") from exc
+
+
+def read_json(path: str | Path, tp, error: type[Exception] = MalformedRecord):
+    """The JSON file at ``path`` decoded as ``tp`` by the record codec; a file
+    that is not UTF-8 or not JSON, or not a ``tp``, raises ``error`` naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _codec(tp)[1](json.load(fh))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise error(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
 def write_jsonl(records: Iterable, path: str | Path) -> int:
@@ -246,12 +279,8 @@ def read_jsonl(path: str | Path, record_type) -> list:
 
     Raises MalformedRecord naming the file, and the line of the first bad
     line when the file is UTF-8."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise MalformedRecord(f"{path}: not UTF-8: {exc}") from exc
     records = []
-    for number, line in enumerate(text.split("\n"), 1):
+    for number, line in enumerate(read_text(path).split("\n"), 1):
         if not line.strip():
             continue
         try:
@@ -262,6 +291,19 @@ def read_jsonl(path: str | Path, record_type) -> list:
                 f"{type(exc).__name__}: {exc}"
             ) from exc
     return records
+
+
+def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
+    """The one CSV rendering: a header row, then ``rows``, each line ending in LF."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def write_csv(header: Sequence, rows: Iterable[Sequence], path: str | Path) -> None:
+    Path(path).write_text(csv_text(header, rows), encoding="utf-8", newline="")
 
 
 def write_json(obj, path: str | Path) -> None:

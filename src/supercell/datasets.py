@@ -5,7 +5,6 @@ comparisons. Every builder is a pure function of its seed."""
 from __future__ import annotations
 
 import datetime
-import json
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -27,9 +26,7 @@ from .mapping import KeyHierarchy, KeyMapEntry, MappingSpec
 
 
 def packaged_dictionary(name: str) -> SynonymDictionary:
-    path = resources.files("supercell").joinpath(f"data/{name}.json")
-    with path.open(encoding="utf-8") as fh:
-        return SynonymDictionary(name, json.load(fh))
+    return SynonymDictionary.load(name, resources.files("supercell") / f"data/{name}.json")
 
 
 def covid_dictionaries() -> DictionaryStore:

@@ -10,7 +10,6 @@ byte-identity guarantee.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
@@ -24,7 +23,7 @@ from .baseline import (
     storage_report,
 )
 from .canon import DictionaryStore
-from .core import Timings, write_json
+from .core import Timings, write_csv, write_json
 from .datasets import Fixture, build_pivoted_deaths, build_wide_tables, covid_unpivoted_view
 from .ingest import RawTable, decompose
 from .learner import ModelParams, TrainConfig, accuracy, integrate_predictions, train
@@ -205,15 +204,9 @@ def run_ablation(
             }
         )
 
-    with open(run_dir / "ablation.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=["variant", "accuracy", "n_samples", "reference_target",
-                        "with_augmentation", "dictionary"],
-            lineterminator="\n",
-        )
-        writer.writeheader()
-        writer.writerows(rows)
+    header = ["variant", "accuracy", "n_samples", "reference_target",
+              "with_augmentation", "dictionary"]
+    write_csv(header, ([row[name] for name in header] for row in rows), run_dir / "ablation.csv")
     timings.write(run_dir)
     return rows
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .canon import CanonCounters, CanonKind, DictionaryStore, NONE, canonicalize
-from .core import Record, SuperCell
+from .core import Record, SuperCell, read_text, write_csv
 
 # Cell values treated as missing and skipped during decomposition.
 _MISSING = {"", "na", "null"}
@@ -61,29 +61,15 @@ class RawTable:
         idx = self.header.index(name)
         return [row[idx] for row in self.rows]
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.header)
-        writer.writerows(self.rows)
-        return buf.getvalue()
-
-    @staticmethod
-    def from_csv(text: str) -> "RawTable":
-        reader = csv.reader(io.StringIO(text))
-        rows = [tuple(r) for r in reader]
-        if not rows:
-            raise EmptyInput("no header row")
-        return RawTable(rows[0], tuple(rows[1:]))
-
     @staticmethod
     def read(path: str | Path) -> "RawTable":
-        with open(path, encoding="utf-8", newline="") as fh:
-            return RawTable.from_csv(fh.read())
+        rows = list(csv.reader(io.StringIO(read_text(path))))
+        if not rows:
+            raise EmptyInput(f"{path}: no header row")
+        return RawTable(rows[0], rows[1:])
 
     def write(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(self.to_csv())
+        write_csv(self.header, self.rows, path)
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,8 @@ finite differences.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from .core import (
     FeatureSentence,
     KeyDomain,
     LabelSpace,
+    MalformedRecord,
     Record,
     SuperCell,
     TargetPosition,
@@ -173,12 +173,17 @@ class ModelParams:
 
     @staticmethod
     def load(path: str | Path) -> "ModelParams":
-        with np.load(path) as data:
-            meta = json.loads(bytes(data["__meta__"]).decode())
-            arrays = {k: data[k] for k in data.files if k != "__meta__"}
+        """Read a model file; one that ``save`` did not write raises
+        MalformedRecord naming the file."""
+        try:
+            with np.load(path) as data:
+                meta = json.loads(bytes(data["__meta__"]).decode())
+                arrays = {k: data[k] for k in data.files if k != "__meta__"}
+        except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+            raise MalformedRecord(f"{path}: {type(exc).__name__}: {exc}") from exc
         version = meta.get("format_version")
         if version != 1:
-            raise ValueError(f"unsupported model file format_version {version!r}")
+            raise MalformedRecord(f"{path}: unsupported model file format_version {version!r}")
         return ModelParams(
             config=TrainConfig.from_dict(meta["config"]),
             schema=TargetSchema.from_dict(meta["schema"]),
@@ -465,15 +470,6 @@ class CurvePoint:
     epoch: int
     loss: float
     train_acc: float
-
-
-def loss_curve_csv(curve: list[CurvePoint]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["epoch", "loss", "train_acc"])
-    for point in curve:
-        writer.writerow([point.epoch, f"{point.loss:.6f}", f"{point.train_acc:.6f}"])
-    return buf.getvalue()
 
 
 def train(

@@ -11,7 +11,6 @@ samples for the learner.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -29,6 +28,7 @@ from .core import (
     copy_index,
     copy_marker,
     discard_position,
+    read_json,
     render_feature,
     write_json,
 )
@@ -192,11 +192,7 @@ class MappingSpec(Record):
     def load(path: str | Path) -> "MappingSpec":
         """Read a spec file; raises SpecViolation naming the file for any
         content that does not describe a valid MappingSpec."""
-        try:
-            with open(path, encoding="utf-8") as fh:
-                return MappingSpec.from_dict(json.load(fh))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SpecViolation(f"{path}: {type(exc).__name__}: {exc}") from exc
+        return read_json(path, MappingSpec, SpecViolation)
 
     def dump(self, path: str | Path) -> None:
         write_json(self.to_dict(), path)

@@ -1,13 +1,15 @@
 """CLI pipeline: stage outputs, exit codes, file-path/in-process parity."""
 
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from supercell import cli
 from supercell.assemble import finalize_and_write
 from supercell.core import SuperCell, read_jsonl, write_jsonl
-from supercell.datasets import build_covid_fixture, write_fixture_files
+from supercell.datasets import build_covid_fixture, build_log_fixture, write_fixture_files
 from supercell.learner import TrainConfig, init_params, integrate_predictions, train
 from supercell.mapping import generate_training_data
 from supercell.perturb import PerturbationPlan, augment
@@ -386,10 +388,15 @@ class TestExitCodes:
         assert wide and f"{len(wide)} samples" in err and f"widest {max(wide)}" in err
         assert not (tmp_path / "model.npz").exists()
 
-    def test_corrupt_model_is_internal_error(self, workspace, tmp_path):
+    @pytest.mark.parametrize("damage", ["empty", "truncated", "not_npz", "no_meta"])
+    def test_corrupt_model_is_data_error(self, workspace, tmp_path, capsys, damage):
+        # np.load raises EOFError, BadZipFile, ValueError and KeyError on these.
         root = workspace["root"]
         bad_model = tmp_path / "model.npz"
-        bad_model.write_bytes(b"not a model")
+        np.savez(bad_model, E=np.zeros(64))
+        npz = bad_model.read_bytes()
+        bad_model.write_bytes({"empty": b"", "truncated": npz[:len(npz) // 2],
+                               "not_npz": b"not a model", "no_meta": npz}[damage])
         config = {
             "sources": [],
             "mapping_spec": str(root / "mapping_spec.json"),
@@ -398,7 +405,8 @@ class TestExitCodes:
         }
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))
-        assert run(["integrate", "--config", str(path)]) == 3
+        assert run(["integrate", "--config", str(path)]) == 2
+        assert str(bad_model) in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", [
         lambda spec: spec.update(agg_map={"covid": {"Confirmed": "median"}}),
@@ -450,6 +458,45 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "SpecViolation" in err and f"{spec}: UnicodeDecodeError" in err
         assert not (tmp_path / "supercells.jsonl").exists()
+
+    @pytest.mark.parametrize("groups", [{"alabama": ["al"]}, ["abc"], 5],
+                             ids=["object", "strings", "number"])
+    def test_dictionary_of_wrong_shape_is_data_error(self, workspace, tmp_path, capsys,
+                                                     groups):
+        bad = tmp_path / "covid_synonyms.json"
+        bad.write_text(json.dumps(groups))
+        path = workspace_config(workspace, tmp_path, dictionaries={
+            "covid_synonyms": str(bad),
+            "us_states": str(workspace["root"] / "us_states.json"),
+        })
+        assert run(["decompose", "--config", path]) == 2
+        assert str(bad) in capsys.readouterr().err
+        assert not (tmp_path / "supercells.jsonl").exists()
+
+    @pytest.mark.parametrize("name, damage", [
+        ("covid.csv", b"\xff"), ("ubuntu.log", b"\xff"), ("covid_synonyms.json", b"\xff"),
+        ("c.json", b"\xff"), ("plan.json", b"\xff"), ("c.json", b"{"), ("plan.json", b"{"),
+    ], ids=["csv", "log", "dictionary", "config", "plan", "config_not_json",
+            "plan_not_json"])
+    def test_unreadable_input_is_data_error(self, workspace, tmp_path, capsys, name, damage):
+        # A byte inserted into a copy of each input: 0xff is never UTF-8,
+        # an extra "{" breaks the JSON.
+        fixture = build_log_fixture(n_stamps=2) if name.endswith(".log") else workspace["fixture"]
+        write_fixture_files(fixture, tmp_path)
+        (tmp_path / "plan.json").write_text(json.dumps(workspace["plan"].to_dict()))
+        (tmp_path / "c.json").write_text(json.dumps({
+            "sources": [{"source_id": s, "path": f"{s}.csv"} for s in fixture.tables]
+            + [{"source_id": s, "path": f"{s}.log"} for s in fixture.logs],
+            "dictionaries": {d: f"{d}.json" for d in fixture.dictionaries},
+            "mapping_spec": "mapping_spec.json", "plan": "plan.json", "out_dir": "out",
+        }))
+        damaged = tmp_path / name
+        data = damaged.read_bytes()
+        damaged.write_bytes(data[:10] + damage + data[10:])
+        command = "augment" if name == "plan.json" else "decompose"
+        assert run([command, "--config", str(tmp_path / "c.json")]) == 2
+        assert str(damaged) in capsys.readouterr().err
+        assert not (tmp_path / "out" / "supercells.jsonl").exists()
 
     @pytest.mark.parametrize("command", ["augment", "ablate"])
     def test_out_of_range_plan_rate_is_usage_error(self, workspace, tmp_path, capsys,
@@ -533,3 +580,35 @@ def test_seed_flag_overrides(workspace, tmp_path):
     a = (out_a / "supercells.jsonl").read_bytes()
     b = (out_b / "supercells.jsonl").read_bytes()
     assert a == b
+
+
+def test_config_paths_resolve_against_its_directory(tmp_path, monkeypatch):
+    conf = (tmp_path / "conf").resolve()
+    conf.mkdir()
+    (conf / "run.json").write_text(json.dumps({
+        "sources": [{"source_id": "covid", "path": "data/covid.csv"},
+                    {"source_id": "mobility", "path": "/abs/mobility.csv"}],
+        "dictionaries": {"a": "a.json", "b": "/abs/b.json"},
+        "mapping_spec": "spec.json", "plan": "/abs/plan.json", "model": "m/model.npz",
+        "out_dir": "out", "seed": 4,
+    }))
+    monkeypatch.chdir(tmp_path)
+    config = cli.load_config("conf/run.json", seed=None, out=None)
+    assert config.sources == (cli.Source("covid", conf / "data/covid.csv"),
+                              cli.Source("mobility", Path("/abs/mobility.csv")))
+    assert config.dictionaries == {"a": conf / "a.json", "b": Path("/abs/b.json")}
+    assert config.mapping_spec == conf / "spec.json"
+    assert config.plan == Path("/abs/plan.json")
+    assert config.model == conf / "m/model.npz"
+    assert config.out_dir == conf / "out"
+    assert config.seed == 4
+
+    overridden = cli.load_config("conf/run.json", seed=9, out="elsewhere")
+    assert overridden.out_dir == conf / "elsewhere" and overridden.seed == 9
+    assert cli.load_config("conf/run.json", None, "/abs/out").out_dir == Path("/abs/out")
+
+    (conf / "run.json").write_text(json.dumps({"out_dir": "/abs/out"}))
+    defaults = cli.load_config("conf/run.json", seed=None, out=None)
+    assert defaults.model == Path("/abs/out/model.npz")
+    assert cli.load_config("conf/run.json", None, "o").model == conf / "o/model.npz"
+    assert defaults.mapping_spec is None and defaults.plan is None and defaults.seed == 0
