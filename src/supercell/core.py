@@ -64,8 +64,8 @@ class Record:
 
 
 # A codec is (encode, decode). Scalars encode as themselves (encode None),
-# and their decoder checks the JSON type; scalar elements of arrays and
-# maps pass unchecked, so long string arrays decode at list speed.
+# and their decoder checks the JSON type, also of each element of an array
+# or a map.
 _Codec = tuple[Callable | None, Callable]
 # The JSON values each scalar type admits: a bool is never a number, and an
 # int passes for a float (and is stored as one).
@@ -111,15 +111,13 @@ def _codec(tp) -> _Codec:
         enc, dec = _codec(args[0])
         return (
             (lambda v: [enc(x) for x in v]) if enc else list,
-            (lambda v: origin(map(dec, _expect(v, list, tp)))) if enc
-            else (lambda v: origin(_expect(v, list, tp))),
+            lambda v: origin(map(dec, _expect(v, list, tp))),
         )
     if origin is dict:  # dict[str, X]
         enc, dec = _codec(args[1])
         return (
             (lambda v: {k: enc(x) for k, x in v.items()}) if enc else dict,
-            (lambda v: {k: dec(x) for k, x in _expect(v, dict, tp).items()}) if enc
-            else (lambda v: dict(_expect(v, dict, tp))),
+            lambda v: {k: dec(x) for k, x in _expect(v, dict, tp).items()},
         )
     if issubclass(tp, Enum):
         return (lambda v: v.value), tp
@@ -249,20 +247,25 @@ class MalformedRecord(ValueError):
 
 def read_text(path: str | Path) -> str:
     """The text of ``path``, its line ends as they are; a file that is not
-    UTF-8 raises MalformedRecord naming it."""
+    UTF-8, or a directory, raises MalformedRecord naming it."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise MalformedRecord(f"{path}: not UTF-8: {exc}") from exc
+    except IsADirectoryError as exc:
+        raise MalformedRecord(f"{path}: a directory, not a file") from exc
 
 
 def read_json(path: str | Path, tp, error: type[Exception] = MalformedRecord):
     """The JSON file at ``path`` decoded as ``tp`` by the record codec; a file
-    that is not UTF-8 or not JSON, or not a ``tp``, raises ``error`` naming it."""
+    that is not UTF-8 or not JSON, or not a ``tp``, raises ``error`` naming
+    it, and a directory raises MalformedRecord naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
             return _codec(tp)[1](json.load(fh))
+    except IsADirectoryError as exc:
+        raise MalformedRecord(f"{path}: a directory, not a file") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise error(f"{path}: {type(exc).__name__}: {exc}") from exc
 

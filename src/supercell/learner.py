@@ -173,14 +173,16 @@ class ModelParams:
 
     @staticmethod
     def load(path: str | Path) -> "ModelParams":
-        """Read a model file; one that ``save`` did not write raises
-        MalformedRecord naming the file."""
+        """Read a model file; one that ``save`` did not write, or a
+        directory, raises MalformedRecord naming it."""
         try:
             with np.load(path) as data:
                 meta = json.loads(bytes(data["__meta__"]).decode())
                 arrays = {k: data[k] for k in data.files if k != "__meta__"}
         except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
             raise MalformedRecord(f"{path}: {type(exc).__name__}: {exc}") from exc
+        except IsADirectoryError as exc:
+            raise MalformedRecord(f"{path}: a directory, not a file") from exc
         version = meta.get("format_version")
         if version != 1:
             raise MalformedRecord(f"{path}: unsupported model file format_version {version!r}")
@@ -316,64 +318,96 @@ def _embed_backward(dX: np.ndarray, cache: dict, grads: dict, params: ModelParam
     np.add.at(grads["E"].reshape(-1), flat_index.reshape(-1), contrib.reshape(-1))
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # The tanh form cannot overflow, so no split on the sign of x.
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
-def _gru_scan(X: np.ndarray, mask: np.ndarray, W, U, bias, reverse: bool):
-    """Gated recurrent scan over one direction; returns final state + cache."""
-    B, T, _ = X.shape
+_GRU_ACTS = ("h_prev", "z", "r", "n", "gh_n")
+
+
+def _gru_scan(Xp: np.ndarray, live: list[int], W, U, bias, reverse: bool, keep: bool):
+    """Gated recurrent scan over one direction of a packed batch.
+
+    ``Xp`` holds the batch's tokens time-major, with its rows sorted
+    longest first: step ``t`` covers the first ``live[t]`` rows, and their
+    tokens are the ``live[t]`` packed rows from ``sum(live[:t])`` on. A row
+    that has ended is simply not updated, so no padding is computed, and
+    the reverse direction walks the same steps from the last. Returns each
+    sorted row's final state and, when ``keep``, the activations the
+    backward pass reads, one contiguous packed array each."""
     h_size = U.shape[0]
-    h = np.zeros((B, h_size), dtype=X.dtype)
-    steps = []
-    order = range(T - 1, -1, -1) if reverse else range(T)
-    for t in order:
-        x_t = X[:, t]
-        m_t = mask[:, t][:, None]
-        gx = x_t @ W + bias
-        gh = h @ U
-        z = _sigmoid(gx[:, :h_size] + gh[:, :h_size])
-        r = _sigmoid(gx[:, h_size : 2 * h_size] + gh[:, h_size : 2 * h_size])
-        ghn = gh[:, 2 * h_size :]
-        n = np.tanh(gx[:, 2 * h_size :] + r * ghn)
-        h_new = (1.0 - z) * n + z * h
-        h_next = m_t * h_new + (1.0 - m_t) * h
-        steps.append({"t": t, "h_prev": h, "z": z, "r": r, "n": n, "ghn": ghn, "m": m_t})
-        h = h_next
-    return h, steps
+    starts = (np.cumsum(live) - live).tolist()
+    gates = [slice(i * h_size, (i + 1) * h_size) for i in range(3)]
+    gx_z, gx_r, gx_n = (Xp @ W[:, g] + bias[g] for g in gates)  # every token's projection
+    acts = ({name: np.empty((len(Xp), h_size), dtype=Xp.dtype) for name in _GRU_ACTS}
+            if keep else None)
+    h = np.zeros((live[0], h_size), dtype=Xp.dtype)
+    for t in range(len(live) - 1, -1, -1) if reverse else range(len(live)):
+        rows = slice(starts[t], starts[t] + live[t])
+        h_k = h[: live[t]]
+        gh = h_k @ U
+        if keep:
+            acts["h_prev"][rows] = h_k
+            z, r, n, gh_n = (acts[name][rows] for name in _GRU_ACTS[1:])
+            gh_n[...] = gh[:, 2 * h_size :]
+        else:
+            z, r, n, gh_n = None, None, None, gh[:, 2 * h_size :]
+        z = _sigmoid(np.add(gx_z[rows], gh[:, :h_size], out=z), out=z)
+        r = _sigmoid(np.add(gx_r[rows], gh[:, h_size : 2 * h_size], out=r), out=r)
+        n = np.multiply(r, gh_n, out=n)
+        n += gx_n[rows]
+        np.tanh(n, out=n)
+        h_k -= n  # h <- (1 - z) * n + z * h
+        h_k *= z
+        h_k += n
+    return h, acts
 
 
-def _gru_backward(dh, steps, X, W, U, grads_W, grads_U, grads_b, dX):
+def _gru_backward(dh: np.ndarray, acts: dict, live: list[int], reverse: bool, Xp: np.ndarray,
+                  W, U, grads_W, grads_U, grads_b) -> np.ndarray:
+    """Backward through one direction's packed scan; returns the gradient
+    of the packed tokens.
+
+    Only ``dgh @ U.T`` runs step by step: the gate factors that do not
+    depend on ``dh`` are taken over all tokens first, and the weight, bias
+    and token gradients are one product each after the loop."""
     h_size = U.shape[0]
-    for step in reversed(steps):
-        t, h_prev, z, r, n, ghn, m = (
-            step["t"], step["h_prev"], step["z"], step["r"], step["n"], step["ghn"], step["m"],
-        )
-        dh_eff = dh * m
-        dh_skip = dh * (1.0 - m)
-        dz = dh_eff * (h_prev - n)
-        dn = dh_eff * (1.0 - z)
-        dh_prev = dh_eff * z
-        da_n = dn * (1.0 - n * n)
-        dr = da_n * ghn
-        dghn = da_n * r
-        da_z = dz * z * (1.0 - z)
-        da_r = dr * r * (1.0 - r)
-        dgx = np.concatenate([da_z, da_r, da_n], axis=1)
-        dgh = np.concatenate([da_z, da_r, dghn], axis=1)
-        x_t = X[:, t]
-        grads_W += x_t.T @ dgx
-        grads_b += dgx.sum(axis=0)
-        grads_U += h_prev.T @ dgh
-        dX[:, t] += dgx @ W.T
-        dh = dh_prev + dgh @ U.T + dh_skip
-    return dh
+    starts = (np.cumsum(live) - live).tolist()
+    h_prev, z, r, n, gh_n = (acts[name] for name in _GRU_ACTS)
+    coef_z = (h_prev - n) * z * (1.0 - z)  # d(gate z pre-activation) / dh
+    coef_n = (1.0 - z) * (1.0 - n * n)     # d(candidate pre-activation) / dh
+    coef_r = gh_n * r * (1.0 - r)          # d(gate r pre-activation) / d(candidate's)
+    DGH = np.empty((len(Xp), 3 * h_size), dtype=Xp.dtype)  # d(h_prev @ U) per token
+    da_n = np.empty_like(z)
+    dh = dh.copy()
+    for t in range(len(live)) if reverse else range(len(live) - 1, -1, -1):
+        rows = slice(starts[t], starts[t] + live[t])
+        dh_k = dh[: live[t]]
+        dgh = DGH[rows]
+        np.multiply(dh_k, coef_z[rows], out=dgh[:, :h_size])
+        dn = np.multiply(dh_k, coef_n[rows], out=da_n[rows])
+        np.multiply(dn, coef_r[rows], out=dgh[:, h_size : 2 * h_size])
+        np.multiply(dn, r[rows], out=dgh[:, 2 * h_size :])
+        back = dgh @ U.T
+        dh_k *= z[rows]
+        dh_k += back
+    DGX = DGH.copy()  # d(x @ W + bias) per token
+    DGX[:, 2 * h_size :] = da_n
+    grads_W += Xp.T @ DGX
+    grads_U += h_prev.T @ DGH
+    grads_b += DGX.sum(axis=0)
+    return DGX @ W.T
 
 
-def _forward_batch(batch: list[EncodedSample], params: ModelParams):
+def _forward_batch(batch: list[EncodedSample], params: ModelParams, backward: bool = False):
     """Per-head logits (one ``(B, classes)`` array per head) plus the cache
-    the backward pass reads."""
+    the backward pass reads; the recurrent encoder keeps its activations
+    only for a ``backward`` pass."""
     X, mask, embed_cache = _embed_batch(batch, params)
     arrays = params.arrays
     cache: dict = {"X": X, "mask": mask, "embed": embed_cache}
@@ -384,10 +418,22 @@ def _forward_batch(batch: list[EncodedSample], params: ModelParams):
         H = np.tanh(pre)
         cache.update({"xbar": xbar, "H": H, "denom": denom})
     else:
-        hf, steps_f = _gru_scan(X, mask, arrays["Wf"], arrays["Uf"], arrays["biasf"], reverse=False)
-        hb, steps_b = _gru_scan(X, mask, arrays["Wb"], arrays["Ub"], arrays["biasb"], reverse=True)
-        H = np.concatenate([hf, hb], axis=1)
-        cache.update({"H": H, "steps_f": steps_f, "steps_b": steps_b})
+        # Pack: rows in stable longest-first order, tokens time-major.
+        lengths = np.array([len(s.token_ids) for s in batch])
+        order = np.argsort(-lengths, kind="stable")
+        live = (lengths[:, None] > np.arange(X.shape[1])).sum(axis=0)
+        steps, ranks = np.nonzero(np.arange(len(batch)) < live[:, None])
+        packed = (order[ranks], steps)
+        Xp = X[packed]
+        live = live.tolist()
+        hf, acts_f = _gru_scan(Xp, live, arrays["Wf"], arrays["Uf"], arrays["biasf"],
+                               reverse=False, keep=backward)
+        hb, acts_b = _gru_scan(Xp, live, arrays["Wb"], arrays["Ub"], arrays["biasb"],
+                               reverse=True, keep=backward)
+        H = np.empty((len(batch), hf.shape[1] + hb.shape[1]), dtype=X.dtype)
+        H[order] = np.concatenate([hf, hb], axis=1)
+        cache.update({"H": H, "order": order, "live": live, "packed": packed, "Xp": Xp,
+                      "acts_f": acts_f, "acts_b": acts_b})
     logits = [
         H @ arrays[f"head{i}_W"] + arrays[f"head{i}_b"]
         for i in range(len(params.space.head_sizes))
@@ -407,7 +453,7 @@ def loss_and_grads(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean over the batch of the summed per-head cross-entropies, with
     analytic gradients for every parameter (including through the scan)."""
-    logits, cache = _forward_batch(batch, params)
+    logits, cache = _forward_batch(batch, params, backward=True)
     arrays = params.arrays
     B = len(batch)
     targets = np.stack([s.targets for s in batch])
@@ -438,10 +484,13 @@ def loss_and_grads(
         dX += (dxbar[:, None, :] / cache["denom"][:, :, None]) * mask[:, :, None]
     else:
         h = arrays["Uf"].shape[0]
-        _gru_backward(dH[:, :h], cache["steps_f"], X, arrays["Wf"], arrays["Uf"],
-                      grads["Wf"], grads["Uf"], grads["biasf"], dX)
-        _gru_backward(dH[:, h:], cache["steps_b"], X, arrays["Wb"], arrays["Ub"],
-                      grads["Wb"], grads["Ub"], grads["biasb"], dX)
+        dH = dH[cache["order"]]
+        live, Xp = cache["live"], cache["Xp"]
+        dXp = _gru_backward(dH[:, :h], cache["acts_f"], live, False, Xp, arrays["Wf"],
+                            arrays["Uf"], grads["Wf"], grads["Uf"], grads["biasf"])
+        dXp += _gru_backward(dH[:, h:], cache["acts_b"], live, True, Xp, arrays["Wb"],
+                             arrays["Ub"], grads["Wb"], grads["Ub"], grads["biasb"])
+        dX[cache["packed"]] = dXp
     _embed_backward(dX, cache["embed"], grads, params)
     return loss, grads
 
@@ -521,8 +570,8 @@ def _head_choices(
 
     The argmax is taken on the logits; the chosen class's probability is
     ``1 / sum(exp(logits - max))``. Chunks run in stable order of token
-    count, so they pad little, and masked steps are exact no-ops, so no
-    row depends on the chunk it ran in."""
+    count, and a row that has ended is not updated, so no row depends on
+    the chunk it ran in beyond rounding. No activations are stored."""
     shape = (len(encoded), len(params.space.head_sizes))
     choices = np.zeros(shape, dtype=np.int64)
     chosen = np.zeros(shape, dtype=params.arrays["E"].dtype)

@@ -459,8 +459,10 @@ class TestExitCodes:
         assert "SpecViolation" in err and f"{spec}: UnicodeDecodeError" in err
         assert not (tmp_path / "supercells.jsonl").exists()
 
-    @pytest.mark.parametrize("groups", [{"alabama": ["al"]}, ["abc"], 5],
-                             ids=["object", "strings", "number"])
+    @pytest.mark.parametrize("groups", [{"alabama": ["al"]}, ["abc"], 5, [[1, 2]],
+                                        [["al", {"a": 1}]]],
+                             ids=["object", "strings", "number", "number_terms",
+                                  "object_term"])
     def test_dictionary_of_wrong_shape_is_data_error(self, workspace, tmp_path, capsys,
                                                      groups):
         bad = tmp_path / "covid_synonyms.json"
@@ -472,6 +474,16 @@ class TestExitCodes:
         assert run(["decompose", "--config", path]) == 2
         assert str(bad) in capsys.readouterr().err
         assert not (tmp_path / "supercells.jsonl").exists()
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("decompose", "mapping_spec", "."), ("augment", "plan", ""), ("integrate", "model", "."),
+    ])
+    def test_directory_input_is_data_error(self, workspace, tmp_path, capsys,
+                                           command, key, value):
+        # Both paths resolve to the config file's own directory.
+        path = workspace_config(workspace, tmp_path, **{key: value})
+        assert run([command, "--config", path]) == 2
+        assert f"{tmp_path}: a directory" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, damage", [
         ("covid.csv", b"\xff"), ("ubuntu.log", b"\xff"), ("covid_synonyms.json", b"\xff"),

@@ -1,6 +1,7 @@
 """Core model: feature rendering, label round-trips, serialization."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,9 @@ from supercell.core import (
     copy_index,
     copy_marker,
     discard_position,
+    read_json,
     read_jsonl,
+    read_text,
     render_feature,
     write_json,
     write_jsonl,
@@ -125,7 +128,10 @@ class TestRecordFiles:
         lambda obj: obj["label"].update(weight=1),
         lambda obj: obj.update(origin=5),
         lambda obj: obj["feature"].update(tokens={"a": 1}),
-    ], ids=["unknown_field", "unknown_nested_field", "origin_shape", "tokens_shape"])
+        lambda obj: obj["feature"].update(tokens=[1] * len(obj["feature"]["tokens"])),
+        lambda obj: obj["feature"].update(segment_tags=[None] * len(obj["feature"]["tokens"])),
+    ], ids=["unknown_field", "unknown_nested_field", "origin_shape", "tokens_shape",
+            "token_type", "tag_type"])
     def test_malformed_sample_names_file_and_line(self, tmp_path, edit):
         sample = LabeledSample.of(make_cell(["k"], ["a"], ["1"]), discard_position(1, 1))
         bad = json.loads(sample.to_json())
@@ -134,6 +140,21 @@ class TestRecordFiles:
         path.write_text(sample.to_json() + "\n" + json.dumps(bad) + "\n")
         with pytest.raises(MalformedRecord, match=r"s\.jsonl:2: not a LabeledSample"):
             read_jsonl(path, LabeledSample)
+
+    @pytest.mark.parametrize("tp, value", [
+        (list[list[str]], [[1, 2]]), (list[list[str]], [["a", {"a": 1}]]),
+        (dict[str, int], {"a": "1"}), (tuple[str | None, ...], [None, True]),
+    ], ids=["number_in_list", "object_in_list", "string_in_map", "bool_in_optional"])
+    def test_wrong_element_type_names_file(self, tmp_path, tp, value):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(value))
+        with pytest.raises(MalformedRecord, match=r"d\.json: TypeError: must be"):
+            read_json(path, tp)
+
+    def test_directory_is_malformed_record_naming_it(self, tmp_path):
+        for read in (read_text, lambda path: read_json(path, object)):
+            with pytest.raises(MalformedRecord, match=re.escape(f"{tmp_path}: a directory")):
+                read(tmp_path)
 
     def test_write_json_keeps_key_order(self, tmp_path):
         write_json({"b": 1, "a": [2]}, tmp_path / "r.json")

@@ -5,7 +5,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from supercell.canon import CanonKind
 from supercell.core import (
@@ -32,6 +32,7 @@ from supercell.learner import (
     _embed_batch,
     _forward_batch,
     _sigmoid,
+    _softmax,
     accuracy,
     encode,
     encode_samples,
@@ -106,6 +107,63 @@ def repeating_batches(draw):
     tokens = st.lists(st.sampled_from(pool), min_size=1, max_size=7)
     sentences = draw(st.lists(tokens, min_size=1, max_size=6))
     return seen, [FeatureSentence(tuple(t), ("VAL",) * len(t)) for t in sentences]
+
+
+def padded_gru_reference(batch, params):
+    """Logits and gradients of the recurrent model computed the padded way:
+    every row runs every step, and a masked step keeps the row's state."""
+    arrays = params.arrays
+    X, mask, embed_cache = _embed_batch(batch, params)
+    hs = arrays["Uf"].shape[0]
+
+    def scan(W, U, bias, reverse):
+        h = np.zeros((len(batch), hs))
+        steps = []
+        for t in range(X.shape[1] - 1, -1, -1) if reverse else range(X.shape[1]):
+            m = mask[:, t][:, None]
+            gx, gh = X[:, t] @ W + bias, h @ U
+            z = _sigmoid(gx[:, :hs] + gh[:, :hs])
+            r = _sigmoid(gx[:, hs : 2 * hs] + gh[:, hs : 2 * hs])
+            n = np.tanh(gx[:, 2 * hs :] + r * gh[:, 2 * hs :])
+            steps.append((t, h, z, r, n, gh[:, 2 * hs :], m))
+            h = m * ((1.0 - z) * n + z * h) + (1.0 - m) * h
+        return h, steps
+
+    def backward(dh, steps, W, U, direction, grads, dX):
+        for t, h_prev, z, r, n, ghn, m in reversed(steps):
+            da_n = dh * m * (1.0 - z) * (1.0 - n * n)
+            da_z = dh * m * (h_prev - n) * z * (1.0 - z)
+            da_r = da_n * ghn * r * (1.0 - r)
+            dgx = np.concatenate([da_z, da_r, da_n], axis=1)
+            dgh = np.concatenate([da_z, da_r, da_n * r], axis=1)
+            grads[f"W{direction}"] += X[:, t].T @ dgx
+            grads[f"bias{direction}"] += dgx.sum(axis=0)
+            grads[f"U{direction}"] += h_prev.T @ dgh
+            dX[:, t] += dgx @ W.T
+            dh = dh * m * z + dgh @ U.T + dh * (1.0 - m)
+
+    hf, steps_f = scan(arrays["Wf"], arrays["Uf"], arrays["biasf"], reverse=False)
+    hb, steps_b = scan(arrays["Wb"], arrays["Ub"], arrays["biasb"], reverse=True)
+    H = np.concatenate([hf, hb], axis=1)
+    grads = {k: np.zeros_like(v) for k, v in arrays.items()}
+    logits, dH = [], np.zeros_like(H)
+    for i in range(len(params.space.head_sizes)):
+        logits.append(H @ arrays[f"head{i}_W"] + arrays[f"head{i}_b"])
+        dlogits = _softmax(logits[-1])
+        dlogits[np.arange(len(batch)), [s.targets[i] for s in batch]] -= 1.0
+        dlogits /= len(batch)
+        grads[f"head{i}_W"] += H.T @ dlogits
+        grads[f"head{i}_b"] += dlogits.sum(axis=0)
+        dH += dlogits @ arrays[f"head{i}_W"].T
+    dX = np.zeros_like(X)
+    backward(dH[:, :hs], steps_f, arrays["Wf"], arrays["Uf"], "f", grads, dX)
+    backward(dH[:, hs:], steps_b, arrays["Wb"], arrays["Ub"], "b", grads, dX)
+    _embed_backward(dX, embed_cache, grads, params)
+    return logits, grads
+
+
+def relative_error(actual, reference):
+    return np.abs(actual - reference).max() / max(np.abs(reference).max(), 1e-300)
 
 
 class TestSubwords:
@@ -250,6 +308,33 @@ class TestLoss:
 
 
 class TestKernels:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 9), min_size=1, max_size=7), st.integers(0, 2**16))
+    @example([4, 4, 4], 0)
+    @example([7], 1)
+    @example([1, 9, 3, 9, 1, 3], 2)
+    def test_packed_gru_matches_padded_reference(self, lengths, seed):
+        rng = np.random.default_rng(seed)
+        params = init_params(tiny_config(embed_dim=3, hidden=4, bucket_count=64,
+                                         dtype="float64"), SCHEMA)
+        for key in params.arrays:
+            params.arrays[key] = rng.standard_normal(params.arrays[key].shape) * 0.5
+        words = ["alpha", "bravo", "charlie", "delta"]
+        batch = [
+            encode(FeatureSentence(tuple(words[i] for i in rng.integers(len(words), size=n)),
+                                   ("VAL",) * n), params.vocab,
+                   np.array([rng.integers(k) for k in params.space.head_sizes]))
+            for n in lengths
+        ]
+        ref_logits, ref_grads = padded_gru_reference(batch, params)
+        _, grads = loss_and_grads(batch, params)
+        forward_only, _ = _forward_batch(batch, params)
+        for logits, reference in zip(forward_only, ref_logits):
+            assert relative_error(logits, reference) < 1e-10
+        assert grads.keys() == ref_grads.keys()
+        for key, reference in ref_grads.items():
+            assert relative_error(grads[key], reference) < 1e-10, key
+
     def test_embed_backward_stays_in_model_dtype(self):
         params = init_params(tiny_config(bucket_count=16), SCHEMA)
         sentences = [
