@@ -245,29 +245,36 @@ class MalformedRecord(ValueError):
     expects; the message names the file."""
 
 
+def open_file(path: str | Path, mode: str = "r", **kwargs):
+    """``open(path, mode, **kwargs)``; a directory, or a path that runs
+    through a file, raises MalformedRecord naming it."""
+    try:
+        return open(path, mode, **kwargs)
+    except IsADirectoryError as exc:
+        raise MalformedRecord(f"{path}: a directory, not a file") from exc
+    except NotADirectoryError as exc:
+        raise MalformedRecord(f"{path}: a component of the path is a file") from exc
+
+
 def read_text(path: str | Path) -> str:
     """The text of ``path``, its line ends as they are; a file that is not
-    UTF-8, or a directory, raises MalformedRecord naming it."""
+    UTF-8, or a path ``open_file`` rejects, raises MalformedRecord naming it."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open_file(path, encoding="utf-8", newline="") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise MalformedRecord(f"{path}: not UTF-8: {exc}") from exc
-    except IsADirectoryError as exc:
-        raise MalformedRecord(f"{path}: a directory, not a file") from exc
 
 
 def read_json(path: str | Path, tp, error: type[Exception] = MalformedRecord):
     """The JSON file at ``path`` decoded as ``tp`` by the record codec; a file
     that is not UTF-8 or not JSON, or not a ``tp``, raises ``error`` naming
-    it, and a directory raises MalformedRecord naming it."""
-    try:
-        with open(path, encoding="utf-8") as fh:
+    it, and a path ``open_file`` rejects raises MalformedRecord naming it."""
+    with open_file(path, encoding="utf-8") as fh:
+        try:
             return _codec(tp)[1](json.load(fh))
-    except IsADirectoryError as exc:
-        raise MalformedRecord(f"{path}: a directory, not a file") from exc
-    except (KeyError, TypeError, ValueError) as exc:
-        raise error(f"{path}: {type(exc).__name__}: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise error(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
 def write_jsonl(records: Iterable, path: str | Path) -> int:

@@ -31,6 +31,7 @@ from .core import (
     TargetPosition,
     TargetSchema,
     fnv1a64,
+    open_file,
     render_feature,
 )
 from .mapping import LabeledSample, resolve_position
@@ -160,39 +161,39 @@ class ModelParams:
         return all(np.isfinite(a).all() for a in self.arrays.values())
 
     def save(self, path: str | Path) -> None:
-        meta = {
-            "format_version": 1,
-            "config": self.config.to_dict(),
-            "schema": self.schema.to_dict(),
-            "key_kinds": [k.render() for k in self.key_kinds],
-            "dictionaries": self.dictionaries,
-        }
+        meta = ModelMeta(1, self.config, self.schema, self.key_kinds, self.dictionaries)
+        header = np.frombuffer(json.dumps(meta.to_dict()).encode(), dtype=np.uint8)
         with open(path, "wb") as fh:
-            np.savez(fh, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-                     **self.arrays)
+            np.savez(fh, __meta__=header, **self.arrays)
 
     @staticmethod
     def load(path: str | Path) -> "ModelParams":
-        """Read a model file; one that ``save`` did not write, or a
-        directory, raises MalformedRecord naming it."""
-        try:
-            with np.load(path) as data:
-                meta = json.loads(bytes(data["__meta__"]).decode())
-                arrays = {k: data[k] for k in data.files if k != "__meta__"}
-        except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
-            raise MalformedRecord(f"{path}: {type(exc).__name__}: {exc}") from exc
-        except IsADirectoryError as exc:
-            raise MalformedRecord(f"{path}: a directory, not a file") from exc
-        version = meta.get("format_version")
-        if version != 1:
-            raise MalformedRecord(f"{path}: unsupported model file format_version {version!r}")
-        return ModelParams(
-            config=TrainConfig.from_dict(meta["config"]),
-            schema=TargetSchema.from_dict(meta["schema"]),
-            key_kinds=[CanonKind.parse(k) for k in meta["key_kinds"]],
-            arrays=arrays,
-            dictionaries=meta.get("dictionaries", {}),
-        )
+        """Read a model file; one that ``save`` did not write, or a path
+        ``open_file`` rejects, raises MalformedRecord naming it."""
+        with open_file(path, "rb") as fh:
+            try:
+                with np.load(fh) as data:
+                    meta = ModelMeta.from_json(bytes(data["__meta__"]).decode())
+                    arrays = {k: data[k] for k in data.files if k != "__meta__"}
+                return ModelParams(meta.config, meta.schema, meta.key_kinds, arrays,
+                                   meta.dictionaries)
+            except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+                raise MalformedRecord(f"{path}: {type(exc).__name__}: {exc}") from exc
+
+
+@dataclass(frozen=True)
+class ModelMeta(Record):
+    """The JSON header of a model file, stored as its ``__meta__`` array."""
+
+    format_version: int
+    config: TrainConfig
+    schema: TargetSchema
+    key_kinds: list[CanonKind]
+    dictionaries: dict[str, list[list[str]]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.format_version != 1:
+            raise ValueError(f"unsupported model file format_version {self.format_version!r}")
 
 
 def init_params(
@@ -265,53 +266,38 @@ def encode_samples(
 
 
 def _embed_batch(batch: list[EncodedSample], params: ModelParams):
-    """Stack a batch into (X, mask) with a cache for the embedding backward.
+    """Every token of a batch as one ``(tokens, d)`` array, sample after
+    sample, with a cache for the embedding backward.
 
     Each token vector is the mean of the token's subword bucket rows. Only
     the batch's distinct tokens are reduced, then indexed back to every
     occurrence; each reduction sums the same rows in the same order, so
     the vectors do not depend on which other tokens share the batch."""
     E = params.arrays["E"]
-    dtype = E.dtype
-    B = len(batch)
-    n_tokens = np.array([len(s.token_ids) for s in batch], dtype=np.int64)
-    T = int(n_tokens.max())
-    d = E.shape[1]
-
     distinct, inverse = np.unique(np.concatenate([s.token_ids for s in batch]),
                                   return_inverse=True)
     flat, token_lengths, starts = params.vocab.table()
     lengths = token_lengths[distinct]
     offsets = np.cumsum(lengths) - lengths  # each distinct token's first row in `buckets`
     buckets = flat[np.repeat(starts[distinct] - offsets, lengths) + np.arange(lengths.sum())]
-    token_vecs = np.add.reduceat(E[buckets], offsets, axis=0) / lengths[:, None].astype(dtype)
-
-    X = np.zeros((B, T, d), dtype=dtype)
-    mask = np.zeros((B, T), dtype=dtype)
-    firsts = np.cumsum(n_tokens) - n_tokens  # each sample's first token
-    rows = np.repeat(np.arange(B), n_tokens)
-    cols = np.arange(len(inverse)) - np.repeat(firsts, n_tokens)
-    X[rows, cols] = token_vecs[inverse]
-    mask[rows, cols] = 1.0
-    cache = {"buckets": buckets, "lengths": lengths, "inverse": inverse,
-             "rows": rows, "cols": cols}
-    return X, mask, cache
+    token_vecs = np.add.reduceat(E[buckets], offsets, axis=0) / lengths[:, None].astype(E.dtype)
+    return token_vecs[inverse], {"buckets": buckets, "lengths": lengths, "inverse": inverse}
 
 
 def _embed_backward(dX: np.ndarray, cache: dict, grads: dict, params: ModelParams) -> None:
-    """Sum each distinct token's gradient over its occurrences, then
-    scatter it, split evenly, onto its bucket rows.
+    """Sum each distinct token's gradient over its occurrences (the rows
+    of ``dX``), then scatter it, split evenly, onto its bucket rows.
 
     Stays in the model dtype, and both sums go through flat views
     (``token * d + column``, ``bucket * d + column``): ``np.add.at`` is
     several times faster on one 1-D index than on row indices into a 2-D
     array."""
     lengths = cache["lengths"]
-    d = dX.shape[2]
+    d = dX.shape[1]
     columns = np.arange(d)
     dtok = np.zeros((len(lengths), d), dtype=dX.dtype)
     np.add.at(dtok.reshape(-1), (cache["inverse"][:, None] * d + columns).reshape(-1),
-              dX[cache["rows"], cache["cols"]].reshape(-1))
+              dX.reshape(-1))
     dtok /= lengths[:, None].astype(dX.dtype)
     contrib = np.repeat(dtok, lengths, axis=0)
     flat_index = cache["buckets"][:, None] * d + columns
@@ -408,22 +394,25 @@ def _forward_batch(batch: list[EncodedSample], params: ModelParams, backward: bo
     """Per-head logits (one ``(B, classes)`` array per head) plus the cache
     the backward pass reads; the recurrent encoder keeps its activations
     only for a ``backward`` pass."""
-    X, mask, embed_cache = _embed_batch(batch, params)
+    X, embed_cache = _embed_batch(batch, params)
     arrays = params.arrays
-    cache: dict = {"X": X, "mask": mask, "embed": embed_cache}
+    n_tokens = np.array([len(s.token_ids) for s in batch])
+    cache: dict = {"embed": embed_cache}
     if params.config.encoder == "pooled":
-        denom = mask.sum(axis=1, keepdims=True)
-        xbar = (X * mask[:, :, None]).sum(axis=1) / denom
-        pre = xbar @ arrays["W1"] + arrays["b1"]
-        H = np.tanh(pre)
-        cache.update({"xbar": xbar, "H": H, "denom": denom})
+        # Token by token, in order: `np.add.reduceat` sums a run of 8 or
+        # more rows in another order, which moves the last bits.
+        sums = np.zeros((len(batch), X.shape[1]), dtype=X.dtype)
+        np.add.at(sums, np.repeat(np.arange(len(batch)), n_tokens), X)
+        xbar = sums / n_tokens[:, None].astype(X.dtype)
+        H = np.tanh(xbar @ arrays["W1"] + arrays["b1"])
+        cache.update({"xbar": xbar, "H": H, "n_tokens": n_tokens})
     else:
-        # Pack: rows in stable longest-first order, tokens time-major.
-        lengths = np.array([len(s.token_ids) for s in batch])
-        order = np.argsort(-lengths, kind="stable")
-        live = (lengths[:, None] > np.arange(X.shape[1])).sum(axis=0)
+        # Pack: samples in stable longest-first order, tokens time-major.
+        firsts = np.cumsum(n_tokens) - n_tokens  # each sample's first row of X
+        order = np.argsort(-n_tokens, kind="stable")
+        live = (n_tokens[:, None] > np.arange(n_tokens.max())).sum(axis=0)
         steps, ranks = np.nonzero(np.arange(len(batch)) < live[:, None])
-        packed = (order[ranks], steps)
+        packed = firsts[order[ranks]] + steps  # row of X of each packed token
         Xp = X[packed]
         live = live.tolist()
         hf, acts_f = _gru_scan(Xp, live, arrays["Wf"], arrays["Uf"], arrays["biasf"],
@@ -438,7 +427,6 @@ def _forward_batch(batch: list[EncodedSample], params: ModelParams, backward: bo
         H @ arrays[f"head{i}_W"] + arrays[f"head{i}_b"]
         for i in range(len(params.space.head_sizes))
     ]
-    cache["logits"] = logits
     return logits, cache
 
 
@@ -474,14 +462,13 @@ def loss_and_grads(
         grads[f"head{i}_b"] += dlogits.sum(axis=0)
         dH += dlogits @ arrays[f"head{i}_W"].T
 
-    X, mask = cache["X"], cache["mask"]
-    dX = np.zeros_like(X)
     if params.config.encoder == "pooled":
         dpre = dH * (1.0 - cache["H"] ** 2)
         grads["W1"] += cache["xbar"].T @ dpre
         grads["b1"] += dpre.sum(axis=0)
-        dxbar = dpre @ arrays["W1"].T
-        dX += (dxbar[:, None, :] / cache["denom"][:, :, None]) * mask[:, :, None]
+        n_tokens = cache["n_tokens"]
+        dxbar = dpre @ arrays["W1"].T / n_tokens[:, None].astype(dpre.dtype)
+        dX = np.repeat(dxbar, n_tokens, axis=0)
     else:
         h = arrays["Uf"].shape[0]
         dH = dH[cache["order"]]
@@ -490,6 +477,7 @@ def loss_and_grads(
                             arrays["Uf"], grads["Wf"], grads["Uf"], grads["biasf"])
         dXp += _gru_backward(dH[:, h:], cache["acts_b"], live, True, Xp, arrays["Wb"],
                              arrays["Ub"], grads["Wb"], grads["Ub"], grads["biasb"])
+        dX = np.empty_like(dXp)
         dX[cache["packed"]] = dXp
     _embed_backward(dX, cache["embed"], grads, params)
     return loss, grads

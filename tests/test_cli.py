@@ -388,15 +388,27 @@ class TestExitCodes:
         assert wide and f"{len(wide)} samples" in err and f"widest {max(wide)}" in err
         assert not (tmp_path / "model.npz").exists()
 
-    @pytest.mark.parametrize("damage", ["empty", "truncated", "not_npz", "no_meta"])
+    @pytest.mark.parametrize("damage", ["empty", "truncated", "not_npz", "no_meta",
+                                        "meta_without_config", "meta_not_object",
+                                        "meta_wrong_type"])
     def test_corrupt_model_is_data_error(self, workspace, tmp_path, capsys, damage):
-        # np.load raises EOFError, BadZipFile, ValueError and KeyError on these.
+        # np.load raises EOFError, BadZipFile, ValueError and KeyError on the
+        # first four; the last three hold a ``__meta__`` of the wrong shape.
         root = workspace["root"]
         bad_model = tmp_path / "model.npz"
-        np.savez(bad_model, E=np.zeros(64))
-        npz = bad_model.read_bytes()
-        bad_model.write_bytes({"empty": b"", "truncated": npz[:len(npz) // 2],
-                               "not_npz": b"not a model", "no_meta": npz}[damage])
+        meta = {"meta_without_config": {"format_version": 1}, "meta_not_object": [1],
+                "meta_wrong_type": {
+                    "format_version": 1, "config": {**TrainConfig().to_dict(), "epochs": "x"},
+                    "schema": {"attributes": ["k"], "key_attributes": ["k"]},
+                    "key_kinds": ["none"], "dictionaries": {}}}.get(damage)
+        if meta is not None:
+            header = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+            np.savez(bad_model, __meta__=header, E=np.zeros(64))
+        else:
+            np.savez(bad_model, E=np.zeros(64))
+            npz = bad_model.read_bytes()
+            bad_model.write_bytes({"empty": b"", "truncated": npz[:len(npz) // 2],
+                                   "not_npz": b"not a model", "no_meta": npz}[damage])
         config = {
             "sources": [],
             "mapping_spec": str(root / "mapping_spec.json"),
@@ -477,13 +489,19 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, key, value", [
         ("decompose", "mapping_spec", "."), ("augment", "plan", ""), ("integrate", "model", "."),
+        ("decompose", "mapping_spec", "covid.csv/spec.json"),
+        ("integrate", "model", "covid.csv/model.npz"),
     ])
     def test_directory_input_is_data_error(self, workspace, tmp_path, capsys,
                                            command, key, value):
-        # Both paths resolve to the config file's own directory.
+        # "." and "" resolve to the config file's own directory; a copy of
+        # covid.csv lies there, so the other paths run through a file.
+        (tmp_path / "covid.csv").write_bytes((workspace["root"] / "covid.csv").read_bytes())
         path = workspace_config(workspace, tmp_path, **{key: value})
         assert run([command, "--config", path]) == 2
-        assert f"{tmp_path}: a directory" in capsys.readouterr().err
+        named = tmp_path / value
+        reason = "a directory" if named.is_dir() else "a component of the path is a file"
+        assert f"{named}: {reason}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, damage", [
         ("covid.csv", b"\xff"), ("ubuntu.log", b"\xff"), ("covid_synonyms.json", b"\xff"),

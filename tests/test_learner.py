@@ -87,14 +87,15 @@ def logits_of(sentence, params):
 
 
 def embed_backward_reference(sentences, dX, params):
-    """Per-occurrence float64 loop: each token's gradient, split evenly
-    over its bucket rows."""
+    """Per-occurrence float64 loop: each token's gradient (the rows of
+    ``dX``, in occurrence order), split evenly over its bucket rows."""
     reference = np.zeros(params.arrays["E"].shape, dtype=np.float64)
-    for row, sentence in enumerate(sentences):
-        for col, token in enumerate(sentence.tokens):
-            buckets = params.vocab.buckets(token)
-            for bucket in buckets:
-                reference[bucket] += dX[row, col].astype(np.float64) / len(buckets)
+    tokens = [token for sentence in sentences for token in sentence.tokens]
+    assert len(tokens) == len(dX)
+    for token, grad in zip(tokens, dX):
+        buckets = params.vocab.buckets(token)
+        for bucket in buckets:
+            reference[bucket] += grad.astype(np.float64) / len(buckets)
     return reference
 
 
@@ -111,9 +112,17 @@ def repeating_batches(draw):
 
 def padded_gru_reference(batch, params):
     """Logits and gradients of the recurrent model computed the padded way:
-    every row runs every step, and a masked step keeps the row's state."""
+    the tokens are placed in a zero-padded ``(B, T, d)`` array, every row
+    runs every step, and a masked step keeps the row's state."""
     arrays = params.arrays
-    X, mask, embed_cache = _embed_batch(batch, params)
+    tokens, embed_cache = _embed_batch(batch, params)
+    n_tokens = [len(s.token_ids) for s in batch]
+    rows = np.repeat(np.arange(len(batch)), n_tokens)
+    cols = np.concatenate([np.arange(n) for n in n_tokens])
+    X = np.zeros((len(batch), max(n_tokens), tokens.shape[1]))
+    mask = np.zeros((len(batch), max(n_tokens)))
+    X[rows, cols] = tokens
+    mask[rows, cols] = 1.0
     hs = arrays["Uf"].shape[0]
 
     def scan(W, U, bias, reverse):
@@ -158,7 +167,7 @@ def padded_gru_reference(batch, params):
     dX = np.zeros_like(X)
     backward(dH[:, :hs], steps_f, arrays["Wf"], arrays["Uf"], "f", grads, dX)
     backward(dH[:, hs:], steps_b, arrays["Wb"], arrays["Ub"], "b", grads, dX)
-    _embed_backward(dX, embed_cache, grads, params)
+    _embed_backward(dX[rows, cols], embed_cache, grads, params)
     return logits, grads
 
 
@@ -188,9 +197,9 @@ class TestSubwords:
     def test_identical_tokens_identical_vectors(self):
         params = init_params(tiny_config(), SCHEMA)
         sentence = FeatureSentence(("tok", "tok"), ("VAL", "VAL"))
-        X, mask, _ = _embed_batch(batch_of(sentence, params), params)
-        assert np.allclose(X[0, 0], X[0, 1])
-        assert mask.tolist() == [[1.0, 1.0]]
+        X, _ = _embed_batch(batch_of(sentence, params), params)
+        assert X.shape == (2, params.config.embed_dim)
+        assert np.allclose(X[0], X[1])
 
     def test_encode_stores_bucket_count_per_token(self):
         vocab = SubwordVocab(bucket_count=256)
@@ -208,22 +217,22 @@ class TestSubwords:
 
     def test_batch_places_tokens_by_sample_and_position(self):
         params = init_params(tiny_config(), SCHEMA)
-        sentences = [FeatureSentence(("tok",) * n, ("VAL",) * n) for n in (3, 1, 2)]
-        _, mask, cache = _embed_batch([encode(s, params.vocab) for s in sentences], params)
-        # Reference: the per-sample loop the vectorized indices replace.
-        rows = [i for i, s in enumerate(sentences) for _ in s.tokens]
-        cols = [t for s in sentences for t in range(len(s.tokens))]
-        assert cache["rows"].tolist() == rows
-        assert cache["cols"].tolist() == cols
-        assert mask.tolist() == [[1, 1, 1], [1, 0, 0], [1, 1, 0]]
+        sentences = [FeatureSentence(tokens, ("VAL",) * len(tokens)) for tokens in
+                     (("alpha", "bravo", "alpha"), ("charlie",), ("bravo", "delta"))]
+        X, _ = _embed_batch([encode(s, params.vocab) for s in sentences], params)
+        # Reference: each token embedded on its own, sample after sample.
+        alone = [_embed_batch(batch_of(FeatureSentence((token,), ("VAL",)), params),
+                              params)[0][0]
+                 for s in sentences for token in s.tokens]
+        assert np.array_equal(X, np.stack(alone))
 
     def test_token_vector_is_mean_of_bucket_rows(self):
         params = init_params(tiny_config(), SCHEMA)
         sentence = FeatureSentence(("confirmed", "ok"), ("ATTR", "VAL"))
-        X, _, _ = _embed_batch(batch_of(sentence, params), params)
+        X, _ = _embed_batch(batch_of(sentence, params), params)
         E = params.arrays["E"]
         for i, token in enumerate(sentence.tokens):
-            assert np.allclose(X[0, i], E[params.vocab.buckets(token)].mean(axis=0))
+            assert np.allclose(X[i], E[params.vocab.buckets(token)].mean(axis=0))
 
     @settings(max_examples=60, deadline=None)
     @given(repeating_batches(), st.sampled_from(["float32", "float64"]))
@@ -233,7 +242,7 @@ class TestSubwords:
         for token in seen:
             params.vocab.token_id(token)
         batch = [encode(s, params.vocab) for s in sentences]
-        X, mask, cache = _embed_batch(batch, params)
+        X, cache = _embed_batch(batch, params)
         # Reference: reduce every occurrence's bucket rows, not each distinct
         # token's once. (``mean`` sums in another order, so it can differ in
         # the last bit.)
@@ -242,8 +251,7 @@ class TestSubwords:
         lengths = np.array([len(b) for b in occurrences])
         reference = np.add.reduceat(E[np.concatenate(occurrences)],
                                     np.cumsum(lengths) - lengths, axis=0)
-        assert np.array_equal(X[mask == 1], reference / lengths[:, None].astype(E.dtype))
-        assert not X[mask == 0].any()
+        assert np.array_equal(X, reference / lengths[:, None].astype(E.dtype))
 
         dX = np.random.default_rng(len(seen)).standard_normal(X.shape).astype(X.dtype)
         grads = {"E": np.zeros_like(E)}
@@ -335,6 +343,26 @@ class TestKernels:
         for key, reference in ref_grads.items():
             assert relative_error(grads[key], reference) < 1e-10, key
 
+    @pytest.mark.parametrize("dtype, tolerance", [("float32", 1e-5), ("float64", 1e-12)])
+    def test_pooled_forward_matches_per_sample_loop(self, dtype, tolerance):
+        params = init_params(tiny_config(encoder="pooled", bucket_count=64, dtype=dtype),
+                             SCHEMA)
+        words = ["alpha", "bravo", "charlie", "delta", "echo"]
+        sentences = [FeatureSentence(tuple(words[i % 5] for i in range(start, start + n)),
+                                     ("VAL",) * n)
+                     for start, n in ((0, 1), (2, 12), (1, 3), (4, 9))]
+        logits, _ = _forward_batch([encode(s, params.vocab) for s in sentences], params)
+        arrays = {k: v.astype(np.float64) for k, v in params.arrays.items()}
+        for row, sentence in enumerate(sentences):
+            # Reference: mean of the token vectors, tanh, then each head.
+            xbar = np.mean([arrays["E"][params.vocab.buckets(t)].mean(axis=0)
+                            for t in sentence.tokens], axis=0)
+            hidden = np.tanh(xbar @ arrays["W1"] + arrays["b1"])
+            for i, head in enumerate(logits):
+                assert head.dtype == np.dtype(dtype)
+                reference = hidden @ arrays[f"head{i}_W"] + arrays[f"head{i}_b"]
+                assert np.abs(head[row] - reference).max() < tolerance
+
     def test_embed_backward_stays_in_model_dtype(self):
         params = init_params(tiny_config(bucket_count=16), SCHEMA)
         sentences = [
@@ -343,7 +371,7 @@ class TestKernels:
             FeatureSentence(("delta", "echo"), ("VAL",) * 2),
         ]
         batch = [encode(s, params.vocab) for s in sentences]
-        X, _, cache = _embed_batch(batch, params)
+        X, cache = _embed_batch(batch, params)
         dX = np.random.default_rng(0).standard_normal(X.shape).astype(X.dtype)
         grads = {"E": np.zeros_like(params.arrays["E"])}
         _embed_backward(dX, cache, grads, params)
