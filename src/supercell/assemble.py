@@ -15,6 +15,7 @@ from pathlib import Path
 from .canon import canonical_number
 from .core import (
     AggMode,
+    DataError,
     Record,
     SuperCell,
     TargetPosition,
@@ -28,7 +29,7 @@ from .core import (
 NUMERIC_MODES = {AggMode.SUM, AggMode.AVG, AggMode.MIN, AggMode.MAX}
 
 
-class AggModeConflict(ValueError):
+class AggModeConflict(DataError):
     """Two different aggregation modes were written to one cell."""
 
 

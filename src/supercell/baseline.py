@@ -18,20 +18,20 @@ from typing import NamedTuple
 import numpy as np
 
 from .canon import CanonKind, DictionaryStore, NONE, canonicalize
-from .core import AggMode, SuperCell, TargetPosition, TargetSchema, fnv1a64, read_json
+from .core import AggMode, DataError, SuperCell, TargetPosition, TargetSchema, fnv1a64, read_json
 from .assemble import TargetTable
 from .ingest import RawTable, is_missing
 
 
-class EmptyColumn(ValueError):
+class EmptyColumn(DataError):
     pass
 
 
-class IncompatibleSignatures(ValueError):
+class IncompatibleSignatures(DataError):
     pass
 
 
-class UncoverableAttribute(ValueError):
+class UncoverableAttribute(DataError):
     pass
 
 

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
-from .core import read_json, write_json
+from .core import DataError, read_json, write_json
 
 
-class UnknownDictionary(KeyError):
+class UnknownDictionary(DataError, KeyError):
     """A Dictionary(name) canonicalizer references a dictionary that is not loaded."""
 
 

@@ -4,46 +4,24 @@ of subcommands is byte-equivalent to the in-process path.
 Subcommands: decompose, gen-train, augment, train, integrate, baseline,
 eval, ablate, gradcheck. All take --config (a JSON run config), --seed, and
 --out; logs go to stderr, data only to files. Exit codes: 0 success,
-1 usage/config error, 2 data error, 3 internal invariant violation.
+1 usage/config error, 2 data error (a ``core.DataError``), 3 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import re
 import sys
 from pathlib import Path
 
 from . import assemble, baseline, core, evaluate, learner, mapping, perturb
-from .canon import SynonymDictionary, UnknownDictionary
+from .canon import SynonymDictionary
 from .datasets import Fixture
-from .ingest import (
-    EmptyInput,
-    MissingKeyColumn,
-    NoRuleMatchedAnything,
-    RaggedRow,
-    RawTable,
-    decompose,
-    decompose_log,
-)
+from .ingest import RawTable, decompose, decompose_log
 
 
 class UsageError(ValueError):
     pass
-
-
-class DataError(ValueError):
-    """Stage inputs that contradict each other."""
-
-
-DATA_ERRORS = (
-    DataError, EmptyInput, RaggedRow, MissingKeyColumn, NoRuleMatchedAnything,
-    UnknownDictionary, mapping.SpecViolation, mapping.KeyResolutionFailure,
-    baseline.UncoverableAttribute, baseline.EmptyColumn, learner.EmptyEvalSet,
-    learner.CellTooWide, core.MalformedRecord, core.UnknownKeyValue,
-    FileNotFoundError, re.error,
-)
 
 
 def log(message: str) -> None:
@@ -103,7 +81,10 @@ def load_config(path: str, seed: int | None, out: str | None) -> RunConfig:
 
 
 def _out_dir(config: RunConfig) -> Path:
-    config.out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        config.out_dir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise UsageError(f"out_dir {config.out_dir} is not a directory") from exc
     return config.out_dir
 
 
@@ -178,7 +159,7 @@ def cmd_augment(config: RunConfig) -> int:
     cells = spec.cells(_read_corpora(cells_path))
     samples = core.read_jsonl(samples_path, mapping.LabeledSample)
     if len(cells) != len(samples):
-        raise DataError(
+        raise core.DataError(
             f"{cells_path} holds {len(cells)} super cells but {samples_path} holds "
             f"{len(samples)} samples; rerun gen-train"
         )
@@ -280,8 +261,14 @@ def cmd_ablate(config: RunConfig) -> int:
         _plan(config) if config.plan
         else perturb.PerturbationPlan(seed=seed, synonym_dict=None)
     )
+    variants = evaluate.default_variants(seed + 9001)
+    if fixture.spec.key_hierarchy is None:
+        for variant in variants:
+            if variant.plan.key_expansion_rate > 0:
+                log(f"ablate: left out {variant.name}: the spec has no key hierarchy")
+        variants = [v for v in variants if v.plan.key_expansion_rate == 0]
     ablation = evaluate.AblationConfig(
-        variants=evaluate.default_variants(seed + 9001),
+        variants=variants,
         with_augmentation=True,
         train_plan=train_plan,
         seed=seed,
@@ -345,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         log(f"usage error: {exc}")
         return 1
-    except DATA_ERRORS as exc:
+    except core.DataError as exc:
         log(f"data error: {type(exc).__name__}: {exc}")
         return 2
     except Exception as exc:  # invariant violations and bugs

@@ -32,6 +32,10 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 
+class DataError(ValueError):
+    """The base of every exception the program raises because of its inputs."""
+
+
 class Record:
     """Base of the dataclasses that files hold: one JSON codec for all.
 
@@ -193,15 +197,15 @@ def is_wildcard(entry: str | None) -> bool:
     return entry == WILDCARD
 
 
-class InvalidSuperCell(ValueError):
+class InvalidSuperCell(DataError):
     pass
 
 
-class InvalidPosition(ValueError):
+class InvalidPosition(DataError):
     pass
 
 
-class UnknownKeyValue(KeyError):
+class UnknownKeyValue(DataError, KeyError):
     """A literal key label is neither in the slot's domain nor a marker."""
 
 
@@ -240,16 +244,18 @@ class SuperCell(Record):
         return (self.source_id, self.sorted_keys(), self.attributes, self.values)
 
 
-class MalformedRecord(ValueError):
+class MalformedRecord(DataError):
     """An input file, or a line of one, that does not hold what its reader
     expects; the message names the file."""
 
 
 def open_file(path: str | Path, mode: str = "r", **kwargs):
-    """``open(path, mode, **kwargs)``; a directory, or a path that runs
-    through a file, raises MalformedRecord naming it."""
+    """``open(path, mode, **kwargs)``; a missing file, a directory, or a
+    path that runs through a file raises MalformedRecord naming it."""
     try:
         return open(path, mode, **kwargs)
+    except FileNotFoundError as exc:
+        raise MalformedRecord(f"{path}: no such file") from exc
     except IsADirectoryError as exc:
         raise MalformedRecord(f"{path}: a directory, not a file") from exc
     except NotADirectoryError as exc:

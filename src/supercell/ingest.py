@@ -16,29 +16,29 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .canon import CanonCounters, CanonKind, DictionaryStore, NONE, canonicalize
-from .core import Record, SuperCell, read_text, write_csv
+from .core import DataError, Record, SuperCell, read_text, write_csv
 
 # Cell values treated as missing and skipped during decomposition.
 _MISSING = {"", "na", "null"}
 
 
-class MissingKeyColumn(ValueError):
+class MissingKeyColumn(DataError):
     pass
 
 
-class RaggedRow(ValueError):
+class RaggedRow(DataError):
     pass
 
 
-class EmptyInput(ValueError):
+class EmptyInput(DataError):
     pass
 
 
-class NoRuleMatchedAnything(ValueError):
+class NoRuleMatchedAnything(DataError):
     pass
 
 
-class DuplicateCellOnPivot(ValueError):
+class DuplicateCellOnPivot(DataError):
     pass
 
 
@@ -79,12 +79,22 @@ class LogRule(Record):
     ``key_captures`` maps key-column names to capture-group names; a match
     updates the ambient key state. ``attr_value_captures`` maps attribute
     names to capture-group names; a match emits one super cell carrying all
-    captured attribute/value pairs under the current ambient keys.
+    captured attribute/value pairs under the current ambient keys. The
+    pattern must compile and hold every group the captures name.
     """
 
     pattern: str
     key_captures: dict[str, str] = field(default_factory=dict)
     attr_value_captures: dict[str, str] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        captures = {*self.key_captures.values(), *self.attr_value_captures.values()}
+        try:
+            missing = sorted(captures - self.compiled().groupindex.keys())
+        except re.error as exc:
+            raise ValueError(f"log rule pattern {self.pattern!r}: {exc}") from None
+        if missing:
+            raise ValueError(f"log rule pattern {self.pattern!r} lacks group(s) {missing}")
 
     def compiled(self) -> re.Pattern:
         return re.compile(self.pattern)
@@ -119,6 +129,8 @@ class SourceDescriptor(Record):
             raise ValueError(f"unknown source format {self.format!r}")
         if self.format == "pivoted_csv" and self.pivot is None:
             raise ValueError("pivoted_csv requires a pivot block")
+        if self.format == "log_lines" and not self.log_rules:
+            raise ValueError(f"source {self.source_id!r} has no log rules")
         keyset = set(self.key_columns)
         seen: set[str] = set()
         for group in self.supercell_groups:
@@ -254,8 +266,6 @@ def decompose_log(
     attribute/value pairs emit one super cell per match under the current
     ambient keys. Lines matched by no rule are counted and skipped.
     """
-    if not desc.log_rules:
-        raise ValueError(f"source {desc.source_id!r} has no log rules")
     stats = stats if stats is not None else DecomposeStats()
     compiled = [(rule, rule.compiled()) for rule in desc.log_rules]
     ambient: dict[str, str] = dict(desc.constant_keys)

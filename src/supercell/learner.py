@@ -22,6 +22,7 @@ import numpy as np
 from .assemble import AggModeConflict, TargetTable
 from .canon import CanonKind, DictionaryStore, SynonymDictionary
 from .core import (
+    DataError,
     FeatureSentence,
     KeyDomain,
     LabelSpace,
@@ -37,11 +38,11 @@ from .core import (
 from .mapping import LabeledSample, resolve_position
 
 
-class EmptyEvalSet(ValueError):
+class EmptyEvalSet(DataError):
     pass
 
 
-class CellTooWide(ValueError):
+class CellTooWide(DataError):
     """Labeled samples wider than the model's ``max_width`` attribute slots."""
 
 
@@ -168,13 +169,23 @@ class ModelParams:
 
     @staticmethod
     def load(path: str | Path) -> "ModelParams":
-        """Read a model file; one that ``save`` did not write, or a path
-        ``open_file`` rejects, raises MalformedRecord naming it."""
+        """Read a model file; one that ``save`` did not write (also one whose
+        arrays differ in name, shape or dtype from ``_array_table`` of its
+        header), or a path ``open_file`` rejects, raises MalformedRecord
+        naming it."""
         with open_file(path, "rb") as fh:
             try:
                 with np.load(fh) as data:
                     meta = ModelMeta.from_json(bytes(data["__meta__"]).decode())
                     arrays = {k: data[k] for k in data.files if k != "__meta__"}
+                shapes = {name: shape for name, shape, _ in _array_table(meta.config, meta.schema)}
+                dtype = np.dtype(meta.config.dtype)
+                missing = sorted(shapes.keys() - arrays.keys())
+                odd = sorted(f"{k} {a.dtype}{a.shape}" for k, a in arrays.items()
+                             if (a.shape, a.dtype) != (shapes.get(k), dtype))
+                if missing or odd:
+                    raise ValueError(f"arrays unlike the header's {dtype} model: "
+                                     f"missing {missing}, unexpected {odd}")
                 return ModelParams(meta.config, meta.schema, meta.key_kinds, arrays,
                                    meta.dictionaries)
             except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
@@ -196,6 +207,29 @@ class ModelMeta(Record):
             raise ValueError(f"unsupported model file format_version {self.format_version!r}")
 
 
+def _array_table(
+    config: TrainConfig, schema: TargetSchema
+) -> list[tuple[str, tuple[int, ...], float | None]]:
+    """Every array of a model: its name, its shape, and the scale of its
+    standard-normal draw (None for zeros), in the order ``init_params``
+    draws them."""
+    d, h = config.embed_dim, config.hidden
+    table = [("E", (config.bucket_count, d), 0.1)]
+    if config.encoder == "pooled":
+        table += [("W1", (d, h), 1.0 / np.sqrt(d)), ("b1", (h,), None)]
+        h_total = h
+    else:
+        for direction in ("f", "b"):
+            table += [(f"W{direction}", (d, 3 * h), 1.0 / np.sqrt(d)),
+                      (f"U{direction}", (h, 3 * h), 1.0 / np.sqrt(h)),
+                      (f"bias{direction}", (3 * h,), None)]
+        h_total = 2 * h
+    for i, size in enumerate(LabelSpace(schema, config.max_copy, config.max_width).head_sizes):
+        table += [(f"head{i}_W", (h_total, size), 1.0 / np.sqrt(h_total)),
+                  (f"head{i}_b", (size,), None)]
+    return table
+
+
 def init_params(
     config: TrainConfig,
     schema: TargetSchema,
@@ -204,29 +238,11 @@ def init_params(
 ) -> ModelParams:
     rng = np.random.default_rng(config.seed)
     dtype = np.dtype(config.dtype)
-    d, h = config.embed_dim, config.hidden
-    arrays: dict[str, np.ndarray] = {}
-
-    def norm(*shape: int, scale: float) -> np.ndarray:
-        return (rng.standard_normal(shape) * scale).astype(dtype)
-
-    arrays["E"] = norm(config.bucket_count, d, scale=0.1)
-    if config.encoder == "pooled":
-        arrays["W1"] = norm(d, h, scale=1.0 / np.sqrt(d))
-        arrays["b1"] = np.zeros(h, dtype=dtype)
-        h_total = h
-    else:
-        for direction in ("f", "b"):
-            arrays[f"W{direction}"] = norm(d, 3 * h, scale=1.0 / np.sqrt(d))
-            arrays[f"U{direction}"] = norm(h, 3 * h, scale=1.0 / np.sqrt(h))
-            arrays[f"bias{direction}"] = np.zeros(3 * h, dtype=dtype)
-        h_total = 2 * h
-
-    space = LabelSpace(schema, config.max_copy, config.max_width)
-    for i, size in enumerate(space.head_sizes):
-        arrays[f"head{i}_W"] = norm(h_total, size, scale=1.0 / np.sqrt(h_total))
-        arrays[f"head{i}_b"] = np.zeros(size, dtype=dtype)
-
+    arrays = {
+        name: np.zeros(shape, dtype=dtype) if scale is None
+        else (rng.standard_normal(shape) * scale).astype(dtype)
+        for name, shape, scale in _array_table(config, schema)
+    }
     kinds = key_kinds or [CanonKind("none")] * schema.q
     return ModelParams(config, schema, list(kinds), arrays, dict(dictionaries or {}))
 

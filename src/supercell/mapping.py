@@ -19,6 +19,7 @@ from .assemble import TargetTable, diff_tables
 from .canon import CanonKind, DictionaryStore, NONE, canonicalize, long_date
 from .core import (
     AggMode,
+    DataError,
     FeatureSentence,
     Record,
     SuperCell,
@@ -37,11 +38,11 @@ from .ingest import SourceDescriptor
 DISCARD = "DISCARD"
 
 
-class SpecViolation(ValueError):
+class SpecViolation(DataError):
     pass
 
 
-class KeyResolutionFailure(ValueError):
+class KeyResolutionFailure(DataError):
     pass
 
 

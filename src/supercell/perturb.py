@@ -35,7 +35,7 @@ from .core import (
     render_feature,
 )
 from .ingest import RawTable
-from .mapping import KeyHierarchy, LabeledSample, carry_label
+from .mapping import KeyHierarchy, LabeledSample, SpecViolation, carry_label
 
 
 @dataclass(frozen=True)
@@ -245,7 +245,7 @@ def expand_keys(
     if plan.key_expansion_rate <= 0:
         return list(corpus), list(labels)
     if hierarchy is None:
-        raise ValueError("key expansion needs a key hierarchy")
+        raise SpecViolation("key expansion needs a key hierarchy")
     rng = _rng(plan.seed, 4)
     rows: dict[tuple[str, int], list[int]] = {}
     for i, cell in enumerate(corpus):
@@ -425,9 +425,10 @@ def augment(
     Three families of copies are added: token-level rename/reformat/char
     noise; whole-component rename+reformat copies, so multi-word values like
     state names gain their alternate surface forms, each label carried by
-    ``mapping.carry_label`` as in ``perturb_corpus``; and, with ``hierarchy``,
-    key-expansion copies at finer key granularity (sources absent from
-    ``parent_component`` are not expanded). A nonzero
+    ``mapping.carry_label`` as in ``perturb_corpus``; and key-expansion
+    copies at finer key granularity (sources absent from
+    ``parent_component`` are not expanded; a plan that expands keys without
+    a ``hierarchy`` raises SpecViolation, as in ``perturb_corpus``). A nonzero
     ``add_remove_noise_columns`` mixes in synthetic irrelevant columns
     labeled as discards. Deterministic per (input order, plan seed).
     """
@@ -461,7 +462,7 @@ def augment(
             label = carry_label(base.label, before, after)
             add(LabeledSample(feature, label, base.origin), ["corpus_rename_reformat"])
 
-    if hierarchy is not None and plan.key_expansion_rate > 0:
+    if plan.key_expansion_rate > 0:
         base_key_len = {c.source_id: len(c.keys) for c in corpus}
         cells, labels = expand_keys(
             corpus, [s.label for s in samples], hierarchy, plan, parent_component or {}

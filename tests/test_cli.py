@@ -1,16 +1,23 @@
 """CLI pipeline: stage outputs, exit codes, file-path/in-process parity."""
 
+import importlib
+import inspect
 import json
+import pkgutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import supercell
 from supercell import cli
 from supercell.assemble import finalize_and_write
-from supercell.core import SuperCell, read_jsonl, write_jsonl
+from supercell.core import DataError, SuperCell, read_jsonl, write_jsonl
 from supercell.datasets import build_covid_fixture, build_log_fixture, write_fixture_files
-from supercell.learner import TrainConfig, init_params, integrate_predictions, train
+from supercell.evaluate import default_variants
+from supercell.learner import (
+    ModelParams, TrainConfig, init_params, integrate_predictions, train,
+)
 from supercell.mapping import generate_training_data
 from supercell.perturb import PerturbationPlan, augment
 
@@ -92,6 +99,39 @@ def workspace_config(workspace, tmp_path, **overrides):
     config.update(overrides)
     path = tmp_path / "c.json"
     path.write_text(json.dumps(config))
+    return str(path)
+
+
+def fixture_workspace(fixture, root, **overrides):
+    """``fixture``'s files under ``root`` and a run config ``c.json`` that
+    names them (plan ``plan.json``, output under ``out``); returns its path."""
+    write_fixture_files(fixture, root)
+    (root / "c.json").write_text(json.dumps({
+        "sources": [{"source_id": s, "path": f"{s}.csv"} for s in fixture.tables]
+        + [{"source_id": s, "path": f"{s}.log"} for s in fixture.logs],
+        "dictionaries": {d: f"{d}.json" for d in fixture.dictionaries},
+        "mapping_spec": "mapping_spec.json", "plan": "plan.json", "out_dir": "out",
+        **overrides,
+    }))
+    return str(root / "c.json")
+
+
+def augment_config(workspace, tmp_path, edit):
+    """Config for `augment` alone: the workspace's cells and samples, and
+    its spec changed by ``edit``, written under ``tmp_path``."""
+    root, fixture = workspace["root"], workspace["fixture"]
+    spec = json.loads((root / "mapping_spec.json").read_text())
+    edit(spec)
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    write_jsonl(fixture.all_cells(), tmp_path / "supercells.jsonl")
+    samples = generate_training_data(fixture.spec, fixture.corpora, fixture.dictionaries)
+    (tmp_path / "samples.jsonl").write_text("".join(s.to_json() + "\n" for s in samples))
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({
+        "mapping_spec": str(tmp_path / "spec.json"),
+        "plan": str(root / "plan.json"),
+        "out_dir": str(tmp_path),
+    }))
     return str(path)
 
 
@@ -318,21 +358,17 @@ class TestExitCodes:
         assert not (tmp_path / "augmented.jsonl").exists()
 
     def test_non_sum_rollup_is_data_error(self, workspace, tmp_path, capsys):
-        root, fixture = workspace["root"], workspace["fixture"]
-        spec = json.loads((root / "mapping_spec.json").read_text())
-        spec["key_hierarchy"]["rollup"] = "max"
-        (tmp_path / "spec.json").write_text(json.dumps(spec))
-        write_jsonl(fixture.all_cells(), tmp_path / "supercells.jsonl")
-        samples = generate_training_data(fixture.spec, fixture.corpora, fixture.dictionaries)
-        (tmp_path / "samples.jsonl").write_text("".join(s.to_json() + "\n" for s in samples))
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps({
-            "mapping_spec": str(tmp_path / "spec.json"),
-            "plan": str(root / "plan.json"),
-            "out_dir": str(tmp_path),
-        }))
-        assert run(["augment", "--config", str(path)]) == 2
+        path = augment_config(workspace, tmp_path,
+                              lambda spec: spec["key_hierarchy"].update(rollup="max"))
+        assert run(["augment", "--config", path]) == 2
         assert "rollup" in capsys.readouterr().err
+        assert not (tmp_path / "augmented.jsonl").exists()
+
+    def test_key_expansion_without_hierarchy_is_data_error(self, workspace, tmp_path, capsys):
+        # The workspace plan expands keys; the spec has no hierarchy to expand by.
+        path = augment_config(workspace, tmp_path, lambda spec: spec.pop("key_hierarchy"))
+        assert run(["augment", "--config", path]) == 2
+        assert "SpecViolation: key expansion needs a key hierarchy" in capsys.readouterr().err
         assert not (tmp_path / "augmented.jsonl").exists()
 
     def test_model_for_another_target_is_usage_error(self, workspace, tmp_path):
@@ -345,13 +381,14 @@ class TestExitCodes:
         assert run(["integrate", "--config", config]) == 1
         assert not (tmp_path / "target.csv").exists()
 
-    def test_missing_file_is_data_error(self, tmp_path):
+    def test_missing_file_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({
             "sources": [{"source_id": "covid", "path": "missing.csv"}],
             "mapping_spec": "missing_spec.json",
         }))
         assert run(["decompose", "--config", str(path)]) == 2
+        assert f"{tmp_path / 'missing_spec.json'}: no such file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("entry", [{"source_id": "covid"}, {"path": "covid.csv"}])
     def test_incomplete_sources_entry_is_usage_error(self, workspace, tmp_path, capsys,
@@ -512,14 +549,8 @@ class TestExitCodes:
         # A byte inserted into a copy of each input: 0xff is never UTF-8,
         # an extra "{" breaks the JSON.
         fixture = build_log_fixture(n_stamps=2) if name.endswith(".log") else workspace["fixture"]
-        write_fixture_files(fixture, tmp_path)
+        fixture_workspace(fixture, tmp_path)
         (tmp_path / "plan.json").write_text(json.dumps(workspace["plan"].to_dict()))
-        (tmp_path / "c.json").write_text(json.dumps({
-            "sources": [{"source_id": s, "path": f"{s}.csv"} for s in fixture.tables]
-            + [{"source_id": s, "path": f"{s}.log"} for s in fixture.logs],
-            "dictionaries": {d: f"{d}.json" for d in fixture.dictionaries},
-            "mapping_spec": "mapping_spec.json", "plan": "plan.json", "out_dir": "out",
-        }))
         damaged = tmp_path / name
         data = damaged.read_bytes()
         damaged.write_bytes(data[:10] + damage + data[10:])
@@ -599,6 +630,103 @@ class TestExitCodes:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))
         assert run(["decompose", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("edit", [
+        lambda source: source["log_rules"][0]["key_captures"].update(ts="stamp"),
+        lambda source: source["log_rules"][1]["attr_value_captures"].update(cpu_user="usr"),
+        lambda source: source["log_rules"][0].update(pattern="^Time: ("),
+        lambda source: source.update(log_rules=[]),
+    ], ids=["key_capture_group", "value_capture_group", "pattern", "no_rules"])
+    def test_malformed_log_rules_are_data_error(self, tmp_path, capsys, edit):
+        path = fixture_workspace(build_log_fixture(n_stamps=2), tmp_path)
+        spec_path = tmp_path / "mapping_spec.json"
+        spec = json.loads(spec_path.read_text())
+        edit(spec["sources"][0])
+        spec_path.write_text(json.dumps(spec))
+        assert run(["decompose", "--config", path]) == 2
+        assert f"SpecViolation: {spec_path}: ValueError" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "supercells.jsonl").exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda label: label.update(keys=label["keys"][:2]),
+        lambda label: label.update(attributes=["no_such_attribute"] * len(label["attributes"])),
+    ], ids=["two_keys", "unknown_attribute"])
+    def test_label_outside_the_schema_is_data_error(self, workspace, tmp_path, capsys, edit):
+        fixture = workspace["fixture"]
+        samples = generate_training_data(fixture.spec, fixture.corpora, fixture.dictionaries)
+        lines = [s.to_dict() for s in samples[:3]]
+        edit(lines[1]["label"])
+        (tmp_path / "samples.jsonl").write_text("".join(json.dumps(x) + "\n" for x in lines))
+        path = workspace_config(workspace, tmp_path, learner={
+            "epochs": 1, "embed_dim": 4, "hidden": 4, "bucket_count": 64})
+        assert run(["train", "--config", path]) == 2
+        assert "data error: InvalidPosition" in capsys.readouterr().err
+        assert not (tmp_path / "model.npz").exists()
+
+    def test_spec_mode_conflict_is_data_error(self, workspace, tmp_path, capsys):
+        # mobility's workplace lands on covid's confirmed, REPLACE against SUM.
+        spec = json.loads((workspace["root"] / "mapping_spec.json").read_text())
+        spec["attr_map"]["mobility"]["workplace"] = "confirmed"
+        spec["agg_map"]["covid"] = {"confirmed": "sum", "recovered": "sum"}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        path = workspace_config(workspace, tmp_path, mapping_spec=str(tmp_path / "spec.json"))
+        assert run(["baseline", "--config", path]) == 2
+        assert "data error: AggModeConflict" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", [
+        lambda arrays: arrays.clear(),
+        lambda arrays: arrays.update(E=arrays["E"][:10]),
+        lambda arrays: arrays.update(head0_W=arrays["head0_W"][:, :2]),
+        lambda arrays: arrays.update(Uf=arrays["Uf"].astype(np.int64)),
+    ], ids=["no_arrays", "short_embedding", "narrow_head", "int_weights"])
+    def test_model_arrays_unlike_its_header_are_data_error(self, workspace, tmp_path, capsys,
+                                                           damage):
+        config = integrate_config(workspace, tmp_path)
+        model = tmp_path / "model.npz"
+        params = ModelParams.load(model)
+        damage(params.arrays)
+        params.save(model)
+        assert run(["integrate", "--config", config]) == 2
+        assert f"MalformedRecord: {model}: ValueError" in capsys.readouterr().err
+        assert not (tmp_path / "target.csv").exists()
+
+    @pytest.mark.parametrize("flag, out", [
+        ("--out", "covid.csv"), ("--out", "covid.csv/x"), ("out_dir", "covid.csv"),
+    ])
+    def test_out_dir_that_is_a_file_is_usage_error(self, workspace, tmp_path, capsys,
+                                                   flag, out):
+        (tmp_path / "covid.csv").write_bytes((workspace["root"] / "covid.csv").read_bytes())
+        if flag == "--out":
+            args = ["--config", workspace_config(workspace, tmp_path), "--out", out]
+        else:
+            args = ["--config", workspace_config(workspace, tmp_path, out_dir=out)]
+        assert run(["decompose", *args]) == 1
+        assert f"usage error: out_dir {tmp_path / out} is not a directory" in (
+            capsys.readouterr().err)
+
+
+def test_ablate_without_hierarchy_leaves_out_key_expansion(tmp_path, capsys):
+    path = fixture_workspace(build_log_fixture(n_stamps=2), tmp_path, plan=None, learner={
+        "epochs": 1, "embed_dim": 4, "hidden": 4, "bucket_count": 64})
+    assert run(["ablate", "--config", path]) == 0
+    assert "ablate: left out key_expansion" in capsys.readouterr().err
+    (report,) = (tmp_path / "out" / "ablation").glob("*/ablation.csv")
+    variants = [line.split(",")[0] for line in report.read_text().splitlines()[1:]]
+    assert variants == [v.name for v in default_variants() if v.name != "key_expansion"]
+
+
+def test_every_program_exception_is_a_data_error():
+    # Exit 2 is ``except core.DataError``: an input check that raises any
+    # other exception class would exit 3, as a bug does.
+    stray = []
+    for info in pkgutil.iter_modules(supercell.__path__):
+        module = importlib.import_module(f"supercell.{info.name}")
+        for name, obj in vars(module).items():
+            if (inspect.isclass(obj) and issubclass(obj, Exception)
+                    and obj.__module__ == module.__name__ and obj is not cli.UsageError
+                    and not issubclass(obj, DataError)):
+                stray.append(f"{module.__name__}.{name}")
+    assert stray == []
 
 
 def test_seed_flag_overrides(workspace, tmp_path):
