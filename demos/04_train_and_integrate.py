@@ -35,14 +35,12 @@ plan = PerturbationPlan(
 )
 
 started = time.perf_counter()
-aug_model, curve, train_samples = train_on_fixture(
-    fixture, config, plan, with_augmentation=True
-)
+aug_model, curve, train_samples = train_on_fixture(fixture, config, plan)
 print(f"trained on {len(train_samples)} augmented samples "
       f"in {time.perf_counter() - started:.1f}s; "
       f"loss {curve[0].loss:.2f} -> {curve[-1].loss:.4f}")
 
-noaug_model, _, _ = train_on_fixture(fixture, config, plan, with_augmentation=False)
+noaug_model, _, _ = train_on_fixture(fixture, config, None)
 
 base = generate_training_data(fixture.spec, fixture.corpora, fixture.dictionaries)
 variant = AblationVariant(

@@ -36,7 +36,7 @@ plan = PerturbationPlan(
     value_reformat_rate=0.4, add_remove_noise_columns=20,
     synonym_dict="log_synonyms",
 )
-model, curve, samples = train_on_fixture(fixture, config, plan, with_augmentation=True)
+model, curve, samples = train_on_fixture(fixture, config, plan)
 print(f"trained on {len(samples)} samples; final loss {curve[-1].loss:.4f}")
 
 oracle = oracle_integrate(fixture.spec, fixture.corpora, fixture.dictionaries)

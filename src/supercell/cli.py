@@ -145,7 +145,11 @@ def cmd_gen_train(config: RunConfig) -> int:
 
 
 def _plan(config: RunConfig) -> perturb.PerturbationPlan:
-    return _record(perturb.PerturbationPlan, core.read_json(config.plan, object), "plan")
+    plan = _record(perturb.PerturbationPlan, core.read_json(config.plan, object), "plan")
+    if plan.synonym_dict and plan.synonym_dict not in config.dictionaries:
+        raise UsageError(f"plan {config.plan} names synonym_dict {plan.synonym_dict!r}, "
+                         "which the run config does not load")
+    return plan
 
 
 def cmd_augment(config: RunConfig) -> int:
@@ -190,8 +194,16 @@ def cmd_train(config: RunConfig) -> int:
     samples_path = out_dir / "augmented.jsonl"
     if not samples_path.exists():
         samples_path = out_dir / "samples.jsonl"
-    samples = core.read_jsonl(samples_path, mapping.LabeledSample)
-    params, curve = evaluate.train_from_spec(samples, _train_config(config), spec, dictionaries)
+    train_config = _train_config(config)
+    space = core.LabelSpace(spec.target, train_config.max_copy, train_config.max_width)
+
+    def check(sample: mapping.LabeledSample) -> None:
+        # A label wider than max_width is left to train, which counts them all.
+        if len(sample.label.attributes) <= space.max_width:
+            space.render(sample.label)
+
+    samples = core.read_jsonl(samples_path, mapping.LabeledSample, check)
+    params, curve = evaluate.train_from_spec(samples, train_config, spec, dictionaries)
     params.save(config.model)
     rows = ([p.epoch, f"{p.loss:.6f}", f"{p.train_acc:.6f}"] for p in curve)
     core.write_csv(["epoch", "loss", "train_acc"], rows, out_dir / "loss_curve.csv")
@@ -256,12 +268,10 @@ def cmd_eval(config: RunConfig) -> int:
 
 def cmd_ablate(config: RunConfig) -> int:
     fixture = _fixture(config)
-    seed = config.seed
-    train_plan = (
-        _plan(config) if config.plan
-        else perturb.PerturbationPlan(seed=seed, synonym_dict=None)
+    train_plan = _plan(config) if config.plan else None
+    variants = evaluate.default_variants(
+        config.seed + 9001, train_plan.synonym_dict if train_plan else None
     )
-    variants = evaluate.default_variants(seed + 9001)
     if fixture.spec.key_hierarchy is None:
         for variant in variants:
             if variant.plan.key_expansion_rate > 0:
@@ -269,9 +279,8 @@ def cmd_ablate(config: RunConfig) -> int:
         variants = [v for v in variants if v.plan.key_expansion_rate == 0]
     ablation = evaluate.AblationConfig(
         variants=variants,
-        with_augmentation=True,
         train_plan=train_plan,
-        seed=seed,
+        seed=config.seed,
     )
     out_dir = _out_dir(config) / "ablation"
     rows = evaluate.run_ablation(_train_config(config), fixture, ablation, out_dir)

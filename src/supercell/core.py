@@ -290,22 +290,30 @@ def write_jsonl(records: Iterable, path: str | Path) -> int:
     return len(lines)
 
 
-def read_jsonl(path: str | Path, record_type) -> list:
+def read_jsonl(path: str | Path, record_type, check: Callable | None = None) -> list:
     """Every non-blank line of ``path`` as ``record_type.from_json(line)``.
 
     Raises MalformedRecord naming the file, and the line of the first bad
-    line when the file is UTF-8."""
+    line when the file is UTF-8. ``check(record)``, when given, runs on
+    each record; a DataError it raises is raised again as its own type,
+    its message prefixed with the file and line."""
     records = []
     for number, line in enumerate(read_text(path).split("\n"), 1):
         if not line.strip():
             continue
         try:
-            records.append(record_type.from_json(line))
+            record = record_type.from_json(line)
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedRecord(
                 f"{path}:{number}: not a {record_type.__name__}: "
                 f"{type(exc).__name__}: {exc}"
             ) from exc
+        if check is not None:
+            try:
+                check(record)
+            except DataError as exc:
+                raise type(exc)(f"{path}:{number}: {exc.args[0]}") from exc
+        records.append(record)
     return records
 
 

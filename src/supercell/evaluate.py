@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .assemble import TargetTable, diff_tables, finalize_and_write
@@ -23,7 +23,7 @@ from .baseline import (
     storage_report,
 )
 from .canon import DictionaryStore
-from .core import Timings, write_csv, write_json
+from .core import Record, Timings, write_csv, write_json
 from .datasets import Fixture, build_pivoted_deaths, build_wide_tables, covid_unpivoted_view
 from .ingest import RawTable, decompose
 from .learner import ModelParams, TrainConfig, accuracy, integrate_predictions, train
@@ -32,7 +32,7 @@ from .perturb import PerturbationPlan, augment, noise_samples, perturb_corpus
 
 
 @dataclass(frozen=True)
-class AblationVariant:
+class AblationVariant(Record):
     """One test condition: a named perturbation plan applied to the test
     corpus only. ``reference_target`` is an informational accuracy target
     from prior published measurements of this protocol, never a gate."""
@@ -42,33 +42,25 @@ class AblationVariant:
     reference_target: float | None = None
 
 
-@dataclass
-class AblationConfig:
+@dataclass(frozen=True)
+class AblationConfig(Record):
+    """The test ladder and the training condition: ``train_plan``, or None
+    to train on the generated samples alone."""
+
     variants: list[AblationVariant]
-    with_augmentation: bool = True
-    dictionary: str = "local"  # local | none
-    train_plan: PerturbationPlan = field(default_factory=PerturbationPlan)
+    train_plan: PerturbationPlan | None = None
     seed: int = 0
 
     def config_hash(self) -> str:
-        payload = {
-            "variants": [
-                {"name": v.name, "plan": v.plan.to_dict()}
-                for v in self.variants
-            ],
-            "with_augmentation": self.with_augmentation,
-            "dictionary": self.dictionary,
-            "train_plan": self.train_plan.to_dict(),
-            "seed": self.seed,
-        }
-        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:12]
+        return hashlib.sha256(json.dumps(self.to_dict(), sort_keys=True).encode()).hexdigest()[:12]
 
 
-def default_variants(seed: int = 9001) -> list[AblationVariant]:
-    """The incremental schema-change ladder used by the ablation report."""
+def default_variants(seed: int, synonym_dict: str | None) -> list[AblationVariant]:
+    """The incremental schema-change ladder used by the ablation report;
+    its renames draw on the synonym dictionary ``synonym_dict`` (None: none)."""
 
     def plan(**kw) -> PerturbationPlan:
-        return PerturbationPlan(seed=seed, synonym_dict="covid_synonyms", **kw)
+        return PerturbationPlan(seed=seed, synonym_dict=synonym_dict, **kw)
 
     return [
         AblationVariant("clean", reference_target=0.999),
@@ -116,21 +108,16 @@ def variant_test_set(
 
 
 def build_training_samples(
-    fixture: Fixture,
-    plan: PerturbationPlan,
-    with_augmentation: bool,
-    dictionary: str = "local",
+    fixture: Fixture, plan: PerturbationPlan | None
 ) -> list[LabeledSample]:
+    """The fixture's generated samples, augmented under ``plan`` unless it is None."""
     base = generate_training_data(fixture.spec, fixture.corpora, fixture.dictionaries)
-    if not with_augmentation:
+    if plan is None:
         return base
-    dictionaries = fixture.dictionaries if dictionary == "local" else {}
-    if dictionary != "local":
-        plan = replace(plan, synonym_dict=None)
     return augment(
         base,
         plan,
-        dictionaries,
+        fixture.dictionaries,
         corpus=fixture.all_cells(),
         hierarchy=fixture.spec.key_hierarchy,
         parent_component=fixture.parent_component,
@@ -155,13 +142,9 @@ def train_from_spec(
 
 
 def train_on_fixture(
-    fixture: Fixture,
-    config: TrainConfig,
-    plan: PerturbationPlan,
-    with_augmentation: bool,
-    dictionary: str = "local",
+    fixture: Fixture, config: TrainConfig, plan: PerturbationPlan | None
 ) -> tuple[ModelParams, list, list[LabeledSample]]:
-    samples = build_training_samples(fixture, plan, with_augmentation, dictionary)
+    samples = build_training_samples(fixture, plan)
     params, curve = train_from_spec(samples, config, fixture.spec, fixture.dictionaries)
     return params, curve, samples
 
@@ -172,18 +155,18 @@ def run_ablation(
     ablation: AblationConfig,
     out_dir: str | Path,
 ) -> list[dict]:
-    """Train once per training condition and score every variant.
+    """Train once under ``train_plan`` and score every variant.
 
     Writes ``ablation.csv`` (deterministic) and ``timings.json`` under a
     run directory named by the config hash; returns the report rows."""
     run_dir = Path(out_dir) / ablation.config_hash()
     run_dir.mkdir(parents=True, exist_ok=True)
+    plan = ablation.train_plan
+    condition = {"with_augmentation": plan is not None,
+                 "dictionary": "local" if plan is not None and plan.synonym_dict else "none"}
     timings = Timings()
     with timings.block("train_s"):
-        params, _, _ = train_on_fixture(
-            fixture, model_config, ablation.train_plan,
-            ablation.with_augmentation, ablation.dictionary,
-        )
+        params, _, _ = train_on_fixture(fixture, model_config, plan)
 
     base_samples = generate_training_data(
         fixture.spec, fixture.corpora, fixture.dictionaries
@@ -199,13 +182,11 @@ def run_ablation(
                 "accuracy": round(acc, 4),
                 "n_samples": len(test_set),
                 "reference_target": variant.reference_target,
-                "with_augmentation": ablation.with_augmentation,
-                "dictionary": ablation.dictionary,
+                **condition,
             }
         )
 
-    header = ["variant", "accuracy", "n_samples", "reference_target",
-              "with_augmentation", "dictionary"]
+    header = ["variant", "accuracy", "n_samples", "reference_target", *condition]
     write_csv(header, ([row[name] for name in header] for row in rows), run_dir / "ablation.csv")
     timings.write(run_dir)
     return rows

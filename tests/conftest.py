@@ -70,13 +70,9 @@ def covid_models(covid_fixture, tmp_path_factory):
     config = desk_train_config()
     plan = covid_train_plan()
     started = time.perf_counter()
-    aug_params, aug_curve, aug_samples = train_on_fixture(
-        covid_fixture, config, plan, with_augmentation=True
-    )
+    aug_params, aug_curve, aug_samples = train_on_fixture(covid_fixture, config, plan)
     aug_train_s = time.perf_counter() - started
-    noaug_params, _, _ = train_on_fixture(
-        covid_fixture, config, plan, with_augmentation=False
-    )
+    noaug_params, _, _ = train_on_fixture(covid_fixture, config, None)
     model_path = tmp_path_factory.mktemp("model") / "covid_model.npz"
     aug_params.save(model_path)
     return {
@@ -104,7 +100,5 @@ def log_model(log_fixture):
         value_reformat_rate=0.4, add_remove_noise_columns=20,
         synonym_dict="log_synonyms",
     )
-    params, curve, samples = train_on_fixture(
-        log_fixture, config, plan, with_augmentation=True
-    )
+    params, curve, samples = train_on_fixture(log_fixture, config, plan)
     return {"params": params, "plan": plan, "curve": curve, "n_samples": len(samples)}

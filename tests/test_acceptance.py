@@ -75,7 +75,7 @@ def test_criterion_01_oracle_equivalence(covid_fixture, covid_models):
 
 
 def test_criterion_02_robustness_gate(covid_fixture, covid_models, covid_base_samples):
-    variants = {v.name: v for v in default_variants(777)}
+    variants = {v.name: v for v in default_variants(777, "covid_synonyms")}
     rename_reformat = variants["rename_6_attrs_value_formats"]
     expansion = variants["key_expansion"]
 
@@ -315,15 +315,14 @@ def _eval_suite_run(out_dir):
     config = desk_train_config(embed_dim=16, hidden=16, bucket_count=512, epochs=4)
     plan = covid_train_plan(seed=13)
     ablation = AblationConfig(
-        variants=default_variants(13 + 9001),
-        with_augmentation=True,
+        variants=default_variants(13 + 9001, "covid_synonyms"),
         train_plan=plan,
         seed=13,
     )
     run_ablation(config, fixture, ablation, out_dir / "ablation")
     from supercell.evaluate import train_on_fixture
 
-    params, _, _ = train_on_fixture(fixture, config, plan, with_augmentation=True)
+    params, _, _ = train_on_fixture(fixture, config, plan)
     compare_baseline(fixture, params, out_dir / "compare")
     run_dir = out_dir / "ablation" / ablation.config_hash()
     return (

@@ -128,6 +128,7 @@ def augment_config(workspace, tmp_path, edit):
     (tmp_path / "samples.jsonl").write_text("".join(s.to_json() + "\n" for s in samples))
     path = tmp_path / "c.json"
     path.write_text(json.dumps({
+        "dictionaries": {"covid_synonyms": str(root / "covid_synonyms.json")},
         "mapping_spec": str(tmp_path / "spec.json"),
         "plan": str(root / "plan.json"),
         "out_dir": str(tmp_path),
@@ -339,6 +340,18 @@ class TestExitCodes:
         assert run([command, "--config", str(path)]) == 1
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["augment", "ablate"])
+    def test_plan_dictionary_the_config_does_not_load_is_usage_error(
+            self, workspace, tmp_path, capsys, command):
+        (tmp_path / "plan.json").write_text(json.dumps(
+            {"seed": 1, "attr_rename_rate": 0.5, "synonym_dict": "no_such_dict"}))
+        path = workspace_config(workspace, tmp_path, plan=str(tmp_path / "plan.json"))
+        assert run([command, "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert f"usage error: plan {tmp_path / 'plan.json'} names synonym_dict 'no_such_dict'" in err
+        assert not (tmp_path / "augmented.jsonl").exists()
+        assert not (tmp_path / "ablation").exists()
+
     def test_cells_and_samples_mismatch_is_data_error(self, workspace, tmp_path, capsys):
         root, fixture = workspace["root"], workspace["fixture"]
         write_jsonl(fixture.all_cells(), tmp_path / "supercells.jsonl")
@@ -348,6 +361,7 @@ class TestExitCodes:
         )
         path = tmp_path / "c.json"
         path.write_text(json.dumps({
+            "dictionaries": {"covid_synonyms": str(root / "covid_synonyms.json")},
             "mapping_spec": str(root / "mapping_spec.json"),
             "plan": str(root / "plan.json"),
             "out_dir": str(tmp_path),
@@ -660,7 +674,8 @@ class TestExitCodes:
         path = workspace_config(workspace, tmp_path, learner={
             "epochs": 1, "embed_dim": 4, "hidden": 4, "bucket_count": 64})
         assert run(["train", "--config", path]) == 2
-        assert "data error: InvalidPosition" in capsys.readouterr().err
+        assert f"data error: InvalidPosition: {tmp_path / 'samples.jsonl'}:2: " in (
+            capsys.readouterr().err)
         assert not (tmp_path / "model.npz").exists()
 
     def test_spec_mode_conflict_is_data_error(self, workspace, tmp_path, capsys):
@@ -712,7 +727,7 @@ def test_ablate_without_hierarchy_leaves_out_key_expansion(tmp_path, capsys):
     assert "ablate: left out key_expansion" in capsys.readouterr().err
     (report,) = (tmp_path / "out" / "ablation").glob("*/ablation.csv")
     variants = [line.split(",")[0] for line in report.read_text().splitlines()[1:]]
-    assert variants == [v.name for v in default_variants() if v.name != "key_expansion"]
+    assert variants == [v.name for v in default_variants(9001, None) if v.name != "key_expansion"]
 
 
 def test_every_program_exception_is_a_data_error():

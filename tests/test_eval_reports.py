@@ -1,10 +1,15 @@
 """Report machinery: ablation table and variant construction."""
 
+import hashlib
+import json
+from dataclasses import replace
+
 from supercell.core import AggMode
-from supercell.datasets import build_covid_fixture
+from supercell.datasets import build_covid_fixture, build_log_fixture
 from supercell.evaluate import (
     AblationConfig,
     AblationVariant,
+    build_training_samples,
     default_variants,
     run_ablation,
     variant_test_set,
@@ -13,6 +18,10 @@ from supercell.mapping import generate_training_data
 from supercell.perturb import PerturbationPlan
 
 from conftest import desk_train_config
+
+
+def tokens(samples):
+    return {t for s in samples for t in s.feature.tokens}
 
 
 def tiny_fixture():
@@ -25,8 +34,7 @@ def tiny_config():
 
 def tiny_ablation(seed=1):
     return AblationConfig(
-        variants=default_variants(seed + 9001),
-        with_augmentation=True,
+        variants=default_variants(seed + 9001, "covid_synonyms"),
         train_plan=PerturbationPlan(
             seed=seed, attr_rename_rate=0.5, char_noise_rate=0.05,
             value_reformat_rate=0.3, key_expansion_rate=0.1,
@@ -87,6 +95,20 @@ class TestVariants:
         assert AblationVariant("v").plan == PerturbationPlan()
         assert plain.config_hash() != noisy.config_hash()
 
+    def test_config_hash_is_the_records_json(self):
+        ablation = tiny_ablation()
+        text = json.dumps(ablation.to_dict(), sort_keys=True)
+        assert ablation.config_hash() == hashlib.sha256(text.encode()).hexdigest()[:12]
+        assert AblationConfig.from_dict(json.loads(text)) == ablation
+
+    def test_log_ladder_renames_through_the_log_dictionary(self):
+        fixture = build_log_fixture(n_stamps=6)
+        base = generate_training_data(fixture.spec, fixture.corpora, fixture.dictionaries)
+        variants = {v.name: v for v in default_variants(9001, "log_synonyms")}
+        renamed = variant_test_set(fixture, base, variants["rename_5_attrs"])
+        aliases = {t for group in fixture.dictionaries["log_synonyms"].groups for t in group}
+        assert (tokens(renamed) - tokens(base)) & aliases
+
 
 class TestAblationReport:
     def test_report_rows_and_file(self, tmp_path):
@@ -101,8 +123,7 @@ class TestAblationReport:
 
     def test_clean_row_dominates_for_unaugmented_model(self, tmp_path):
         fixture = tiny_fixture()
-        ablation = tiny_ablation(seed=6)
-        ablation.with_augmentation = False
+        ablation = replace(tiny_ablation(seed=6), train_plan=None)
         rows = run_ablation(
             desk_train_config(embed_dim=16, hidden=24, bucket_count=512, epochs=14),
             fixture, ablation, tmp_path,
@@ -113,10 +134,7 @@ class TestAblationReport:
 
     def test_empty_variant_list(self, tmp_path):
         fixture = tiny_fixture()
-        ablation = AblationConfig(
-            variants=[], with_augmentation=False,
-            train_plan=PerturbationPlan(seed=1), seed=1,
-        )
+        ablation = AblationConfig(variants=[], train_plan=None, seed=1)
         rows = run_ablation(tiny_config(), fixture, ablation, tmp_path)
         assert rows == []
         content = (tmp_path / ablation.config_hash() / "ablation.csv").read_text()
@@ -126,23 +144,47 @@ class TestAblationReport:
         )
 
 
+class TestTrainingCondition:
+    # The plan is the whole training condition: None trains on the generated
+    # samples alone, and a plan without a synonym_dict uses no dictionary.
+
+    def test_no_plan_trains_on_generated_samples(self):
+        fixture = tiny_fixture()
+        base = generate_training_data(fixture.spec, fixture.corpora, fixture.dictionaries)
+        assert build_training_samples(fixture, None) == base
+
+    def test_all_zero_plan_adds_nothing(self):
+        fixture = tiny_fixture()
+        base = generate_training_data(fixture.spec, fixture.corpora, fixture.dictionaries)
+        assert build_training_samples(fixture, PerturbationPlan(seed=3)) == base
+
+    def test_report_columns_follow_the_plan(self, tmp_path):
+        fixture = tiny_fixture()
+        config = desk_train_config(embed_dim=4, hidden=4, bucket_count=64, epochs=1)
+        plans = {
+            "True,local": PerturbationPlan(seed=1, synonym_dict="covid_synonyms"),
+            "True,none": PerturbationPlan(seed=1),
+            "False,none": None,
+        }
+        for columns, plan in plans.items():
+            ablation = AblationConfig([AblationVariant("clean")], plan)
+            (row,) = run_ablation(config, fixture, ablation, tmp_path)
+            lines = (tmp_path / ablation.config_hash() / "ablation.csv").read_text().splitlines()
+            assert lines[1].endswith("," + columns)
+            assert f"{row['with_augmentation']},{row['dictionary']}" == columns
+
+
 class TestDictionaryAxis:
     def test_no_dictionary_falls_back_to_char_noise(self):
         # Without the local synonym dictionary, augmentation can only rename
         # through character noise; no alias surface forms appear.
-        from supercell.evaluate import build_training_samples
-
         fixture = tiny_fixture()
         plan = PerturbationPlan(
             seed=4, attr_rename_rate=1.0, synonym_dict="covid_synonyms"
         )
-        with_dict = build_training_samples(fixture, plan, True, dictionary="local")
-        without = build_training_samples(fixture, plan, True, dictionary="none")
+        with_dict = build_training_samples(fixture, plan)
+        without = build_training_samples(fixture, replace(plan, synonym_dict=None))
         aliases = {"positive_total", "healed_total", "fatalities",
                    "workplaces_pct", "retail_recreation", "grocery_pharmacy"}
-
-        def tokens(samples):
-            return {t for s in samples for t in s.feature.tokens}
-
         assert aliases & tokens(with_dict)
         assert not aliases & tokens(without)

@@ -492,7 +492,7 @@ class TestPinnedOutput:
         fixture, base = small
         digests = {
             v.name: digest(variant_test_set(fixture, base, v))
-            for v in default_variants(9001)
+            for v in default_variants(9001, "covid_synonyms")
         }
         assert digests == self.VARIANTS
 
