@@ -49,6 +49,9 @@ class RunConfig(core.Record):
     out_dir: Path = Path("runs")
     learner: dict[str, object] = dataclasses.field(default_factory=dict)
     seed: int = 0
+    # The file ``load_config`` read, named in the errors of the ``learner``
+    # block; not a key of the file.
+    path: Path | None = dataclasses.field(default=None, init=False, compare=False)
 
 
 def _record(cls, block, what: str):
@@ -58,7 +61,8 @@ def _record(cls, block, what: str):
     try:
         return cls.from_dict(block)
     except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"{what}: {exc}") from exc
+        # A KeyError's str() quotes its message.
+        raise UsageError(f"{what}: {exc.args[0] if exc.args else exc}") from exc
 
 
 def load_config(path: str, seed: int | None, out: str | None) -> RunConfig:
@@ -68,7 +72,7 @@ def load_config(path: str, seed: int | None, out: str | None) -> RunConfig:
     config = _record(RunConfig, core.read_json(path, object), f"run config {path}")
     base = Path(path).resolve().parent
     out_dir = base / (out if out is not None else config.out_dir)
-    return dataclasses.replace(
+    config = dataclasses.replace(
         config,
         sources=tuple(dataclasses.replace(s, path=base / s.path) for s in config.sources),
         dictionaries={name: base / p for name, p in config.dictionaries.items()},
@@ -78,6 +82,8 @@ def load_config(path: str, seed: int | None, out: str | None) -> RunConfig:
         out_dir=out_dir,
         seed=config.seed if seed is None else seed,
     )
+    object.__setattr__(config, "path", Path(path))
+    return config
 
 
 def _out_dir(config: RunConfig) -> Path:
@@ -145,7 +151,8 @@ def cmd_gen_train(config: RunConfig) -> int:
 
 
 def _plan(config: RunConfig) -> perturb.PerturbationPlan:
-    plan = _record(perturb.PerturbationPlan, core.read_json(config.plan, object), "plan")
+    plan = _record(perturb.PerturbationPlan, core.read_json(config.plan, object),
+                   f"plan {config.plan}")
     if plan.synonym_dict and plan.synonym_dict not in config.dictionaries:
         raise UsageError(f"plan {config.plan} names synonym_dict {plan.synonym_dict!r}, "
                          "which the run config does not load")
@@ -183,7 +190,7 @@ def cmd_augment(config: RunConfig) -> int:
 
 
 def _train_config(config: RunConfig) -> learner.TrainConfig:
-    read = _record(learner.TrainConfig, config.learner, "learner config")
+    read = _record(learner.TrainConfig, config.learner, f"run config {config.path}: learner")
     return dataclasses.replace(read, seed=config.seed)
 
 

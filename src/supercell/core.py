@@ -31,6 +31,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 
 class DataError(ValueError):
     """The base of every exception the program raises because of its inputs."""
@@ -505,7 +507,8 @@ class LabelSpace:
     ``max_width`` (target attributes plus NULL), and one aggregation head,
     in that order. The head layout is known only here: ``render`` and
     ``decode`` convert between positions and flat per-head class ids, and
-    ``live_heads`` names the heads a cell of a given width is scored on.
+    ``live_heads`` names the heads a cell of a given width is scored on
+    (``live_mask`` for many cells at once).
     """
 
     def __init__(self, schema: TargetSchema, max_copy: int = 6, max_width: int = 4):
@@ -539,6 +542,15 @@ class LabelSpace:
         aggregation head."""
         q = self.schema.q
         return list(range(q + min(width, self.max_width))) + [q + self.max_width]
+
+    def live_mask(self, widths: Sequence[int]) -> np.ndarray:
+        """``(len(widths), heads)`` bools, row ``i`` true on
+        ``live_heads(widths[i])``; each distinct width is expanded once."""
+        distinct, inverse = np.unique(np.asarray(widths, dtype=np.int64), return_inverse=True)
+        rows = np.zeros((len(distinct), len(self.head_sizes)), dtype=bool)
+        for row, width in zip(rows, distinct.tolist()):
+            row[self.live_heads(width)] = True
+        return rows[inverse]
 
     def render(self, pos: TargetPosition) -> tuple[int, ...]:
         """Encode a position as one class id per head: keys, ``max_width``

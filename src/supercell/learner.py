@@ -594,11 +594,9 @@ def _accuracy_encoded(encoded: list[EncodedSample], params: ModelParams, chunk: 
     if not encoded:
         raise EmptyEvalSet("no evaluation samples")
     choices, _ = _head_choices(encoded, params, chunk)
-    correct = 0
-    for sample, row in zip(encoded, choices):
-        live = params.space.live_heads(sample.width)
-        correct += int((row[live] == sample.targets[live]).all())
-    return correct / len(encoded)
+    targets = np.stack([s.targets for s in encoded])
+    live = params.space.live_mask([s.width for s in encoded])
+    return int(((choices == targets) | ~live).all(axis=1).sum()) / len(encoded)
 
 
 def accuracy(samples: list[LabeledSample], params: ModelParams) -> float:
@@ -622,17 +620,30 @@ def predict_cells(cells: list[SuperCell], params: ModelParams, chunk: int = 512)
     out of range, or that resolves outside its slot's closed key domain,
     degrades to NULL and is counted on the prediction; ``apply`` then
     counts the cell's values as skipped. A cell wider than ``max_width``
-    gets a position of ``max_width`` attributes."""
+    gets a position of ``max_width`` attributes.
+
+    Inputs repeat across the cells of a call, so each distinct (head-choice
+    row, width) is decoded once and each distinct (key component, slot) is
+    canonicalized once, through tables that live for this call only; the
+    confidences are one product over the live-head mask, the masked heads
+    counting as 1. Nothing is kept between calls."""
     encoded = [encode(render_feature(cell), params.vocab) for cell in cells]
     choices, chosen = _head_choices(encoded, params, chunk)
+    widths = [cell.width for cell in cells]
+    live = params.space.live_mask(widths)
+    confidences = np.where(live, chosen, chosen.dtype.type(1)).prod(axis=1).tolist()
     closed = params.schema.closed_values()
+    decoded: dict[tuple, TargetPosition] = {}
+    canonical: dict[tuple[str, int], str] = {}
     out = []
-    for cell, row, probs in zip(cells, choices, chosen):
+    for cell, row, width, confidence in zip(cells, choices.tolist(), widths, confidences):
+        key = (*row, min(width, params.space.max_width))
+        position = decoded.get(key)
+        if position is None:
+            position = decoded[key] = params.space.decode(row, width)
         position, out_of_range, outside = resolve_position(
-            params.space.decode(row, cell.width), cell, params.key_kinds, params.synonyms,
-            closed,
+            position, cell, params.key_kinds, params.synonyms, closed, canonical
         )
-        confidence = float(np.prod(probs[params.space.live_heads(cell.width)]))
         out.append(Prediction(position, confidence, out_of_range, outside))
     return out
 

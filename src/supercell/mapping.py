@@ -355,17 +355,22 @@ def resolve_position(
     key_kinds: list[CanonKind],
     dictionaries: DictionaryStore | None = None,
     closed: list[frozenset[str] | None] | None = None,
+    canonical: dict[tuple[str, int], str] | None = None,
 ) -> tuple[TargetPosition, int, int]:
     """Resolve COPY markers against the cell's canonically ordered keys.
 
     Returns the concrete position, the number of COPY components that were
     out of range, and the number that resolved outside their slot's closed
     domain (``closed``, as ``TargetSchema.closed_values`` gives it; None
-    treats every domain as open); both degrade to NULL.
+    treats every domain as open); both degrade to NULL. ``canonical``, when
+    given, is the caller's table of canonical values by (component, slot)
+    for these ``key_kinds`` and ``dictionaries``: a component found there
+    is not canonicalized again, and one that is not is added.
     """
     if pos.is_discard:
         return pos, 0, 0
     sorted_keys = cell.sorted_keys()
+    canonical = {} if canonical is None else canonical
     out: list[str | None] = []
     out_of_range = outside = 0
     for slot, entry in enumerate(pos.keys):
@@ -378,7 +383,10 @@ def resolve_position(
             out.append(None)
             out_of_range += 1
             continue
-        value = canonicalize(component, key_kinds[slot], dictionaries)
+        value = canonical.get((component, slot))
+        if value is None:
+            value = canonical[component, slot] = canonicalize(
+                component, key_kinds[slot], dictionaries)
         if closed and closed[slot] is not None and value not in closed[slot]:
             out.append(None)
             outside += 1

@@ -300,8 +300,15 @@ class TestExitCodes:
     ])
     def test_out_of_range_learner_value_is_usage_error(self, workspace, tmp_path,
                                                        capsys, block):
-        assert run(["train", "--config", self.learner_config(workspace, tmp_path, block)]) == 1
-        assert "learner config" in capsys.readouterr().err
+        path = self.learner_config(workspace, tmp_path, block)
+        assert run(["train", "--config", path]) == 1
+        assert f"usage error: run config {path}: learner: " in capsys.readouterr().err
+
+    def test_learner_error_names_the_run_config(self, workspace, tmp_path, capsys):
+        path = self.learner_config(workspace, tmp_path, {"epochs": 0})
+        assert run(["train", "--config", path]) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: run config {path}: learner: epochs must be at least 1, got 0\n")
 
     @pytest.mark.parametrize("key, value", [("out_dir", 5), ("dictionaries", ["x"])])
     def test_wrongly_typed_config_value_is_usage_error(self, workspace, tmp_path,
@@ -339,6 +346,16 @@ class TestExitCodes:
         }))
         assert run([command, "--config", str(path)]) == 1
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("plan, message", [
+        ({"seed": 1, "rename_rate": 0.5}, "unknown PerturbationPlan field 'rename_rate'"),
+        ({"attr_rename_rate": 2.0}, "attr_rename_rate must be in [0, 1], got 2.0"),
+    ])
+    def test_plan_error_names_the_plan_file(self, workspace, tmp_path, capsys, plan, message):
+        (tmp_path / "plan.json").write_text(json.dumps(plan))
+        path = workspace_config(workspace, tmp_path, plan=str(tmp_path / "plan.json"))
+        assert run(["augment", "--config", path]) == 1
+        assert capsys.readouterr().err == f"usage error: plan {tmp_path / 'plan.json'}: {message}\n"
 
     @pytest.mark.parametrize("command", ["augment", "ablate"])
     def test_plan_dictionary_the_config_does_not_load_is_usage_error(

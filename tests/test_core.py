@@ -3,6 +3,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -206,6 +207,15 @@ class TestLabels:
         assert space.live_heads(4) == [0, 1, 2, 3, 4, 5, 6]
         # A cell wider than max_width is scored on max_width slots.
         assert space.live_heads(9) == space.live_heads(4)
+
+    def test_live_mask_rows_are_live_heads(self):
+        space = LabelSpace(SCHEMA, max_width=4)
+        widths = [1, 9, 4, 1, 0, 2]
+        mask = space.live_mask(widths)
+        assert mask.shape == (len(widths), len(space.head_sizes))
+        assert [np.flatnonzero(row).tolist() for row in mask] == [
+            space.live_heads(w) for w in widths]
+        assert space.live_mask([]).shape == (0, len(space.head_sizes))
 
     def test_wide_cell_decodes_to_max_width(self):
         space = LabelSpace(SCHEMA, max_width=2)

@@ -43,7 +43,8 @@ from supercell.learner import (
     predict_cells,
     train,
 )
-from supercell.mapping import LabeledSample
+from supercell import mapping
+from supercell.mapping import LabeledSample, resolve_position
 
 
 SCHEMA = TargetSchema(
@@ -459,7 +460,103 @@ class TestTrain:
         assert params.finite()
 
 
+# Two key slots: an open date slot and a closed state slot whose values go
+# through a synonym dictionary, so a COPY of "az" resolves to "arizona",
+# outside the closed domain.
+KEYED_SCHEMA = TargetSchema(
+    attributes=("date", "state", "cases", "deaths", "tests"),
+    key_attributes=("date", "state"),
+    key_domains={"date": KeyDomain((), open=True),
+                 "state": KeyDomain(("alabama", "alaska"), open=False)},
+)
+KEYED_KINDS = [CanonKind("date"), CanonKind("dict", "states")]
+STATES = {"states": [["alabama", "al"], ["alaska", "ak"], ["arizona", "az"]]}
+# Few components, so cells share them; up to three keys, so COPY(2) can be
+# out of range.
+COMPONENTS = ["1/2/2020", "2020-01-02", "Jan 3, 2020", "AL", "Alaska", "az", "tx"]
+
+
+def predict_reference(cells, params, chunk):
+    """``predict_cells`` computed cell by cell: one decode, one resolution
+    with no shared table, and one ``np.prod`` over the live heads each."""
+    encoded = [encode(render_feature(cell), params.vocab) for cell in cells]
+    choices, chosen = learner._head_choices(encoded, params, chunk)
+    closed = params.schema.closed_values()
+    out = []
+    for cell, row, probs in zip(cells, choices, chosen):
+        position, out_of_range, outside = resolve_position(
+            params.space.decode(row, cell.width), cell, params.key_kinds, params.synonyms,
+            closed)
+        confidence = float(np.prod(probs[params.space.live_heads(cell.width)]))
+        out.append(learner.Prediction(position, confidence, out_of_range, outside))
+    return out
+
+
+@st.composite
+def keyed_cells(draw, max_width):
+    """Cells of one to three keys drawn from ``COMPONENTS`` and one to
+    ``max_width + 1`` attributes."""
+    cells = []
+    for row in range(draw(st.integers(9, 24))):
+        keys = draw(st.lists(st.sampled_from(COMPONENTS), min_size=1, max_size=3, unique=True))
+        width = draw(st.integers(1, max_width + 1))
+        attrs = draw(st.lists(st.sampled_from(["Cases", "deaths", "Tests", "x"]),
+                              min_size=width, max_size=width))
+        cells.append(SuperCell("s", tuple(keys), tuple(attrs),
+                               tuple(str(row * 7 + i) for i in range(width)), row))
+    return cells
+
+
 class TestPredict:
+    @settings(max_examples=40, deadline=None)
+    @given(cells=keyed_cells(max_width=2), seed=st.integers(0, 2**16),
+           scale=st.sampled_from([1.0, 4.0]), dtype=st.sampled_from(["float32", "float64"]),
+           encoder=st.sampled_from(["pooled", "recurrent"]))
+    def test_predictions_equal_the_per_cell_reference(self, cells, seed, scale, dtype,
+                                                      encoder):
+        config = tiny_config(encoder=encoder, dtype=dtype, seed=seed, max_copy=3, max_width=2)
+        params = init_params(config, KEYED_SCHEMA, KEYED_KINDS, STATES)
+        for i in range(len(params.space.head_sizes)):
+            params.arrays[f"head{i}_W"] *= scale
+        got = predict_cells(cells, params, chunk=4)
+        assert got == predict_reference(cells, params, chunk=4)
+        assert all(type(p.confidence) is float for p in got)
+
+    def test_each_component_is_canonicalized_once_per_call(self, monkeypatch):
+        # Every cell's position is COPY(0) for the date and COPY(1) for the
+        # state, so each cell resolves two components.
+        params = init_params(tiny_config(max_copy=2, max_width=1), KEYED_SCHEMA,
+                             KEYED_KINDS, STATES)
+        for i in range(len(params.space.head_sizes)):
+            params.arrays[f"head{i}_W"][:] = 0
+        for slot in range(2):
+            params.arrays[f"head{slot}_b"][
+                params.space.key_vocabs[slot].index(copy_marker(slot))] = 10.0
+        params.arrays["head2_b"][params.space.attr_vocab.index("cases")] = 10.0
+        params.arrays["head3_b"][AGG_MODES.index(AggMode.REPLACE)] = 10.0
+        cells = [SuperCell("s", (date, state), ("Cases",), (str(i),), i)
+                 for i, (date, state) in enumerate(
+                     [(d, s) for d in ("1/2/2020", "2020-01-03") for s in ("AL", "ak", "al")]
+                     * 3)]
+        calls = []
+        canonicalize = mapping.canonicalize
+
+        def counted(value, kind, dictionaries=None):
+            calls.append((value, kind))
+            return canonicalize(value, kind, dictionaries)
+
+        monkeypatch.setattr(mapping, "canonicalize", counted)
+        predictions = predict_cells(cells, params)
+        assert len(calls) == len(set(calls)) == 5
+        assert set(calls) == ({(c.keys[0], KEYED_KINDS[0]) for c in cells}
+                              | {(c.keys[1], KEYED_KINDS[1]) for c in cells})
+        assert {p.position.keys for p in predictions} == {
+            ("2020-01-02", "alabama"), ("2020-01-02", "alaska"),
+            ("2020-01-03", "alabama"), ("2020-01-03", "alaska")}
+        # The table lives for one call: the next call canonicalizes again.
+        predict_cells(cells[:1], params)
+        assert len(calls) == 7
+
     def test_memorized_sample_replayed(self):
         samples = make_samples(10)
         params, _ = train(samples, tiny_config(epochs=200), SCHEMA)
@@ -591,6 +688,30 @@ class TestIntegrate:
 
 
 class TestAccuracy:
+    @pytest.mark.parametrize("encoder", ["pooled", "recurrent"])
+    def test_count_equals_the_per_sample_loop(self, encoder):
+        # Targets are the model's own choices, with a head past the
+        # sample's width changed (still correct) or a live head changed.
+        params = init_params(tiny_config(encoder=encoder, max_width=3), KEYED_SCHEMA)
+        sizes = params.space.head_sizes
+        encoded = [encode(FeatureSentence(("tok", str(i)), ("ATTR", "VAL")), params.vocab,
+                          width=1 + i // 3 % 3) for i in range(36)]
+        choices, _ = learner._head_choices(encoded, params)
+        for i, (sample, row) in enumerate(zip(encoded, choices)):
+            sample.targets = row.copy()
+            live = params.space.live_heads(sample.width)
+            dead = KEYED_SCHEMA.q + sample.width if sample.width < 3 else None
+            head = (None, dead, live[i % len(live)])[i % 3]
+            if head is not None:
+                sample.targets[head] = (row[head] + 1) % sizes[head]
+        expected = sum(
+            int((row[live] == s.targets[live]).all())
+            for s, row in zip(encoded, choices)
+            for live in [params.space.live_heads(s.width)]
+        ) / len(encoded)
+        assert 0 < expected < 1
+        assert _accuracy_encoded(encoded, params) == expected
+
     def test_perfect_model(self):
         samples = make_samples(10)
         params, _ = train(samples, tiny_config(epochs=200), SCHEMA)
