@@ -3,7 +3,7 @@
 Renames, value reformats, and character noise change how a cell *looks*
 without changing where it belongs, so labels carry over untouched. Key
 expansion is the exception: children aggregate back to the parent cell, so
-the label's aggregation mode switches to the rollup mode, and each child
+the label's aggregation mode switches to SUM, and each child
 re-points its COPY markers at the same key components, which can move once
 the new child key sorts among them.
 """

@@ -43,10 +43,10 @@ def _parse_decimal(value: str) -> Decimal | None:
         return None
 
 
-def render_decimal(value: Decimal, max_frac_digits: int = 6) -> str:
-    """Render with at most ``max_frac_digits`` fractional digits, trailing
-    zeros trimmed; integral values render without a decimal point."""
-    quantum = Decimal(1).scaleb(-max_frac_digits)
+def render_decimal(value: Decimal) -> str:
+    """Render with at most 6 fractional digits, trailing zeros trimmed;
+    integral values render without a decimal point."""
+    quantum = Decimal(1).scaleb(-6)
     quantized = value.quantize(quantum)
     text = format(quantized.normalize(), "f")
     return text

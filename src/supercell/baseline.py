@@ -18,7 +18,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .canon import CanonKind, DictionaryStore, NONE, canonicalize
-from .core import AggMode, DataError, SuperCell, TargetPosition, TargetSchema, fnv1a64, read_json
+from .core import (
+    AggMode, DataError, MalformedRecord, SuperCell, TargetPosition, TargetSchema, fnv1a64,
+    open_file, read_json,
+)
 from .assemble import TargetTable
 from .ingest import RawTable, is_missing
 
@@ -41,7 +44,6 @@ class MinHashSignature:
 
     values: tuple[int, ...]
     L: int
-    seed: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(int(v) for v in self.values))
@@ -49,47 +51,49 @@ class MinHashSignature:
             raise IncompatibleSignatures(f"{len(self.values)} values for L={self.L}")
 
 
-def shingles(value: str, size: int = 3) -> set[str]:
+def shingles(value: str) -> set[str]:
+    """The 3-character shingles of a value, lowercased; a shorter value is
+    its own one shingle."""
     text = value.strip().lower()
-    if len(text) <= size:
+    if len(text) <= 3:
         return {text} if text else set()
-    return {text[i : i + size] for i in range(len(text) - size + 1)}
+    return {text[i : i + 3] for i in range(len(text) - 2)}
 
 
-def column_shingles(column: list[str], size: int = 3) -> set[str]:
+def column_shingles(column: list[str]) -> set[str]:
     out: set[str] = set()
     for value in column:
         if not is_missing(value):
-            out |= shingles(value, size)
+            out |= shingles(value)
     return out
 
 
-def _hash_matrix(shingle_list: list[str], L: int, seed: int) -> np.ndarray:
-    """L seeded 64-bit hashes per shingle, truncated to 32 bits."""
+def _hash_matrix(shingle_list: list[str], L: int) -> np.ndarray:
+    """L 64-bit hashes per shingle, truncated to 32 bits: one hash family
+    shared by every signature, so any two signatures of one L compare."""
     base = np.array([fnv1a64(s) for s in shingle_list], dtype=np.uint64)
     js = np.arange(L, dtype=np.uint64)
     mix = base[:, None] ^ (js[None, :] * np.uint64(0x9E3779B97F4A7C15))
-    mix ^= np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
     mix = (mix ^ (mix >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
     mix = (mix ^ (mix >> np.uint64(33))) * np.uint64(0xC4CEB9FE1A85EC53)
     mix ^= mix >> np.uint64(33)
     return (mix & np.uint64(0xFFFFFFFF)).astype(np.uint32)
 
 
-def signature(column: list[str], L: int = 128, seed: int = 0) -> MinHashSignature:
+def signature(column: list[str], L: int = 128) -> MinHashSignature:
     """MinHash signature of a column: position j holds the minimum of the
     j-th hash over the column's shingle set."""
     shingle_set = sorted(column_shingles(column))
     if not shingle_set:
         raise EmptyColumn("no shingles after dropping missing cells")
-    matrix = _hash_matrix(shingle_set, L, seed)
-    return MinHashSignature(matrix.min(axis=0).tolist(), L, seed)
+    matrix = _hash_matrix(shingle_set, L)
+    return MinHashSignature(matrix.min(axis=0).tolist(), L)
 
 
 def estimate_jaccard(a: MinHashSignature, b: MinHashSignature) -> float:
     """Fraction of agreeing signature positions; unbiased for true Jaccard."""
-    if a.L != b.L or a.seed != b.seed:
-        raise IncompatibleSignatures("signatures use different L or seed family")
+    if a.L != b.L:
+        raise IncompatibleSignatures("signatures use different L")
     agree = sum(1 for x, y in zip(a.values, b.values) if x == y)
     return agree / a.L
 
@@ -112,7 +116,7 @@ class MatchReport:
 
 
 def sign_columns(
-    sources: dict[str, RawTable], L: int = 128, seed: int = 0
+    sources: dict[str, RawTable], L: int = 128
 ) -> dict[tuple[str, str], MinHashSignature]:
     """The signature store: one signature per non-empty column, keyed
     ``(source_id, column)`` in source insertion order, then header order.
@@ -121,7 +125,7 @@ def sign_columns(
     for source_id, table in sources.items():
         for column in table.header:
             try:
-                store[(source_id, column)] = signature(table.column(column), L, seed)
+                store[(source_id, column)] = signature(table.column(column), L)
             except EmptyColumn:
                 continue
     return store
@@ -134,8 +138,8 @@ def match_signatures(
 ) -> MatchReport:
     """Best stored column per target attribute, by estimated Jaccard.
 
-    The example's columns are signed with the store's own L and seed; a
-    store that mixes them raises ``IncompatibleSignatures``. Stored columns
+    The example's columns are signed with the store's own L; a store that
+    mixes L values raises ``IncompatibleSignatures``. Stored columns
     are scanned in insertion order, so ties go to the earlier column. An
     unmatched attribute is recorded, not fatal.
     """
@@ -146,7 +150,7 @@ def match_signatures(
     per_source: dict[tuple[str, str], ColumnMatch] = {}
     for attr in target_example.header:
         try:
-            target_sig = signature(target_example.column(attr), first.L, first.seed)
+            target_sig = signature(target_example.column(attr), first.L)
         except EmptyColumn:
             continue
         for (source_id, column), sig in store.items():
@@ -167,10 +171,9 @@ def match_columns(
     target_example: RawTable,
     threshold: float = 0.5,
     L: int = 128,
-    seed: int = 0,
 ) -> MatchReport:
     """``match_signatures`` over a store signed from ``sources``."""
-    return match_signatures(sign_columns(sources, L, seed), target_example, threshold)
+    return match_signatures(sign_columns(sources, L), target_example, threshold)
 
 
 def select_sources(matches: dict[str, ColumnMatch]) -> list[str]:
@@ -264,7 +267,6 @@ class IndexEntry(NamedTuple):
     source: str
     column: str
     L: int
-    seed: int
     offset: int
 
 
@@ -278,19 +280,25 @@ def save_signatures(
         offset = 0
         for (source, column), sig in signatures.items():
             fh.write(np.asarray(sig.values, "<u4").tobytes())
-            index.append(IndexEntry(source, column, sig.L, sig.seed, offset)._asdict())
+            index.append(IndexEntry(source, column, sig.L, offset)._asdict())
             offset += sig.L * 4
     with open(path.with_suffix(path.suffix + ".index.json"), "w", encoding="utf-8") as fh:
         json.dump(index, fh, indent=1)
 
 
 def load_signatures(path: str | Path) -> dict[tuple[str, str], MinHashSignature]:
+    """The store ``save_signatures`` wrote at ``path``; a missing file, or
+    one too short for its index, raises MalformedRecord naming it."""
     path = Path(path)
     index = read_json(path.with_suffix(path.suffix + ".index.json"), list[IndexEntry])
-    blob = path.read_bytes()
-    return {
-        (e.source, e.column): MinHashSignature(
-            np.frombuffer(blob, "<u4", e.L, e.offset).tolist(), e.L, e.seed
-        )
-        for e in index
-    }
+    with open_file(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        return {
+            (e.source, e.column): MinHashSignature(
+                np.frombuffer(blob, "<u4", e.L, e.offset).tolist(), e.L
+            )
+            for e in index
+        }
+    except ValueError as exc:
+        raise MalformedRecord(f"{path}: {exc}") from exc

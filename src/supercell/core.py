@@ -511,7 +511,7 @@ class LabelSpace:
     (``live_mask`` for many cells at once).
     """
 
-    def __init__(self, schema: TargetSchema, max_copy: int = 6, max_width: int = 4):
+    def __init__(self, schema: TargetSchema, max_copy: int, max_width: int):
         self.schema = schema
         self.max_copy = max_copy
         self.max_width = max_width

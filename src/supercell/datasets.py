@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .canon import CanonKind, DictionaryStore, SynonymDictionary
-from .core import AggMode, KeyDomain, SuperCell, TargetSchema
+from .core import KeyDomain, SuperCell, TargetSchema
 from .ingest import (
     LogRule,
     Pivot,
@@ -160,7 +160,6 @@ def build_covid_fixture(
     hierarchy = KeyHierarchy(
         key_attr="state",
         children={s: (f"{s} north", f"{s} south") for s in states},
-        rollup=AggMode.SUM,
     )
     spec = MappingSpec(
         target=schema,

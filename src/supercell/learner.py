@@ -49,10 +49,11 @@ class CellTooWide(DataError):
 class SubwordVocab:
     """The token table: character n-gram hashing for tokens.
 
-    Each token contributes the n-grams (sizes ``ngram_min..ngram_max``) of
-    "<token>" with boundary markers, plus one whole-token bucket, all hashed
-    into ``bucket_count`` buckets. Every token therefore maps to at least
-    one bucket and out-of-vocabulary tokens need no special handling.
+    Each token contributes the character 3- to 5-grams of "<token>" with
+    boundary markers (the subword sizes of Bojanowski et al. 2017), plus
+    one whole-token bucket, all hashed into ``bucket_count`` buckets. Every
+    token therefore maps to at least one bucket and out-of-vocabulary
+    tokens need no special handling.
 
     A token gets an int id the first time it is seen; ``table()`` holds the
     bucket ids of every token so far, concatenated in id order, with each
@@ -61,10 +62,8 @@ class SubwordVocab:
     token's vector.
     """
 
-    def __init__(self, bucket_count: int = 2**15, ngram_min: int = 3, ngram_max: int = 5):
+    def __init__(self, bucket_count: int):
         self.bucket_count = bucket_count
-        self.ngram_min = ngram_min
-        self.ngram_max = ngram_max
         self._ids: dict[str, int] = {}
         self._new: list[np.ndarray] = []  # bucket ids of tokens not yet in the table
         self._flat = np.zeros(0, dtype=np.int64)
@@ -74,7 +73,7 @@ class SubwordVocab:
     def ngrams(self, token: str) -> list[str]:
         wrapped = f"<{token}>"
         out = [wrapped]
-        for n in range(self.ngram_min, self.ngram_max + 1):
+        for n in range(3, 6):
             if len(wrapped) >= n:
                 out.extend(wrapped[i : i + n] for i in range(len(wrapped) - n + 1))
         return out
@@ -112,8 +111,6 @@ class TrainConfig(Record):
     embed_dim: int = 64
     hidden: int = 64
     bucket_count: int = 2**15
-    ngram_min: int = 3
-    ngram_max: int = 5
     max_copy: int = 6
     max_width: int = 4
     learning_rate: float = 1e-3
@@ -125,12 +122,9 @@ class TrainConfig(Record):
     def __post_init__(self) -> None:
         if self.encoder not in ("recurrent", "pooled"):
             raise ValueError(f"unknown encoder {self.encoder!r}")
-        for name in ("epochs", "batch_size", "embed_dim", "hidden", "bucket_count",
-                     "max_width", "ngram_min"):
+        for name in ("epochs", "batch_size", "embed_dim", "hidden", "bucket_count", "max_width"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
-        if self.ngram_max < self.ngram_min:
-            raise ValueError(f"ngram_max {self.ngram_max} is below ngram_min {self.ngram_min}")
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate!r}")
         if self.dtype not in ("float32", "float64"):
@@ -150,9 +144,7 @@ class ModelParams:
     dictionaries: dict[str, list[list[str]]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.vocab = SubwordVocab(
-            self.config.bucket_count, self.config.ngram_min, self.config.ngram_max
-        )
+        self.vocab = SubwordVocab(self.config.bucket_count)
         self.space = LabelSpace(self.schema, self.config.max_copy, self.config.max_width)
         self.synonyms: DictionaryStore = {
             name: SynonymDictionary(name, groups) for name, groups in self.dictionaries.items()
@@ -566,8 +558,11 @@ def train(
     return params, curve
 
 
+_CHUNK = 512  # samples per forward pass when no activations are kept
+
+
 def _head_choices(
-    encoded: list[EncodedSample], params: ModelParams, chunk: int = 512
+    encoded: list[EncodedSample], params: ModelParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each sample's argmax class per head and the softmax probability of
     that class, as two ``(samples, heads)`` arrays in input order.
@@ -580,8 +575,8 @@ def _head_choices(
     choices = np.zeros(shape, dtype=np.int64)
     chosen = np.zeros(shape, dtype=params.arrays["E"].dtype)
     order = np.argsort([len(s.token_ids) for s in encoded], kind="stable")
-    for start in range(0, len(encoded), chunk):
-        part = order[start : start + chunk]
+    for start in range(0, len(encoded), _CHUNK):
+        part = order[start : start + _CHUNK]
         logits, _ = _forward_batch([encoded[i] for i in part], params)
         for head, head_logits in enumerate(logits):
             top = head_logits.max(axis=1, keepdims=True)
@@ -590,10 +585,10 @@ def _head_choices(
     return choices, chosen
 
 
-def _accuracy_encoded(encoded: list[EncodedSample], params: ModelParams, chunk: int = 512) -> float:
+def _accuracy_encoded(encoded: list[EncodedSample], params: ModelParams) -> float:
     if not encoded:
         raise EmptyEvalSet("no evaluation samples")
-    choices, _ = _head_choices(encoded, params, chunk)
+    choices, _ = _head_choices(encoded, params)
     targets = np.stack([s.targets for s in encoded])
     live = params.space.live_mask([s.width for s in encoded])
     return int(((choices == targets) | ~live).all(axis=1).sum()) / len(encoded)
@@ -614,7 +609,7 @@ class Prediction:
     copy_outside_domain: int = 0
 
 
-def predict_cells(cells: list[SuperCell], params: ModelParams, chunk: int = 512) -> list[Prediction]:
+def predict_cells(cells: list[SuperCell], params: ModelParams) -> list[Prediction]:
     """Argmax position for each super cell, with COPY markers resolved
     against the cell's canonically ordered keys. A COPY component that is
     out of range, or that resolves outside its slot's closed key domain,
@@ -628,7 +623,7 @@ def predict_cells(cells: list[SuperCell], params: ModelParams, chunk: int = 512)
     confidences are one product over the live-head mask, the masked heads
     counting as 1. Nothing is kept between calls."""
     encoded = [encode(render_feature(cell), params.vocab) for cell in cells]
-    choices, chosen = _head_choices(encoded, params, chunk)
+    choices, chosen = _head_choices(encoded, params)
     widths = [cell.width for cell in cells]
     live = params.space.live_mask(widths)
     confidences = np.where(live, chosen, chosen.dtype.type(1)).prod(axis=1).tolist()
@@ -665,10 +660,10 @@ def integrate_predictions(cells: list[SuperCell], params: ModelParams):
     return table
 
 
-def gradient_check(encoder: str = "pooled", seed: int = 0, eps: float = 1e-4) -> float:
+def gradient_check(encoder: str = "pooled", seed: int = 0) -> float:
     """Max relative error between analytic and central-difference gradients
-    on a random tiny model; near-zero pairs fall under an absolute 1e-6
-    tolerance and count as zero error."""
+    (step 1e-4) on a random tiny model; near-zero pairs fall under an
+    absolute 1e-6 tolerance and count as zero error."""
     rng = np.random.default_rng(seed)
     schema = TargetSchema(
         attributes=("k1", "a", "b"),
@@ -702,12 +697,12 @@ def gradient_check(encoder: str = "pooled", seed: int = 0, eps: float = 1e-4) ->
         grad_flat = grads[key].reshape(-1)
         for idx in range(flat.size):
             original = flat[idx]
-            flat[idx] = original + eps
+            flat[idx] = original + 1e-4
             loss_plus, _ = loss_and_grads(batch, params)
-            flat[idx] = original - eps
+            flat[idx] = original - 1e-4
             loss_minus, _ = loss_and_grads(batch, params)
             flat[idx] = original
-            numeric = (loss_plus - loss_minus) / (2 * eps)
+            numeric = (loss_plus - loss_minus) / 2e-4
             analytic = grad_flat[idx]
             denom = max(abs(numeric), abs(analytic))
             if denom < 1e-6:

@@ -46,10 +46,7 @@ class KeyResolutionFailure(DataError):
     pass
 
 
-_RENDERERS = {
-    "long_date": long_date,
-    "title": lambda v: v.title(),
-}
+_RENDERERS = {"long_date": long_date}
 
 
 @dataclass(frozen=True)
@@ -80,25 +77,16 @@ class KeyMapEntry(Record):
 
 @dataclass(frozen=True)
 class KeyHierarchy(Record):
-    """Parent/child rollup used by key-expansion perturbations.
+    """Parent/child key values used by key-expansion perturbations.
 
     ``children`` maps a parent key value (of target key attribute
-    ``key_attr``) to its child names; values of expanded rows aggregate back
-    to the parent cell with ``rollup``. Expansion splits each value into an
-    integer sum, so ``rollup`` must be SUM: no other mode gives the parent
-    value back.
+    ``key_attr``) to its child names. Expansion splits each value into an
+    integer sum, so values of expanded rows aggregate back to the parent
+    cell with SUM: no other mode gives the parent value back.
     """
 
     key_attr: str
     children: dict[str, tuple[str, ...]]
-    rollup: AggMode = AggMode.SUM
-
-    def __post_init__(self) -> None:
-        if self.rollup is not AggMode.SUM:
-            raise SpecViolation(
-                f"key hierarchy rollup must be sum, got {self.rollup.value!r}: "
-                f"key expansion splits values as integer sums"
-            )
 
 
 @dataclass
@@ -149,6 +137,21 @@ class MappingSpec(Record):
             }
             if len(kinds) > 1:
                 raise SpecViolation(f"conflicting canon kinds for key {attr!r}")
+        # One mode per target attribute, or the table raises AggModeConflict
+        # at the first collision. Expanded rows' SUM (key_hierarchy) is exempt.
+        feeds: dict[str, dict[AggMode, list[str]]] = {}
+        for source_id, amap in self.attr_map.items():
+            modes = self.agg_map.get(source_id, {})
+            for src_attr, tgt in amap.items():
+                if tgt != DISCARD:
+                    mode = modes.get(src_attr, AggMode.REPLACE)
+                    feeds.setdefault(tgt, {}).setdefault(mode, []).append(
+                        f"{source_id} {src_attr!r}")
+        for tgt, by_mode in feeds.items():
+            if len(by_mode) > 1:
+                detail = "; ".join(f"{m.value} from {', '.join(f)}" for m, f in by_mode.items())
+                raise SpecViolation(f"target attribute {tgt!r} is fed under several "
+                                    f"aggregation modes: {detail}")
 
     def _is_relevant(self, source_id: str) -> bool:
         amap = self.attr_map.get(source_id, {})
@@ -285,7 +288,7 @@ def position_for_cell(
         return discard_position(spec.target.q, cell.width)
 
     if _is_expanded(cell, desc, spec):
-        agg = spec.key_hierarchy.rollup
+        agg = AggMode.SUM
     else:
         agg_map = spec.agg_map.get(cell.source_id, {})
         modes = {

@@ -6,8 +6,8 @@ Each family is implemented once here and serves both uses of a
 ``PerturbationPlan``: ``augment`` mixes perturbed copies into training
 data, and ``perturb_corpus`` builds the test sets of the robustness ladder.
 Renames, reformats, and character noise never alter what a label points
-at. Key expansion labels each child with ``mapping.carry_label`` under the
-hierarchy's rollup mode, and both ``perturb_corpus`` and ``augment`` carry
+at. Key expansion labels each child with ``mapping.carry_label`` under
+SUM, and both ``perturb_corpus`` and ``augment`` carry
 each label through a whole-cell reformat the same way, since an
 abbreviation can move a key component in the canonical order; this module
 builds no key label itself. Everything is driven by a single 64-bit seed
@@ -25,6 +25,7 @@ import numpy as np
 from .canon import DictionaryStore, SynonymDictionary, parse_date
 from .core import (
     ATTR,
+    AggMode,
     FeatureSentence,
     KEY,
     Record,
@@ -230,11 +231,10 @@ def expand_keys(
 
     A selected row's super cells are replaced by one copy per child of its
     expandable key value, with the child name appended as a new key
-    component. The children's integer values sum to the parent value (the
-    hierarchy's rollup is always a sum); rows with non-integer values are
-    left unexpanded and counted. Each child is labelled with
-    ``mapping.carry_label`` of its parent's label, so its COPY markers name
-    the same key components as the parent's, under the rollup mode.
+    component. The children's integer values sum to the parent value; rows
+    with non-integer values are left unexpanded and counted. Each child is
+    labelled with ``mapping.carry_label`` of its parent's label, so its COPY
+    markers name the same key components as the parent's, under SUM.
 
     ``parent_component`` maps source_id to the index of the expandable key
     component (``MappingSpec.parent_components``); rows of a source absent
@@ -280,7 +280,7 @@ def expand_keys(
                 child_cell = replace(cell, keys=cell.keys + (child,), values=child_values)
                 out_cells.append(child_cell)
                 out_labels.append(
-                    replace(carry_label(labels[i], cell, child_cell), agg_mode=hierarchy.rollup)
+                    replace(carry_label(labels[i], cell, child_cell), agg_mode=AggMode.SUM)
                 )
     if counters is not None:
         counters["non_numeric_expansion"] = (
@@ -418,8 +418,7 @@ def augment(
     log: PerturbationLog | None = None,
 ) -> list[LabeledSample]:
     """Originals plus perturbed copies; labels are preserved throughout,
-    except key-expansion copies whose aggregation label becomes the
-    hierarchy's rollup mode.
+    except key-expansion copies whose aggregation label becomes SUM.
 
     ``corpus`` holds the cells the samples came from, in the same order.
     Three families of copies are added: token-level rename/reformat/char

@@ -1,5 +1,7 @@
 """MinHash signatures, column matching, source selection, baseline join."""
 
+import json
+import re
 import struct
 
 import numpy as np
@@ -23,7 +25,7 @@ from supercell.baseline import (
     signature,
     storage_report,
 )
-from supercell.core import KeyDomain, TargetSchema
+from supercell.core import KeyDomain, MalformedRecord, TargetSchema
 from supercell.ingest import RawTable
 
 
@@ -37,8 +39,8 @@ class TestSignature:
         assert signature(column) == signature(column[::-1])
 
     def test_deterministic_across_runs(self):
-        sig = signature(["alpha", "beta"], L=16, seed=3)
-        assert sig == signature(["alpha", "beta"], L=16, seed=3)
+        sig = signature(["alpha", "beta"], L=16)
+        assert sig == signature(["alpha", "beta"], L=16)
 
     def test_empty_column(self):
         with pytest.raises(EmptyColumn):
@@ -75,10 +77,6 @@ class TestJaccardEstimate:
     def test_incompatible_signatures(self):
         with pytest.raises(IncompatibleSignatures):
             estimate_jaccard(signature(["abc"], L=8), signature(["abc"], L=16))
-        with pytest.raises(IncompatibleSignatures):
-            estimate_jaccard(
-                signature(["abc"], L=8, seed=0), signature(["abc"], L=8, seed=1)
-            )
 
 
 def table(header, columns):
@@ -126,10 +124,10 @@ class TestSignColumns:
             "b": table(["x", "blank", "y"], [words, ["", "NA", "null"], words[::-1]]),
             "a": table(["z"], [["delta", "epsilon", "zeta"]]),
         }
-        store = sign_columns(sources, L=16, seed=4)
+        store = sign_columns(sources, L=16)
         assert list(store) == [("b", "x"), ("b", "y"), ("a", "z")]
         for (source_id, column), sig in store.items():
-            assert sig == signature(sources[source_id].column(column), L=16, seed=4)
+            assert sig == signature(sources[source_id].column(column), L=16)
 
     def test_no_sources_no_store(self):
         assert sign_columns({}) == {}
@@ -172,11 +170,11 @@ class TestMatchSignatures:
         assert report.unmatched == ["b", "a", "blank"]
         assert (report.best, report.per_source) == ({}, {})
 
-    def test_example_signed_with_store_l_and_seed(self):
+    def test_example_signed_with_store_l(self):
         sources = {"src": table(["c"], [self.VALUES])}
         example = table(["wanted"], [self.VALUES])
-        report = match_signatures(sign_columns(sources, L=32, seed=9), example)
-        assert report == match_columns(sources, example, L=32, seed=9)
+        report = match_signatures(sign_columns(sources, L=32), example)
+        assert report == match_columns(sources, example, L=32)
         assert report.best["wanted"].score == 1.0
 
     def test_mixed_l_store_rejected(self):
@@ -288,8 +286,8 @@ class TestStorage:
 
     def test_signature_store_round_trip(self, tmp_path):
         sigs = {
-            ("s1", "a"): signature(["alpha", "beta"], L=16, seed=2),
-            ("s1", "b"): signature(["gamma"], L=16, seed=2),
+            ("s1", "a"): signature(["alpha", "beta"], L=16),
+            ("s1", "b"): signature(["gamma"], L=16),
         }
         path = tmp_path / "sigs.bin"
         save_signatures(sigs, path)
@@ -298,6 +296,21 @@ class TestStorage:
             struct.pack("<16I", *sig.values) for sig in sigs.values()
         )
         assert load_signatures(path) == sigs
+
+    @pytest.mark.parametrize("damage, damaged", [
+        (lambda path, index: path.unlink(), "store"),
+        (lambda path, index: path.write_bytes(path.read_bytes()[:60]), "store"),
+        (lambda path, index: index.write_text(
+            json.dumps([{**e, "seed": 0} for e in json.loads(index.read_text())])), "index"),
+    ], ids=["missing_store", "store_short_of_its_index", "index_entry_with_seed"])
+    def test_damaged_store_is_malformed_record(self, tmp_path, damage, damaged):
+        path = tmp_path / "sigs.bin"
+        index = tmp_path / "sigs.bin.index.json"
+        save_signatures({("s1", "a"): signature(["alpha"], L=16)}, path)
+        damage(path, index)
+        named = path if damaged == "store" else index
+        with pytest.raises(MalformedRecord, match=f"^{re.escape(str(named))}: "):
+            load_signatures(path)
 
 
 def test_column_shingles_drops_missing():

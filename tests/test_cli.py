@@ -388,11 +388,13 @@ class TestExitCodes:
         assert "supercells.jsonl" in err and "samples.jsonl" in err
         assert not (tmp_path / "augmented.jsonl").exists()
 
-    def test_non_sum_rollup_is_data_error(self, workspace, tmp_path, capsys):
+    def test_hierarchy_rollup_key_is_data_error(self, workspace, tmp_path, capsys):
+        # Expanded rows always sum, so a key_hierarchy has no rollup to name.
         path = augment_config(workspace, tmp_path,
-                              lambda spec: spec["key_hierarchy"].update(rollup="max"))
+                              lambda spec: spec["key_hierarchy"].update(rollup="sum"))
         assert run(["augment", "--config", path]) == 2
-        assert "rollup" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"SpecViolation: {tmp_path / 'spec.json'}: " in err and "rollup" in err
         assert not (tmp_path / "augmented.jsonl").exists()
 
     def test_key_expansion_without_hierarchy_is_data_error(self, workspace, tmp_path, capsys):
@@ -702,8 +704,11 @@ class TestExitCodes:
         spec["agg_map"]["covid"] = {"confirmed": "sum", "recovered": "sum"}
         (tmp_path / "spec.json").write_text(json.dumps(spec))
         path = workspace_config(workspace, tmp_path, mapping_spec=str(tmp_path / "spec.json"))
-        assert run(["baseline", "--config", path]) == 2
-        assert "data error: AggModeConflict" in capsys.readouterr().err
+        assert run(["decompose", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: SpecViolation: {tmp_path / 'spec.json'}: " in err
+        assert "'confirmed'" in err and "sum from covid" in err and "replace from mobility" in err
+        assert not (tmp_path / "supercells.jsonl").exists()
 
     @pytest.mark.parametrize("damage", [
         lambda arrays: arrays.clear(),
@@ -720,6 +725,22 @@ class TestExitCodes:
         params.save(model)
         assert run(["integrate", "--config", config]) == 2
         assert f"MalformedRecord: {model}: ValueError" in capsys.readouterr().err
+        assert not (tmp_path / "target.csv").exists()
+
+    def test_model_header_with_ngram_sizes_is_data_error(self, workspace, tmp_path, capsys):
+        # Subword n-grams are always 3- to 5-grams; a header naming their
+        # sizes is rejected like any other unknown config key.
+        config = integrate_config(workspace, tmp_path)
+        model = tmp_path / "model.npz"
+        with np.load(model) as data:
+            arrays = dict(data)
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        meta["config"]["ngram_min"] = 3
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(model, **arrays)
+        assert run(["integrate", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert f"MalformedRecord: {model}: " in err and "ngram_min" in err
         assert not (tmp_path / "target.csv").exists()
 
     @pytest.mark.parametrize("flag, out", [

@@ -186,7 +186,7 @@ SCHEMA = TargetSchema(
 class TestLabels:
     def test_discard_round_trip(self):
         pos = discard_position(2, 3)
-        space = LabelSpace(SCHEMA)
+        space = LabelSpace(SCHEMA, max_copy=6, max_width=4)
         ids = space.render(pos)
         assert len(ids) == len(space.head_sizes)
         assert all(i == 0 for i in ids[:-1])
@@ -194,7 +194,7 @@ class TestLabels:
         assert space.decode(ids, 3) == pos
 
     def test_slots_past_width_are_null(self):
-        space = LabelSpace(SCHEMA, max_width=4)
+        space = LabelSpace(SCHEMA, max_copy=6, max_width=4)
         pos = TargetPosition(("Oct 6, 2020", "arizona"), ("confirmed",), AggMode.SUM)
         ids = space.render(pos)
         assert len(ids) == len(space.head_sizes)
@@ -202,14 +202,14 @@ class TestLabels:
         assert space.decode(ids, 1) == pos
 
     def test_live_heads(self):
-        space = LabelSpace(SCHEMA, max_width=4)
+        space = LabelSpace(SCHEMA, max_copy=6, max_width=4)
         assert space.live_heads(1) == [0, 1, 2, 6]
         assert space.live_heads(4) == [0, 1, 2, 3, 4, 5, 6]
         # A cell wider than max_width is scored on max_width slots.
         assert space.live_heads(9) == space.live_heads(4)
 
     def test_live_mask_rows_are_live_heads(self):
-        space = LabelSpace(SCHEMA, max_width=4)
+        space = LabelSpace(SCHEMA, max_copy=6, max_width=4)
         widths = [1, 9, 4, 1, 0, 2]
         mask = space.live_mask(widths)
         assert mask.shape == (len(widths), len(space.head_sizes))
@@ -218,7 +218,7 @@ class TestLabels:
         assert space.live_mask([]).shape == (0, len(space.head_sizes))
 
     def test_wide_cell_decodes_to_max_width(self):
-        space = LabelSpace(SCHEMA, max_width=2)
+        space = LabelSpace(SCHEMA, max_copy=6, max_width=2)
         pos = TargetPosition(("Oct 6, 2020", "utah"), ("confirmed", "recovered"),
                              AggMode.SUM)
         assert space.decode(space.render(pos), 5) == pos
@@ -229,7 +229,7 @@ class TestLabels:
             attributes=("confirmed",),
             agg_mode=AggMode.REPLACE,
         )
-        space = LabelSpace(SCHEMA)
+        space = LabelSpace(SCHEMA, max_copy=6, max_width=4)
         assert space.decode(space.render(pos), len(pos.attributes)) == pos
 
     def test_write_processor_keys_in_domain(self):
@@ -249,7 +249,7 @@ class TestLabels:
             attributes=("datetime",),
             agg_mode=AggMode.REPLACE,
         )
-        space = LabelSpace(schema)
+        space = LabelSpace(schema, max_copy=6, max_width=4)
         assert space.decode(space.render(pos), len(pos.attributes)) == pos
 
     def test_unknown_key_value(self):
@@ -259,7 +259,7 @@ class TestLabels:
             agg_mode=AggMode.REPLACE,
         )
         with pytest.raises(UnknownKeyValue):
-            LabelSpace(SCHEMA).render(pos)
+            LabelSpace(SCHEMA, max_copy=6, max_width=4).render(pos)
 
     def test_wildcard_and_null_round_trip(self):
         pos = TargetPosition(
@@ -267,7 +267,7 @@ class TestLabels:
             attributes=("confirmed", None),
             agg_mode=AggMode.SUM,
         )
-        space = LabelSpace(SCHEMA)
+        space = LabelSpace(SCHEMA, max_copy=6, max_width=4)
         assert space.decode(space.render(pos), len(pos.attributes)) == pos
 
     def test_position_json_round_trip(self):

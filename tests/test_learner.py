@@ -189,7 +189,7 @@ class TestSubwords:
         assert len(vocab.buckets("confirmed")) > 5
 
     def test_one_edit_variant_shares_buckets(self):
-        vocab = SubwordVocab()
+        vocab = SubwordVocab(bucket_count=2**15)
         full = set(vocab.buckets("confirmed").tolist())
         edited = set(vocab.buckets("confirmd").tolist())
         shared = len(full & edited) / min(len(full), len(edited))
@@ -390,17 +390,18 @@ class TestKernels:
                 assert np.isfinite(out).all()
                 assert out.tolist() == [0.0, 1.0]
 
-    def test_accuracy_does_not_depend_on_sample_order(self):
+    def test_accuracy_does_not_depend_on_sample_order(self, monkeypatch):
         samples = make_samples(24)
         params, _ = train(samples, tiny_config(epochs=3), SCHEMA)
         encoded = encode_samples(samples, params)
         shuffled = [encoded[i] for i in np.random.default_rng(1).permutation(len(encoded))]
-        acc = _accuracy_encoded(encoded, params, chunk=5)
+        monkeypatch.setattr(learner, "_CHUNK", 5)
+        acc = _accuracy_encoded(encoded, params)
         assert 0.0 < acc < 1.0
-        assert _accuracy_encoded(shuffled, params, chunk=5) == acc
+        assert _accuracy_encoded(shuffled, params) == acc
 
     @pytest.mark.parametrize("encoder", ["pooled", "recurrent"])
-    def test_predict_cells_returns_input_order(self, encoder):
+    def test_predict_cells_returns_input_order(self, encoder, monkeypatch):
         params = init_params(tiny_config(encoder=encoder), SCHEMA)
         cells = [
             SuperCell("s", ("y", "2020-01-01")[: 1 + i % 2],
@@ -409,8 +410,9 @@ class TestKernels:
             for i in range(9)
         ]
         assert len({len(render_feature(c).tokens) for c in cells}) > 2
-        sorted_chunks = predict_cells(cells, params, chunk=2)
-        one_chunk = predict_cells(cells, params, chunk=512)
+        one_chunk = predict_cells(cells, params)
+        monkeypatch.setattr(learner, "_CHUNK", 2)
+        sorted_chunks = predict_cells(cells, params)
         for cell, a, b in zip(cells, sorted_chunks, one_chunk):
             alone = predict_cells([cell], params)[0]
             assert a.position == b.position == alone.position
@@ -421,8 +423,8 @@ class TestKernels:
 class TestTrainConfig:
     @pytest.mark.parametrize("field, value", [
         ("encoder", "lstm"), ("epochs", 0), ("batch_size", 0), ("embed_dim", 0),
-        ("hidden", 0), ("bucket_count", 0), ("max_width", 0), ("ngram_min", 0),
-        ("ngram_max", 2), ("learning_rate", 0.0), ("dtype", "float16"),
+        ("hidden", 0), ("bucket_count", 0), ("max_width", 0), ("learning_rate", 0.0),
+        ("dtype", "float16"),
     ])
     def test_out_of_range_value_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -476,11 +478,11 @@ STATES = {"states": [["alabama", "al"], ["alaska", "ak"], ["arizona", "az"]]}
 COMPONENTS = ["1/2/2020", "2020-01-02", "Jan 3, 2020", "AL", "Alaska", "az", "tx"]
 
 
-def predict_reference(cells, params, chunk):
+def predict_reference(cells, params):
     """``predict_cells`` computed cell by cell: one decode, one resolution
     with no shared table, and one ``np.prod`` over the live heads each."""
     encoded = [encode(render_feature(cell), params.vocab) for cell in cells]
-    choices, chosen = learner._head_choices(encoded, params, chunk)
+    choices, chosen = learner._head_choices(encoded, params)
     closed = params.schema.closed_values()
     out = []
     for cell, row, probs in zip(cells, choices, chosen):
@@ -518,8 +520,10 @@ class TestPredict:
         params = init_params(config, KEYED_SCHEMA, KEYED_KINDS, STATES)
         for i in range(len(params.space.head_sizes)):
             params.arrays[f"head{i}_W"] *= scale
-        got = predict_cells(cells, params, chunk=4)
-        assert got == predict_reference(cells, params, chunk=4)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(learner, "_CHUNK", 4)
+            got = predict_cells(cells, params)
+            assert got == predict_reference(cells, params)
         assert all(type(p.confidence) is float for p in got)
 
     def test_each_component_is_canonicalized_once_per_call(self, monkeypatch):
@@ -600,7 +604,7 @@ class TestPredict:
         assert prediction.position.is_discard
 
     @pytest.mark.parametrize("encoder", ["pooled", "recurrent"])
-    def test_batch_composition_does_not_change_predictions(self, encoder):
+    def test_batch_composition_does_not_change_predictions(self, encoder, monkeypatch):
         params = init_params(tiny_config(encoder=encoder), SCHEMA)
         short = SuperCell("s", ("x",), ("alpha",), ("0",), 0)
         longer = [
@@ -609,10 +613,10 @@ class TestPredict:
             for i in range(1, 4)
         ]
         alone = predict_cells([short], params)[0]
-        for in_batch in (
-            predict_cells(longer + [short] + longer, params)[len(longer)],
-            predict_cells(longer + [short], params, chunk=1)[-1],
-        ):
+        in_batches = [predict_cells(longer + [short] + longer, params)[len(longer)]]
+        monkeypatch.setattr(learner, "_CHUNK", 1)
+        in_batches.append(predict_cells(longer + [short], params)[-1])
+        for in_batch in in_batches:
             assert in_batch.position == alone.position
             assert in_batch.copy_out_of_range == alone.copy_out_of_range
             assert np.isclose(in_batch.confidence, alone.confidence)

@@ -1,5 +1,8 @@
 """Mapping specs: oracle integration, label generation, consistency."""
 
+import json
+import re
+
 import pytest
 
 from supercell.canon import CanonKind, SynonymDictionary
@@ -338,14 +341,31 @@ class TestSpecValidation:
             },
         )
 
+    @pytest.mark.parametrize("attr_map, agg_map, message", [
+        ({"covid": {"confirmed": "confirmed"}, "mobility": {"workplace": "confirmed"}},
+         {"covid": {"confirmed": AggMode.SUM}},
+         "'confirmed' .*: sum from covid 'confirmed'; replace from mobility 'workplace'$"),
+        ({"covid": {"confirmed": "confirmed", "recovered": "confirmed"}},
+         {"covid": {"recovered": AggMode.MAX}},
+         "'confirmed' .*: replace from covid 'confirmed'; max from covid 'recovered'$"),
+    ], ids=["two_sources", "two_attributes_of_one_source"])
+    def test_target_attribute_fed_under_two_modes(self, attr_map, agg_map, message):
+        spec = two_source_spec()
+        with pytest.raises(SpecViolation, match=message):
+            MappingSpec(target=spec.target, sources=spec.sources, key_map=spec.key_map,
+                         attr_map=attr_map, agg_map=agg_map)
+
     @pytest.mark.parametrize("mode", [m for m in AggMode if m is not AggMode.SUM])
-    def test_hierarchy_rollup_must_be_sum(self, mode):
-        # Key expansion splits values as integer sums; a max rollup of the
-        # children 7 and 5 of the value 12 would give 7 back.
-        with pytest.raises(SpecViolation):
-            KeyHierarchy("state", {"arizona": ("arizona north", "arizona south")}, mode)
-        with pytest.raises(SpecViolation):
-            KeyHierarchy.from_dict({"key_attr": "state", "children": {}, "rollup": mode.value})
+    def test_hierarchy_rollup_must_be_sum(self, mode, tmp_path):
+        # Key expansion splits values as integer sums (a max rollup of the
+        # children 7 and 5 of the value 12 would give 7 back), so expanded
+        # rows always sum and a spec file that names a rollup is rejected.
+        spec = two_source_spec().to_dict()
+        spec["key_hierarchy"] = {"key_attr": "state", "children": {}, "rollup": mode.value}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        with pytest.raises(SpecViolation, match=f"^{re.escape(str(path))}: .*rollup"):
+            MappingSpec.load(path)
 
     def test_json_round_trip(self, tmp_path):
         spec = two_source_spec()

@@ -142,7 +142,6 @@ def hierarchy():
     return KeyHierarchy(
         key_attr="state",
         children={"arizona": ("arizona north", "arizona south")},
-        rollup=AggMode.SUM,
     )
 
 
