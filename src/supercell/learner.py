@@ -125,8 +125,11 @@ class TrainConfig(Record):
         for name in ("epochs", "batch_size", "embed_dim", "hidden", "bucket_count", "max_width"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate!r}")
+        if self.max_copy < 0:
+            raise ValueError(f"max_copy must be at least 0, got {self.max_copy!r}")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be positive and finite, "
+                             f"got {self.learning_rate!r}")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
 
@@ -446,9 +449,9 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 def loss_and_grads(
     batch: list[EncodedSample], params: ModelParams
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean over the batch of the summed per-head cross-entropies, with
-    analytic gradients for every parameter (including through the scan)."""
+) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
+    """Mean over the batch of the summed per-head cross-entropies, analytic
+    gradients for every parameter, and the ``(batch, heads)`` argmax classes."""
     logits, cache = _forward_batch(batch, params, backward=True)
     arrays = params.arrays
     B = len(batch)
@@ -488,7 +491,7 @@ def loss_and_grads(
         dX = np.empty_like(dXp)
         dX[cache["packed"]] = dXp
     _embed_backward(dX, cache["embed"], grads, params)
-    return loss, grads
+    return loss, grads, np.stack([head_logits.argmax(axis=1) for head_logits in logits], axis=1)
 
 
 def _adam_step(params: ModelParams, grads: dict, lr: float, state: dict) -> None:
@@ -512,6 +515,12 @@ def _adam_step(params: ModelParams, grads: dict, lr: float, state: dict) -> None
 
 @dataclass
 class CurvePoint:
+    """One epoch of a fit: ``loss`` is the mean of its minibatch losses and
+    ``train_acc`` the fraction of its samples correct on every live head,
+    each minibatch scored on its own logits before its Adam update. Both
+    are running figures over the epoch, not a pass over the model it ends
+    with."""
+
     epoch: int
     loss: float
     train_acc: float
@@ -543,16 +552,15 @@ def train(
     n = len(encoded)
     for epoch in range(config.epochs):
         order = rng.permutation(n)
-        total_loss = 0.0
-        n_batches = 0
-        for start in range(0, n, config.batch_size):
+        total_loss, hits = 0.0, 0
+        starts = range(0, n, config.batch_size)
+        for start in starts:
             batch = [encoded[i] for i in order[start : start + config.batch_size]]
-            loss, grads = loss_and_grads(batch, params)
+            loss, grads, choices = loss_and_grads(batch, params)
+            hits += _accuracy_encoded(choices, batch, params)
             _adam_step(params, grads, config.learning_rate, adam_state)
             total_loss += loss
-            n_batches += 1
-        acc = _accuracy_encoded(encoded, params)
-        curve.append(CurvePoint(epoch, total_loss / max(n_batches, 1), acc))
+        curve.append(CurvePoint(epoch, total_loss / len(starts), hits / n))
         if not params.finite():
             raise FloatingPointError(f"non-finite parameters after epoch {epoch}")
     return params, curve
@@ -585,20 +593,21 @@ def _head_choices(
     return choices, chosen
 
 
-def _accuracy_encoded(encoded: list[EncodedSample], params: ModelParams) -> float:
-    if not encoded:
+def _accuracy_encoded(choices: np.ndarray, batch: list[EncodedSample], params: ModelParams) -> int:
+    """How many samples of ``batch`` match their ``choices`` row on every live head."""
+    if not batch:
         raise EmptyEvalSet("no evaluation samples")
-    choices, _ = _head_choices(encoded, params)
-    targets = np.stack([s.targets for s in encoded])
-    live = params.space.live_mask([s.width for s in encoded])
-    return int(((choices == targets) | ~live).all(axis=1).sum()) / len(encoded)
+    targets = np.stack([s.targets for s in batch])
+    live = params.space.live_mask([s.width for s in batch])
+    return int(((choices == targets) | ~live).all(axis=1).sum())
 
 
 def accuracy(samples: list[LabeledSample], params: ModelParams) -> float:
     """Fraction of samples whose every head (all key components, all
     attribute slots within the cell's width, and the aggregation mode)
     matches the label."""
-    return _accuracy_encoded(encode_samples(samples, params), params)
+    encoded = encode_samples(samples, params)
+    return _accuracy_encoded(_head_choices(encoded, params)[0], encoded, params) / len(encoded)
 
 
 @dataclass
@@ -690,7 +699,7 @@ def gradient_check(encoder: str = "pooled", seed: int = 0) -> float:
         for sentence in sentences
     ]
 
-    _, grads = loss_and_grads(batch, params)
+    _, grads, _ = loss_and_grads(batch, params)
     max_err = 0.0
     for key, array in params.arrays.items():
         flat = array.reshape(-1)
@@ -698,9 +707,9 @@ def gradient_check(encoder: str = "pooled", seed: int = 0) -> float:
         for idx in range(flat.size):
             original = flat[idx]
             flat[idx] = original + 1e-4
-            loss_plus, _ = loss_and_grads(batch, params)
+            loss_plus, _, _ = loss_and_grads(batch, params)
             flat[idx] = original - 1e-4
-            loss_minus, _ = loss_and_grads(batch, params)
+            loss_minus, _, _ = loss_and_grads(batch, params)
             flat[idx] = original
             numeric = (loss_plus - loss_minus) / 2e-4
             analytic = grad_flat[idx]

@@ -322,6 +322,17 @@ class TestExitCodes:
         assert run(["decompose", "--config", str(path)]) == 1
         assert repr(key) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, raw", [("learning_rate", "1e400"), ("max_copy", "-1")])
+    def test_learner_value_that_fails_the_fit_is_usage_error(self, workspace, tmp_path,
+                                                             capsys, key, raw):
+        # 1e400 parses as inf, which no fit survives, and a negative max_copy
+        # leaves the samples' COPY labels no class: the run config is at fault.
+        path = Path(self.learner_config(workspace, tmp_path, {key: "RAW"}))
+        path.write_text(path.read_text().replace('"RAW"', raw))
+        assert run(["train", "--config", str(path)]) == 1
+        assert f"usage error: run config {path}: learner: {key} must be" in (
+            capsys.readouterr().err)
+
     def test_int_learner_value_passes_for_float(self, workspace, tmp_path):
         block = {"learning_rate": 1, "epochs": 1, "embed_dim": 4, "hidden": 4,
                  "bucket_count": 64}

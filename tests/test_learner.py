@@ -298,7 +298,7 @@ class TestLoss:
             params.arrays[key][:] = 0
         samples = make_samples(4)
         encoded = encode_samples(samples, params)
-        loss, _ = loss_and_grads(encoded, params)
+        loss, _, _ = loss_and_grads(encoded, params)
         expected = sum(math.log(k) for k in params.space.head_sizes)
         assert abs(loss - expected) < 1e-5
 
@@ -306,8 +306,8 @@ class TestLoss:
         params = init_params(tiny_config(), SCHEMA)
         samples = make_samples(4)
         encoded = encode_samples(samples, params)
-        loss_once, _ = loss_and_grads(encoded, params)
-        loss_twice, _ = loss_and_grads(encoded + encoded, params)
+        loss_once, _, _ = loss_and_grads(encoded, params)
+        loss_twice, _, _ = loss_and_grads(encoded + encoded, params)
         assert abs(loss_once - loss_twice) < 1e-5
 
     @pytest.mark.parametrize("encoder", ["pooled", "recurrent"])
@@ -336,7 +336,7 @@ class TestKernels:
             for n in lengths
         ]
         ref_logits, ref_grads = padded_gru_reference(batch, params)
-        _, grads = loss_and_grads(batch, params)
+        _, grads, _ = loss_and_grads(batch, params)
         forward_only, _ = _forward_batch(batch, params)
         for logits, reference in zip(forward_only, ref_logits):
             assert relative_error(logits, reference) < 1e-10
@@ -393,12 +393,11 @@ class TestKernels:
     def test_accuracy_does_not_depend_on_sample_order(self, monkeypatch):
         samples = make_samples(24)
         params, _ = train(samples, tiny_config(epochs=3), SCHEMA)
-        encoded = encode_samples(samples, params)
-        shuffled = [encoded[i] for i in np.random.default_rng(1).permutation(len(encoded))]
+        shuffled = [samples[i] for i in np.random.default_rng(1).permutation(len(samples))]
         monkeypatch.setattr(learner, "_CHUNK", 5)
-        acc = _accuracy_encoded(encoded, params)
+        acc = accuracy(samples, params)
         assert 0.0 < acc < 1.0
-        assert _accuracy_encoded(shuffled, params) == acc
+        assert accuracy(shuffled, params) == acc
 
     @pytest.mark.parametrize("encoder", ["pooled", "recurrent"])
     def test_predict_cells_returns_input_order(self, encoder, monkeypatch):
@@ -423,8 +422,8 @@ class TestKernels:
 class TestTrainConfig:
     @pytest.mark.parametrize("field, value", [
         ("encoder", "lstm"), ("epochs", 0), ("batch_size", 0), ("embed_dim", 0),
-        ("hidden", 0), ("bucket_count", 0), ("max_width", 0), ("learning_rate", 0.0),
-        ("dtype", "float16"),
+        ("hidden", 0), ("bucket_count", 0), ("max_width", 0), ("max_copy", -1),
+        ("learning_rate", 0.0), ("learning_rate", math.inf), ("dtype", "float16"),
     ])
     def test_out_of_range_value_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -460,6 +459,48 @@ class TestTrain:
         samples = make_samples(10)
         params, _ = train(samples, tiny_config(epochs=10), SCHEMA)
         assert params.finite()
+
+    @pytest.mark.parametrize("encoder", ["pooled", "recurrent"])
+    def test_fit_runs_no_forward_only_pass(self, encoder, monkeypatch):
+        def forward_only(encoded, params):
+            raise AssertionError("train ran a forward-only pass")
+
+        monkeypatch.setattr(learner, "_head_choices", forward_only)
+        _, curve = train(make_samples(10), tiny_config(encoder=encoder, epochs=2), SCHEMA)
+        assert len(curve) == 2
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("encoder", ["pooled", "recurrent"])
+    def test_train_acc_is_the_running_minibatch_accuracy(self, encoder, dtype):
+        # 13 samples in batches of 4: the last batch of each epoch has one.
+        samples = make_samples(13)
+        config = tiny_config(encoder=encoder, dtype=dtype, epochs=6, batch_size=4)
+        trained, curve = train(samples, config, SCHEMA)
+
+        # Replay: each batch is scored on its own forward-only logits, one
+        # sample at a time over its live heads, before its Adam update.
+        params = init_params(config, SCHEMA)
+        encoded = encode_samples(samples, params)
+        rng = np.random.default_rng(config.seed + 101)
+        state = {"t": 0, "m": {k: np.zeros_like(v) for k, v in params.arrays.items()},
+                 "v": {k: np.zeros_like(v) for k, v in params.arrays.items()}}
+        replayed = []
+        for _ in range(config.epochs):
+            order = rng.permutation(len(encoded))
+            hits = 0
+            for start in range(0, len(encoded), config.batch_size):
+                batch = [encoded[i] for i in order[start : start + config.batch_size]]
+                logits, _ = _forward_batch(batch, params)
+                for row, sample in enumerate(batch):
+                    hits += all(logits[head][row].argmax() == sample.targets[head]
+                                for head in params.space.live_heads(sample.width))
+                _, grads, _ = loss_and_grads(batch, params)
+                learner._adam_step(params, grads, config.learning_rate, state)
+            replayed.append(hits / len(encoded))
+        assert [p.train_acc for p in curve] == replayed
+        assert len(set(replayed)) > 1
+        for key, array in trained.arrays.items():
+            assert np.array_equal(array, params.arrays[key])
 
 
 # Two key slots: an open date slot and a closed state slot whose values go
@@ -714,7 +755,7 @@ class TestAccuracy:
             for live in [params.space.live_heads(s.width)]
         ) / len(encoded)
         assert 0 < expected < 1
-        assert _accuracy_encoded(encoded, params) == expected
+        assert _accuracy_encoded(choices, encoded, params) / len(encoded) == expected
 
     def test_perfect_model(self):
         samples = make_samples(10)
