@@ -163,9 +163,8 @@ def test_criterion_03_pivot_reorder_invariance():
 
 def test_criterion_04_gradient_correctness():
     worst = 0.0
-    for seed in range(10):
-        for encoder in ("pooled", "recurrent"):
-            worst = max(worst, gradient_check(encoder, seed=seed))
+    for seed in range(20):
+        worst = max(worst, gradient_check(seed=seed))
     ok = worst < 1e-3
     report(4, "gradient correctness", ok,
            f"max relative error {worst:.2e} over 20 random tiny models "

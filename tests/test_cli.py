@@ -296,7 +296,7 @@ class TestExitCodes:
         assert repr(next(iter(block))) in capsys.readouterr().err
 
     @pytest.mark.parametrize("block", [
-        {"encoder": "lstm"}, {"epochs": 0}, {"batch_size": 0},
+        {"encoder": "lstm"}, {"epochs": 0}, {"batch_size": 0}, {"encoder": "pooled"},
     ])
     def test_out_of_range_learner_value_is_usage_error(self, workspace, tmp_path,
                                                        capsys, block):
@@ -471,17 +471,21 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("damage", ["empty", "truncated", "not_npz", "no_meta",
                                         "meta_without_config", "meta_not_object",
-                                        "meta_wrong_type"])
+                                        "meta_wrong_type", "meta_pooled_encoder"])
     def test_corrupt_model_is_data_error(self, workspace, tmp_path, capsys, damage):
         # np.load raises EOFError, BadZipFile, ValueError and KeyError on the
-        # first four; the last three hold a ``__meta__`` of the wrong shape.
+        # first four; the next three hold a ``__meta__`` of the wrong shape,
+        # and the last names the mean-pooled encoder, which is gone.
         root = workspace["root"]
         bad_model = tmp_path / "model.npz"
+        fields = {"format_version": 1, "schema": {"attributes": ["k"], "key_attributes": ["k"]},
+                  "key_kinds": ["none"], "dictionaries": {}}
         meta = {"meta_without_config": {"format_version": 1}, "meta_not_object": [1],
                 "meta_wrong_type": {
-                    "format_version": 1, "config": {**TrainConfig().to_dict(), "epochs": "x"},
-                    "schema": {"attributes": ["k"], "key_attributes": ["k"]},
-                    "key_kinds": ["none"], "dictionaries": {}}}.get(damage)
+                    **fields, "config": {**TrainConfig().to_dict(), "epochs": "x"}},
+                "meta_pooled_encoder": {
+                    **fields, "config": {**TrainConfig().to_dict(), "encoder": "pooled"}}
+                }.get(damage)
         if meta is not None:
             header = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
             np.savez(bad_model, __meta__=header, E=np.zeros(64))
