@@ -9,10 +9,10 @@ averages) to merge values in arrival order. Numeric modes use exact
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Context, Decimal, InvalidOperation
 from pathlib import Path
 
-from .canon import canonical_number
+from .canon import EXACT, canonical_number
 from .core import (
     AggMode,
     DataError,
@@ -45,11 +45,9 @@ def _parse_decimal(value: str) -> Decimal | None:
 
 def render_decimal(value: Decimal) -> str:
     """Render with at most 6 fractional digits, trailing zeros trimmed;
-    integral values render without a decimal point."""
-    quantum = Decimal(1).scaleb(-6)
-    quantized = value.quantize(quantum)
-    text = format(quantized.normalize(), "f")
-    return text
+    integral values render without a decimal point. Every integer digit
+    is kept, however many."""
+    return format(value.quantize(Decimal("1e-6"), context=EXACT).normalize(EXACT), "f")
 
 
 @dataclass
@@ -69,13 +67,13 @@ class CellState:
             if num is None:
                 return False
             if self.mode is AggMode.SUM:
-                self.number = num if self.number is None else self.number + num
+                self.number = num if self.number is None else EXACT.add(self.number, num)
             elif self.mode is AggMode.MIN:
                 self.number = num if self.number is None else min(self.number, num)
             elif self.mode is AggMode.MAX:
                 self.number = num if self.number is None else max(self.number, num)
             else:  # AVG
-                self.total += num
+                self.total = EXACT.add(self.total, num)
                 self.count += 1
             return True
         if self.mode is AggMode.COUNT:
@@ -100,7 +98,10 @@ class CellState:
         if self.mode is AggMode.AVG:
             if self.count == 0:
                 return ""
-            return render_decimal(self.total / self.count)
+            # The default 28 digits, widened for a mean of 1e22 or more so
+            # that it keeps the 6 fractional digits it renders with.
+            digits = max(28, (self.total / self.count).adjusted() + 7)
+            return render_decimal(Context(prec=digits).divide(self.total, self.count))
         if self.mode is AggMode.COUNT:
             return str(self.count)
         return self.value

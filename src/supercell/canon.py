@@ -11,10 +11,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation
 from pathlib import Path
 
 from .core import DataError, read_json, write_json
+
+# Decimal arithmetic that keeps every digit: addition, quantization and
+# normalization under it are exact however long the number. Division may
+# not terminate, so it never runs under this context.
+EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 class UnknownDictionary(DataError, KeyError):
@@ -197,8 +202,7 @@ def canonical_number(value: str) -> str | None:
         dec = Decimal(text)
     except InvalidOperation:
         return None
-    out = format(dec.normalize(), "f")
-    return out
+    return format(dec.normalize(EXACT), "f")
 
 
 @dataclass

@@ -174,7 +174,7 @@ def cmd_augment(config: RunConfig) -> int:
             f"{cells_path} holds {len(cells)} super cells but {samples_path} holds "
             f"{len(samples)} samples; rerun gen-train"
         )
-    plog = perturb.PerturbationLog()
+    plog: list[perturb.LogEntry] = []
     augmented = perturb.augment(
         samples, plan, dictionaries,
         corpus=cells,
@@ -184,7 +184,7 @@ def cmd_augment(config: RunConfig) -> int:
     )
     out = out_dir / "augmented.jsonl"
     core.write_jsonl(augmented, out)
-    plog.dump(out_dir / "perturb_log.jsonl")
+    core.write_jsonl(plog, out_dir / "perturb_log.jsonl")
     log(f"augment: {len(samples)} -> {len(augmented)} samples -> {out}")
     return 0
 

@@ -237,51 +237,39 @@ def init_params(
     return ModelParams(config, schema, list(kinds), arrays, dict(dictionaries or {}))
 
 
-@dataclass
-class EncodedSample:
-    """A feature sentence as token ids into the model's vocab, plus label
-    head targets."""
-
-    token_ids: np.ndarray
-    targets: np.ndarray | None  # one class id per head, or None at predict time
-    width: int = 0
-
-
-def encode(
-    sentence: FeatureSentence, vocab: SubwordVocab,
-    targets: np.ndarray | None = None, width: int = 0,
-) -> EncodedSample:
-    ids = np.array([vocab.token_id(tok) for tok in sentence.tokens], dtype=np.int64)
-    return EncodedSample(ids, targets, width)
+def encode(sentence: FeatureSentence, vocab: SubwordVocab) -> np.ndarray:
+    """The sentence's token ids into ``vocab``."""
+    return np.array([vocab.token_id(tok) for tok in sentence.tokens], dtype=np.int64)
 
 
 def encode_samples(
     samples: list[LabeledSample], params: ModelParams
-) -> list[EncodedSample]:
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """A labeled set as arrays: each sample's token ids, the ``(samples,
+    heads)`` class ids of its ``LabelSpace.render`` rows, and the matching
+    ``LabelSpace.live_mask``."""
     max_width = params.config.max_width
-    wide = [w for w in (len(s.label.attributes) for s in samples) if w > max_width]
+    widths = [len(s.label.attributes) for s in samples]
+    wide = [w for w in widths if w > max_width]
     if wide:
         raise CellTooWide(f"{len(wide)} samples are wider than max_width {max_width} "
                           f"(widest {max(wide)})")
-    return [
-        encode(s.feature, params.vocab,
-               np.array(params.space.render(s.label), dtype=np.int64),
-               len(s.label.attributes))
-        for s in samples
-    ]
+    targets = np.array([params.space.render(s.label) for s in samples], dtype=np.int64)
+    ids = [encode(s.feature, params.vocab) for s in samples]
+    return ids, targets, params.space.live_mask(widths)
 
 
-def _embed_batch(batch: list[EncodedSample], params: ModelParams):
-    """Every token of a batch as one ``(tokens, d)`` array, sample after
-    sample, with a cache for the embedding backward.
+def _embed_batch(batch: list[np.ndarray], params: ModelParams):
+    """Every token of a batch (one token-id array per sample) as one
+    ``(tokens, d)`` array, sample after sample, with a cache for the
+    embedding backward.
 
     Each token vector is the mean of the token's subword bucket rows. Only
     the batch's distinct tokens are reduced, then indexed back to every
     occurrence; each reduction sums the same rows in the same order, so
     the vectors do not depend on which other tokens share the batch."""
     E = params.arrays["E"]
-    distinct, inverse = np.unique(np.concatenate([s.token_ids for s in batch]),
-                                  return_inverse=True)
+    distinct, inverse = np.unique(np.concatenate(batch), return_inverse=True)
     flat, token_lengths, starts = params.vocab.table()
     lengths = token_lengths[distinct]
     offsets = np.cumsum(lengths) - lengths  # each distinct token's first row in `buckets`
@@ -396,13 +384,13 @@ def _gru_backward(dh: np.ndarray, acts: dict, live: list[int], reverse: bool, Xp
     return DGX @ W.T
 
 
-def _forward_batch(batch: list[EncodedSample], params: ModelParams, backward: bool = False):
+def _forward_batch(batch: list[np.ndarray], params: ModelParams, backward: bool = False):
     """Per-head logits (one ``(B, classes)`` array per head) plus the cache
     the backward pass reads; the GRU activations are kept only for a
     ``backward`` pass."""
     X, embed_cache = _embed_batch(batch, params)
     arrays = params.arrays
-    n_tokens = np.array([len(s.token_ids) for s in batch])
+    n_tokens = np.array([len(ids) for ids in batch])
     # Pack: samples in stable longest-first order, tokens time-major.
     firsts = np.cumsum(n_tokens) - n_tokens  # each sample's first row of X
     order = np.argsort(-n_tokens, kind="stable")
@@ -433,14 +421,14 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def loss_and_grads(
-    batch: list[EncodedSample], params: ModelParams
+    batch: list[np.ndarray], targets: np.ndarray, params: ModelParams
 ) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
-    """Mean over the batch of the summed per-head cross-entropies, analytic
-    gradients for every parameter, and the ``(batch, heads)`` argmax classes."""
+    """Mean over the batch of the summed per-head cross-entropies against
+    ``targets`` (one class-id row per sample), analytic gradients for every
+    parameter, and the ``(batch, heads)`` argmax classes."""
     logits, cache = _forward_batch(batch, params, backward=True)
     arrays = params.arrays
     B = len(batch)
-    targets = np.stack([s.targets for s in batch])
     grads = {k: np.zeros_like(v) for k, v in arrays.items()}
 
     loss = 0.0
@@ -518,24 +506,22 @@ def train(
     if not samples:
         raise EmptyEvalSet("no training samples")
     params = init_params(config, schema, key_kinds, dictionaries)
-    encoded = encode_samples(samples, params)
+    ids, targets, live = encode_samples(samples, params)
     rng = np.random.default_rng(config.seed + 101)
     adam_state = {
         "t": 0,
         "m": {k: np.zeros_like(v) for k, v in params.arrays.items()},
         "v": {k: np.zeros_like(v) for k, v in params.arrays.items()},
     }
-    targets = np.stack([s.targets for s in encoded])
-    live = params.space.live_mask([s.width for s in encoded])
     curve: list[CurvePoint] = []
-    n = len(encoded)
+    n = len(ids)
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         total_loss, hits = 0.0, 0
         starts = range(0, n, config.batch_size)
         for start in starts:
             rows = order[start : start + config.batch_size]
-            loss, grads, choices = loss_and_grads([encoded[i] for i in rows], params)
+            loss, grads, choices = loss_and_grads([ids[i] for i in rows], targets[rows], params)
             hits += _accuracy_encoded(choices, targets[rows], live[rows])
             _adam_step(params, grads, config.learning_rate, adam_state)
             total_loss += loss
@@ -549,7 +535,7 @@ _CHUNK = 512  # samples per forward pass when no activations are kept
 
 
 def _head_choices(
-    encoded: list[EncodedSample], params: ModelParams
+    encoded: list[np.ndarray], params: ModelParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each sample's argmax class per head and the softmax probability of
     that class, as two ``(samples, heads)`` arrays in input order.
@@ -561,7 +547,7 @@ def _head_choices(
     shape = (len(encoded), len(params.space.head_sizes))
     choices = np.zeros(shape, dtype=np.int64)
     chosen = np.zeros(shape, dtype=params.arrays["E"].dtype)
-    order = np.argsort([len(s.token_ids) for s in encoded], kind="stable")
+    order = np.argsort([len(ids) for ids in encoded], kind="stable")
     for start in range(0, len(encoded), _CHUNK):
         part = order[start : start + _CHUNK]
         logits, _ = _forward_batch([encoded[i] for i in part], params)
@@ -584,10 +570,8 @@ def accuracy(samples: list[LabeledSample], params: ModelParams) -> float:
     matches the label."""
     if not samples:
         raise EmptyEvalSet("no evaluation samples")
-    encoded = encode_samples(samples, params)
-    targets = np.stack([s.targets for s in encoded])
-    live = params.space.live_mask([s.width for s in encoded])
-    return _accuracy_encoded(_head_choices(encoded, params)[0], targets, live) / len(encoded)
+    ids, targets, live = encode_samples(samples, params)
+    return _accuracy_encoded(_head_choices(ids, params)[0], targets, live) / len(ids)
 
 
 @dataclass
@@ -673,13 +657,11 @@ def gradient_check(seed: int = 0) -> float:
         n = int(rng.integers(2, 6))
         toks = tuple(words[int(rng.integers(len(words)))] for _ in range(n))
         sentences.append(FeatureSentence(toks, ("VAL",) * n))
-    batch = [
-        encode(sentence, params.vocab,
-               np.array([int(rng.integers(k)) for k in params.space.head_sizes], dtype=np.int64))
-        for sentence in sentences
-    ]
+    batch = [encode(sentence, params.vocab) for sentence in sentences]
+    targets = np.array([[int(rng.integers(k)) for k in params.space.head_sizes]
+                        for _ in sentences], dtype=np.int64)
 
-    _, grads, _ = loss_and_grads(batch, params)
+    _, grads, _ = loss_and_grads(batch, targets, params)
     max_err = 0.0
     for key, array in params.arrays.items():
         flat = array.reshape(-1)
@@ -687,9 +669,9 @@ def gradient_check(seed: int = 0) -> float:
         for idx in range(flat.size):
             original = flat[idx]
             flat[idx] = original + 1e-4
-            loss_plus, _, _ = loss_and_grads(batch, params)
+            loss_plus, _, _ = loss_and_grads(batch, targets, params)
             flat[idx] = original - 1e-4
-            loss_minus, _, _ = loss_and_grads(batch, params)
+            loss_minus, _, _ = loss_and_grads(batch, targets, params)
             flat[idx] = original
             numeric = (loss_plus - loss_minus) / 2e-4
             analytic = grad_flat[idx]

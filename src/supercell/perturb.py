@@ -2,9 +2,11 @@
 
 Five change families are simulated: domain pivoting, key expansion,
 attribute rename/reorder, value reformatting, and noise-column addition.
-Each family is implemented once here and serves both uses of a
-``PerturbationPlan``: ``augment`` mixes perturbed copies into training
-data, and ``perturb_corpus`` builds the test sets of the robustness ladder.
+A ``PerturbationPlan`` has two uses: ``augment`` mixes perturbed copies
+into training data, and ``perturb_corpus`` builds the test sets of the
+robustness ladder. They do not compose the families alike: ``augment``
+also perturbs at token level and never renames or reformats its
+key-expansion copies.
 Renames, reformats, and character noise never alter what a label points
 at. Key expansion labels each child with ``mapping.carry_label`` under
 SUM, and both ``perturb_corpus`` and ``augment`` carry
@@ -16,9 +18,7 @@ and is fully deterministic.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -338,20 +338,12 @@ def noise_samples(
     return out
 
 
-@dataclass
-class PerturbationLog:
-    """Which operations touched which sample, for ablation slicing."""
+@dataclass(frozen=True)
+class LogEntry(Record):
+    """Which operations made one augmented sample, for ablation slicing."""
 
-    entries: list[dict] = field(default_factory=list)
-
-    def add(self, sample_id: int, ops: list[str]) -> None:
-        if ops:
-            self.entries.append({"sample_id": sample_id, "ops_applied": ops})
-
-    def dump(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for entry in self.entries:
-                fh.write(json.dumps(entry) + "\n")
+    sample_id: int
+    ops_applied: list[str]
 
 
 def perturb_sentence(
@@ -415,7 +407,7 @@ def augment(
     corpus: list[SuperCell],
     hierarchy: KeyHierarchy | None = None,
     parent_component: dict[str, int] | None = None,
-    log: PerturbationLog | None = None,
+    log: list[LogEntry] | None = None,
 ) -> list[LabeledSample]:
     """Originals plus perturbed copies; labels are preserved throughout,
     except key-expansion copies whose aggregation label becomes SUM.
@@ -429,7 +421,8 @@ def augment(
     ``parent_component`` are not expanded; a plan that expands keys without
     a ``hierarchy`` raises SpecViolation, as in ``perturb_corpus``). A nonzero
     ``add_remove_noise_columns`` mixes in synthetic irrelevant columns
-    labeled as discards. Deterministic per (input order, plan seed).
+    labeled as discards. Each added sample appends one ``LogEntry`` to
+    ``log`` when one is given. Deterministic per (input order, plan seed).
     """
     if len(corpus) != len(samples):
         raise ValueError("corpus must parallel samples")
@@ -447,7 +440,7 @@ def augment(
     def add(sample: LabeledSample, ops: list[str]) -> None:
         out.append(sample)
         if log is not None:
-            log.add(len(out) - 1, ops)
+            log.append(LogEntry(len(out) - 1, ops))
 
     for i, sample in enumerate(samples):
         rng = _rng(plan.seed ^ 0x5CE11, 6, i)

@@ -29,6 +29,8 @@ SCHEMA = TargetSchema(
     key_domains={"date": KeyDomain((), open=True), "state": KeyDomain((), open=True)},
 )
 
+THIRTY_DIGITS = "123456789012345678901234567890"
+
 
 def write(table, key, value, mode, attr="v"):
     cell = SuperCell("s", key, (attr,), (str(value),), 0)
@@ -79,6 +81,28 @@ class TestModes:
         write(table, ("d", "s"), 1, AggMode.SUM)
         with pytest.raises(AggModeConflict):
             write(table, ("d", "s"), 2, AggMode.REPLACE)
+
+    def test_large_counter_sum_keeps_every_digit(self):
+        # 12,000 maximum u64 byte counters sum to 24 integer digits, past
+        # the 28 digits that 6 fractional ones leave room for.
+        table = TargetTable(SCHEMA)
+        for _ in range(12000):
+            write(table, ("d", "s"), 18446744073709551615, AggMode.SUM)
+        assert cell_value(table, ("d", "s")) == str(12000 * 18446744073709551615)
+        assert table.to_csv().splitlines()[1] == f"d,s,{12000 * 18446744073709551615}"
+
+    @pytest.mark.parametrize("mode, values, expected", [
+        (AggMode.SUM, [THIRTY_DIGITS] * 2, "246913578024691357802469135780"),
+        (AggMode.MIN, [THIRTY_DIGITS, "123456789012345678901234567891"], THIRTY_DIGITS),
+        (AggMode.MAX, ["123456789012345678901234567889", THIRTY_DIGITS], THIRTY_DIGITS),
+        # A mean of 23 integer digits keeps its 6 fractional ones.
+        (AggMode.AVG, ["100000000000000000000000", "1", "0"], "33333333333333333333333.666667"),
+    ])
+    def test_long_values_are_exact(self, mode, values, expected):
+        table = TargetTable(SCHEMA)
+        for v in values:
+            write(table, ("d", "s"), v, mode)
+        assert cell_value(table, ("d", "s")) == expected
 
     def test_numeric_parse_failure_skips(self):
         table = TargetTable(SCHEMA)

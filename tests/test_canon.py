@@ -70,6 +70,13 @@ class TestNumbers:
         assert canonicalize("n/a value", NUMBER, counters=counters) == "n/a value"
         assert counters.unparseable_number == 1
 
+    def test_thirty_digit_number_is_exact(self):
+        text = "123456789012345678901234567890"
+        assert canonical_number(text) == text
+        assert canonical_number(canonical_number(text)) == text
+        assert canonical_number("1,234,567,890,123,456,789,012,345,678.90") == (
+            "1234567890123456789012345678.9")
+
     def test_canonical_number_rejects_garbage(self):
         assert canonical_number("12x") is None
         assert canonical_number("") is None

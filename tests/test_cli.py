@@ -19,7 +19,7 @@ from supercell.learner import (
     ModelParams, TrainConfig, init_params, integrate_predictions, train,
 )
 from supercell.mapping import generate_training_data
-from supercell.perturb import PerturbationPlan, augment
+from supercell.perturb import LogEntry, PerturbationPlan, augment
 
 from conftest import desk_train_config
 
@@ -90,7 +90,7 @@ def workspace_config(workspace, tmp_path, **overrides):
     """The workspace config with every path absolute and output under
     ``tmp_path``, written to ``tmp_path``; returns its path."""
     root = workspace["root"]
-    config = json.loads(open(workspace["config_path"]).read())
+    config = json.loads(Path(workspace["config_path"]).read_text())
     config.update(
         sources=[{**e, "path": str(root / e["path"])} for e in config["sources"]],
         dictionaries={k: str(root / v) for k, v in config["dictionaries"].items()},
@@ -174,6 +174,25 @@ class TestPipeline:
         table = integrate_predictions(expected_cells, params)
         path, _ = finalize_and_write(table, root / "in_process.csv")
         assert path.read_bytes() == target_csv
+
+    def test_perturb_log_is_the_augment_log(self, workspace, tmp_path):
+        config = workspace_config(workspace, tmp_path, plan=str(workspace["root"] / "plan.json"))
+        for stage in ("decompose", "gen-train", "augment"):
+            assert run([stage, "--config", config]) == 0
+        fixture = workspace["fixture"]
+        log = []
+        augment(
+            generate_training_data(fixture.spec, fixture.corpora, fixture.dictionaries),
+            workspace["plan"], fixture.dictionaries, corpus=fixture.all_cells(),
+            hierarchy=fixture.spec.key_hierarchy,
+            parent_component=fixture.spec.parent_components() or None, log=log,
+        )
+        assert log and read_jsonl(tmp_path / "perturb_log.jsonl", LogEntry) == log
+        # One JSON object per line, as json.dumps writes it.
+        assert (tmp_path / "perturb_log.jsonl").read_text(encoding="utf-8") == "".join(
+            json.dumps({"sample_id": e.sample_id, "ops_applied": e.ops_applied}) + "\n"
+            for e in log
+        )
 
     def test_integrate_matches_oracle_exactly(self, workspace):
         from supercell.mapping import oracle_integrate
@@ -448,7 +467,7 @@ class TestExitCodes:
 
     def test_cell_wider_than_max_width_is_data_error(self, workspace, tmp_path, capsys):
         root, fixture = workspace["root"], workspace["fixture"]
-        config = json.loads(open(workspace["config_path"]).read())
+        config = json.loads(Path(workspace["config_path"]).read_text())
         config.update(
             sources=[{**e, "path": str(root / e["path"])} for e in config["sources"]],
             dictionaries={k: str(root / v) for k, v in config["dictionaries"].items()},
@@ -525,7 +544,7 @@ class TestExitCodes:
         spec = json.loads((root / "mapping_spec.json").read_text())
         edit(spec)
         (tmp_path / "spec.json").write_text(json.dumps(spec))
-        config = json.loads(open(workspace["config_path"]).read())
+        config = json.loads(Path(workspace["config_path"]).read_text())
         config.update(
             sources=[{**e, "path": str(root / e["path"])} for e in config["sources"]],
             dictionaries={k: str(root / v) for k, v in config["dictionaries"].items()},

@@ -116,13 +116,13 @@ def repeating_batches(draw):
     return seen, [FeatureSentence(tuple(t), ("VAL",) * len(t)) for t in sentences]
 
 
-def padded_gru_reference(batch, params):
+def padded_gru_reference(batch, targets, params):
     """Logits and gradients of the recurrent model computed the padded way:
     the tokens are placed in a zero-padded ``(B, T, d)`` array, every row
     runs every step, and a masked step keeps the row's state."""
     arrays = params.arrays
     tokens, embed_cache = _embed_batch(batch, params)
-    n_tokens = [len(s.token_ids) for s in batch]
+    n_tokens = [len(ids) for ids in batch]
     rows = np.repeat(np.arange(len(batch)), n_tokens)
     cols = np.concatenate([np.arange(n) for n in n_tokens])
     X = np.zeros((len(batch), max(n_tokens), tokens.shape[1]))
@@ -165,7 +165,7 @@ def padded_gru_reference(batch, params):
     for i in range(len(params.space.head_sizes)):
         logits.append(H @ arrays[f"head{i}_W"] + arrays[f"head{i}_b"])
         dlogits = _softmax(logits[-1])
-        dlogits[np.arange(len(batch)), [s.targets[i] for s in batch]] -= 1.0
+        dlogits[np.arange(len(batch)), [row[i] for row in targets]] -= 1.0
         dlogits /= len(batch)
         grads[f"head{i}_W"] += H.T @ dlogits
         grads[f"head{i}_b"] += dlogits.sum(axis=0)
@@ -210,16 +210,14 @@ class TestSubwords:
     def test_encode_stores_bucket_count_per_token(self):
         vocab = SubwordVocab(bucket_count=256)
         sentence = FeatureSentence(("confirmed", "ok", "ok"), ("ATTR", "VAL", "VAL"))
-        sample = encode(sentence, vocab)
+        ids = encode(sentence, vocab)
         flat, lengths, starts = vocab.table()
-        ids = sample.token_ids
         assert len(ids) == len(sentence.tokens)
         assert lengths[ids].tolist() == [len(vocab.buckets(t)) for t in sentence.tokens]
         assert np.array_equal(
             np.concatenate([flat[starts[i] : starts[i] + lengths[i]] for i in ids]),
             np.concatenate([vocab.buckets(t) for t in sentence.tokens]),
         )
-        assert sample.targets is None and sample.width == 0
 
     def test_batch_places_tokens_by_sample_and_position(self):
         params = init_params(tiny_config(), SCHEMA)
@@ -294,17 +292,17 @@ class TestLoss:
         for key in params.arrays:
             params.arrays[key][:] = 0
         samples = make_samples(4)
-        encoded = encode_samples(samples, params)
-        loss, _, _ = loss_and_grads(encoded, params)
+        ids, targets, _ = encode_samples(samples, params)
+        loss, _, _ = loss_and_grads(ids, targets, params)
         expected = sum(math.log(k) for k in params.space.head_sizes)
         assert abs(loss - expected) < 1e-5
 
     def test_duplicated_batch_same_mean_loss(self):
         params = init_params(tiny_config(), SCHEMA)
         samples = make_samples(4)
-        encoded = encode_samples(samples, params)
-        loss_once, _, _ = loss_and_grads(encoded, params)
-        loss_twice, _, _ = loss_and_grads(encoded + encoded, params)
+        ids, targets, _ = encode_samples(samples, params)
+        loss_once, _, _ = loss_and_grads(ids, targets, params)
+        loss_twice, _, _ = loss_and_grads(ids + ids, np.concatenate([targets, targets]), params)
         assert abs(loss_once - loss_twice) < 1e-5
 
     @pytest.mark.parametrize("encoder", ENCODERS)
@@ -326,14 +324,15 @@ class TestKernels:
         for key in params.arrays:
             params.arrays[key] = rng.standard_normal(params.arrays[key].shape) * 0.5
         words = ["alpha", "bravo", "charlie", "delta"]
-        batch = [
-            encode(FeatureSentence(tuple(words[i] for i in rng.integers(len(words), size=n)),
-                                   ("VAL",) * n), params.vocab,
-                   np.array([rng.integers(k) for k in params.space.head_sizes]))
-            for n in lengths
-        ]
-        ref_logits, ref_grads = padded_gru_reference(batch, params)
-        _, grads, _ = loss_and_grads(batch, params)
+        batch, targets = [], []
+        for n in lengths:
+            batch.append(encode(FeatureSentence(
+                tuple(words[i] for i in rng.integers(len(words), size=n)), ("VAL",) * n),
+                params.vocab))
+            targets.append([rng.integers(k) for k in params.space.head_sizes])
+        targets = np.array(targets)
+        ref_logits, ref_grads = padded_gru_reference(batch, targets, params)
+        _, grads, _ = loss_and_grads(batch, targets, params)
         forward_only, _ = _forward_batch(batch, params)
         for logits, reference in zip(forward_only, ref_logits):
             assert relative_error(logits, reference) < 1e-10
@@ -470,23 +469,25 @@ class TestTrain:
         # Replay: each batch is scored on its own forward-only logits, one
         # sample at a time over its live heads, before its Adam update.
         params = init_params(config, SCHEMA)
-        encoded = encode_samples(samples, params)
+        ids, targets, _ = encode_samples(samples, params)
         rng = np.random.default_rng(config.seed + 101)
         state = {"t": 0, "m": {k: np.zeros_like(v) for k, v in params.arrays.items()},
                  "v": {k: np.zeros_like(v) for k, v in params.arrays.items()}}
         replayed = []
         for _ in range(config.epochs):
-            order = rng.permutation(len(encoded))
+            order = rng.permutation(len(ids))
             hits = 0
-            for start in range(0, len(encoded), config.batch_size):
-                batch = [encoded[i] for i in order[start : start + config.batch_size]]
+            for start in range(0, len(ids), config.batch_size):
+                rows = order[start : start + config.batch_size]
+                batch = [ids[i] for i in rows]
                 logits, _ = _forward_batch(batch, params)
-                for row, sample in enumerate(batch):
-                    hits += all(logits[head][row].argmax() == sample.targets[head]
-                                for head in params.space.live_heads(sample.width))
-                _, grads, _ = loss_and_grads(batch, params)
+                for row, i in enumerate(rows):
+                    width = len(samples[i].label.attributes)
+                    hits += all(logits[head][row].argmax() == targets[i][head]
+                                for head in params.space.live_heads(width))
+                _, grads, _ = loss_and_grads(batch, targets[rows], params)
                 learner._adam_step(params, grads, config.learning_rate, state)
-            replayed.append(hits / len(encoded))
+            replayed.append(hits / len(ids))
         assert [p.train_acc for p in curve] == replayed
         assert len(set(replayed)) > 1
         for key, array in trained.arrays.items():
@@ -727,24 +728,24 @@ class TestAccuracy:
         # sample's width changed (still correct) or a live head changed.
         params = init_params(tiny_config(encoder=encoder, max_width=3), KEYED_SCHEMA)
         sizes = params.space.head_sizes
-        encoded = [encode(FeatureSentence(("tok", str(i)), ("ATTR", "VAL")), params.vocab,
-                          width=1 + i // 3 % 3) for i in range(36)]
+        encoded = [encode(FeatureSentence(("tok", str(i)), ("ATTR", "VAL")), params.vocab)
+                   for i in range(36)]
+        widths = [1 + i // 3 % 3 for i in range(36)]
         choices, _ = learner._head_choices(encoded, params)
-        for i, (sample, row) in enumerate(zip(encoded, choices)):
-            sample.targets = row.copy()
-            live = params.space.live_heads(sample.width)
-            dead = KEYED_SCHEMA.q + sample.width if sample.width < 3 else None
+        targets = choices.copy()
+        for i, (width, row) in enumerate(zip(widths, choices)):
+            live = params.space.live_heads(width)
+            dead = KEYED_SCHEMA.q + width if width < 3 else None
             head = (None, dead, live[i % len(live)])[i % 3]
             if head is not None:
-                sample.targets[head] = (row[head] + 1) % sizes[head]
+                targets[i, head] = (row[head] + 1) % sizes[head]
         expected = sum(
-            int((row[live] == s.targets[live]).all())
-            for s, row in zip(encoded, choices)
-            for live in [params.space.live_heads(s.width)]
+            int((row[live] == target[live]).all())
+            for width, target, row in zip(widths, targets, choices)
+            for live in [params.space.live_heads(width)]
         ) / len(encoded)
         assert 0 < expected < 1
-        targets = np.stack([s.targets for s in encoded])
-        live = params.space.live_mask([s.width for s in encoded])
+        live = params.space.live_mask(widths)
         assert _accuracy_encoded(choices, targets, live) / len(encoded) == expected
 
     def test_perfect_model(self):

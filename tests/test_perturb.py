@@ -18,7 +18,7 @@ from supercell.mapping import (
     position_for_cell,
 )
 from supercell.perturb import (
-    PerturbationLog,
+    LogEntry,
     PerturbationPlan,
     augment,
     char_noise,
@@ -343,10 +343,10 @@ class TestAugment:
 
     def test_perturbation_log(self):
         base = samples(cells())
-        log = PerturbationLog()
+        log = []
         augment(base, plan(attr_rename_rate=1.0), DICTS, corpus=cells(), log=log)
-        assert log.entries
-        assert all("ops_applied" in e for e in log.entries)
+        assert log
+        assert all(isinstance(e, LogEntry) and e.ops_applied for e in log)
 
     def test_corpus_reformat_carries_labels(self):
         # Abbreviating "zeta" as "alpha" moves it ahead of "mid" in the
@@ -358,12 +358,11 @@ class TestAugment:
         cell = SuperCell("s", ("mid", "zeta"), ("confirmed",), ("1",), 0)
         label = TargetPosition((copy_marker(1), copy_marker(0)), ("confirmed",),
                                AggMode.REPLACE)
-        log = PerturbationLog()
+        log = []
         out = augment([LabeledSample.of(cell, label)],
                       PerturbationPlan(seed=3, value_reformat_rate=1.0, synonym_dict="g"),
                       dicts, corpus=[cell], log=log)
-        copies = [out[e["sample_id"]] for e in log.entries
-                  if e["ops_applied"] == ["corpus_rename_reformat"]]
+        copies = [out[e.sample_id] for e in log if e.ops_applied == ["corpus_rename_reformat"]]
         reformatted = SuperCell("s", ("mid", "alpha"), ("confirmed",), ("1",), 0)
         assert [s.feature for s in copies] == [render_feature(reformatted)]
         kinds = [CanonKind("dict", "g")] * 2
@@ -440,7 +439,7 @@ def digest(samples, entries=()):
     for s in samples:
         h.update(s.to_json().encode() + b"\n")
     for entry in entries:
-        h.update(json.dumps(entry, sort_keys=True).encode() + b"\n")
+        h.update(json.dumps(entry.to_dict(), sort_keys=True).encode() + b"\n")
     return h.hexdigest()
 
 
@@ -472,18 +471,18 @@ class TestPinnedOutput:
 
     def test_augment_and_log(self, small):
         fixture, base = small
-        log = PerturbationLog()
+        log = []
         out = augment(
             base, self.PLAN, fixture.dictionaries, corpus=fixture.all_cells(),
             hierarchy=fixture.spec.key_hierarchy,
             parent_component=fixture.parent_component, log=log,
         )
-        assert {op for e in log.entries for op in e["ops_applied"]} == {
+        assert {op for e in log for op in e.ops_applied} == {
             "rename", "reformat", "char_noise", "corpus_rename_reformat",
             "key_expansion", "noise_column",
         }
-        assert (len(base), len(out), len(log.entries)) == (25, 103, 78)
-        assert digest(out, log.entries) == (
+        assert (len(base), len(out), len(log)) == (25, 103, 78)
+        assert digest(out, log) == (
             "71ef3d6bae4f9fa7ace873c03f76b60cde378c2ebf98733aea21190680183c47"
         )
 
