@@ -46,7 +46,9 @@ class MinHashSignature:
     L: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(int, self.values)))
+        if self.L < 1:
+            raise IncompatibleSignatures(f"L must be at least 1, got {self.L}")
         if len(self.values) != self.L:
             raise IncompatibleSignatures(f"{len(self.values)} values for L={self.L}")
 
@@ -62,7 +64,7 @@ def shingles(value: str) -> set[str]:
 
 def column_shingles(column: list[str]) -> set[str]:
     out: set[str] = set()
-    for value in column:
+    for value in set(column):
         if not is_missing(value):
             out |= shingles(value)
     return out
@@ -80,14 +82,28 @@ def _hash_matrix(shingle_list: list[str], L: int) -> np.ndarray:
     return (mix & np.uint64(0xFFFFFFFF)).astype(np.uint32)
 
 
+def _minhash(shingle_sets: list[set[str]], L: int) -> np.ndarray:
+    """The ``(len(shingle_sets), L)`` minima of non-empty shingle sets: each
+    distinct shingle of the call is hashed once, and a set's row is the
+    column-wise minimum over its shingles' hash rows."""
+    if L < 1:
+        raise IncompatibleSignatures(f"L must be at least 1, got {L}")
+    union = list(set().union(*shingle_sets))
+    row = {s: i for i, s in enumerate(union)}
+    matrix = _hash_matrix(union, L)
+    out = np.empty((len(shingle_sets), L), np.uint32)
+    for i, shingle_set in enumerate(shingle_sets):
+        out[i] = matrix[[row[s] for s in shingle_set]].min(axis=0)
+    return out
+
+
 def signature(column: list[str], L: int = 128) -> MinHashSignature:
     """MinHash signature of a column: position j holds the minimum of the
     j-th hash over the column's shingle set."""
-    shingle_set = sorted(column_shingles(column))
+    shingle_set = column_shingles(column)
     if not shingle_set:
         raise EmptyColumn("no shingles after dropping missing cells")
-    matrix = _hash_matrix(shingle_set, L)
-    return MinHashSignature(matrix.min(axis=0).tolist(), L)
+    return MinHashSignature(_minhash([shingle_set], L)[0].tolist(), L)
 
 
 def estimate_jaccard(a: MinHashSignature, b: MinHashSignature) -> float:
@@ -120,15 +136,18 @@ def sign_columns(
 ) -> dict[tuple[str, str], MinHashSignature]:
     """The signature store: one signature per non-empty column, keyed
     ``(source_id, column)`` in source insertion order, then header order.
-    A column with no shingles (``EmptyColumn``) has no entry."""
-    store: dict[tuple[str, str], MinHashSignature] = {}
+    A column with no shingles (``EmptyColumn``) has no entry. All columns
+    are signed in one ``_minhash`` call."""
+    keys: list[tuple[str, str]] = []
+    shingle_sets: list[set[str]] = []
     for source_id, table in sources.items():
         for column in table.header:
-            try:
-                store[(source_id, column)] = signature(table.column(column), L)
-            except EmptyColumn:
-                continue
-    return store
+            shingle_set = column_shingles(table.column(column))
+            if shingle_set:
+                keys.append((source_id, column))
+                shingle_sets.append(shingle_set)
+    minima = _minhash(shingle_sets, L)
+    return {key: MinHashSignature(row.tolist(), L) for key, row in zip(keys, minima)}
 
 
 def match_signatures(
@@ -139,22 +158,32 @@ def match_signatures(
     """Best stored column per target attribute, by estimated Jaccard.
 
     The example's columns are signed with the store's own L; a store that
-    mixes L values raises ``IncompatibleSignatures``. Stored columns
-    are scanned in insertion order, so ties go to the earlier column. An
-    unmatched attribute is recorded, not fatal.
+    mixes L values raises ``IncompatibleSignatures``. Each attribute's
+    agreement counts against every stored column are one array comparison;
+    the scores are ``estimate_jaccard``'s. Stored columns are scanned in
+    insertion order, so ties go to the earlier column. An unmatched
+    attribute is recorded, not fatal.
     """
     first = next(iter(store.values()), None)
     if first is None:
         return MatchReport({}, {}, list(target_example.header))
+    L = first.L
+    if any(sig.L != L for sig in store.values()):
+        raise IncompatibleSignatures("the store mixes signature lengths")
+    keys = list(store)
+    stored = np.array([sig.values for sig in store.values()], np.uint32)
+    attrs: list[str] = []
+    shingle_sets: list[set[str]] = []
+    for attr in target_example.header:
+        shingle_set = column_shingles(target_example.column(attr))
+        if shingle_set:
+            attrs.append(attr)
+            shingle_sets.append(shingle_set)
     best: dict[str, ColumnMatch] = {}
     per_source: dict[tuple[str, str], ColumnMatch] = {}
-    for attr in target_example.header:
-        try:
-            target_sig = signature(target_example.column(attr), first.L)
-        except EmptyColumn:
-            continue
-        for (source_id, column), sig in store.items():
-            score = estimate_jaccard(target_sig, sig)
+    for attr, minima in zip(attrs, _minhash(shingle_sets, L)):
+        scores = ((stored == minima).sum(axis=1) / L).tolist()
+        for (source_id, column), score in zip(keys, scores):
             if score < threshold:
                 continue
             key = (attr, source_id)
@@ -217,6 +246,8 @@ def baseline_integrate(
     key_kinds = key_kinds or {}
     selected = select_sources(report.best)
     table = TargetTable(schema)
+    # Canonical form by (key attribute, raw value), for this call only.
+    canonical: dict[tuple[str, str], str] = {}
     for source_id in selected:
         raw = sources[source_id]
         key_cols = {}
@@ -236,10 +267,16 @@ def baseline_integrate(
         ]
         idx = {name: i for i, name in enumerate(raw.header)}
         for row in raw.rows:
-            key = tuple(
-                canonicalize(row[idx[key_cols[k]]], key_kinds.get(k, NONE), dictionaries)
-                for k in schema.key_attributes
-            )
+            parts = []
+            for k in schema.key_attributes:
+                value = row[idx[key_cols[k]]]
+                form = canonical.get((k, value))
+                if form is None:
+                    form = canonical[k, value] = canonicalize(
+                        value, key_kinds.get(k, NONE), dictionaries
+                    )
+                parts.append(form)
+            key = tuple(parts)
             attrs = []
             values = []
             for attr in value_attrs:

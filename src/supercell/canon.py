@@ -191,7 +191,8 @@ def canonical_number(value: str) -> str | None:
     """Canonical decimal form, or None if the text is not numeric.
 
     Strips thousands separators and a trailing percent sign; trims trailing
-    fractional zeros so "14.90" and "14.9" collapse to one form.
+    fractional zeros so "14.90" and "14.9" collapse to one form. Every zero,
+    signed or not, is "0".
     """
     text = value.strip().replace(",", "")
     if text.endswith("%"):
@@ -202,6 +203,8 @@ def canonical_number(value: str) -> str | None:
         dec = Decimal(text)
     except InvalidOperation:
         return None
+    if dec.is_zero():
+        return "0"
     return format(dec.normalize(EXACT), "f")
 
 

@@ -6,11 +6,15 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from supercell import baseline
 from supercell.baseline import (
     ColumnMatch,
     EmptyColumn,
     IncompatibleSignatures,
+    MatchReport,
+    MinHashSignature,
     UncoverableAttribute,
     baseline_integrate,
     column_shingles,
@@ -25,6 +29,7 @@ from supercell.baseline import (
     signature,
     storage_report,
 )
+from supercell.canon import NONE, NUMBER
 from supercell.core import KeyDomain, MalformedRecord, TargetSchema
 from supercell.ingest import RawTable
 
@@ -45,6 +50,15 @@ class TestSignature:
     def test_empty_column(self):
         with pytest.raises(EmptyColumn):
             signature(["", "NA", "null"])
+
+    @pytest.mark.parametrize("L", [0, -1])
+    def test_length_below_one_rejected(self, L):
+        with pytest.raises(IncompatibleSignatures):
+            signature(["alpha"], L=L)
+        with pytest.raises(IncompatibleSignatures):
+            sign_columns({"s": table(["c"], [["alpha"]])}, L)
+        with pytest.raises(IncompatibleSignatures):
+            MinHashSignature((), L)
 
     def test_disjoint_columns_rarely_agree(self):
         rng = np.random.default_rng(0)
@@ -82,6 +96,90 @@ class TestJaccardEstimate:
 def table(header, columns):
     rows = tuple(zip(*columns))
     return RawTable(tuple(header), rows)
+
+
+# Small random sources: few rows drawn from few values, so that empty,
+# missing-only and duplicate-valued columns are common.
+CELL_VALUES = ["", "NA", "null", "abc", "abcd", "bcde", "x", "xyzw", "2020-10-06", "-12"]
+
+
+@st.composite
+def raw_tables(draw, prefix="c"):
+    n_columns = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(0, 5))
+    columns = [draw(st.lists(st.sampled_from(CELL_VALUES), min_size=n_rows, max_size=n_rows))
+               for _ in range(n_columns)]
+    return table([f"{prefix}{i}" for i in range(n_columns)], columns)
+
+
+lake_sources = st.dictionaries(st.sampled_from(["s1", "s2", "s3"]), raw_tables(), max_size=3)
+
+
+def reference_match(store, example, threshold):
+    """``match_signatures`` as a loop over ``signature`` and
+    ``estimate_jaccard`` per (attribute, stored column)."""
+    first = next(iter(store.values()), None)
+    if first is None:
+        return MatchReport({}, {}, list(example.header))
+    best, per_source = {}, {}
+    for attr in example.header:
+        try:
+            target = signature(example.column(attr), first.L)
+        except EmptyColumn:
+            continue
+        for (source_id, column), sig in store.items():
+            score = estimate_jaccard(target, sig)
+            if score < threshold:
+                continue
+            key = (attr, source_id)
+            if key not in per_source or score > per_source[key].score:
+                per_source[key] = ColumnMatch(source_id, column, score)
+            if attr not in best or score > best[attr].score:
+                best[attr] = ColumnMatch(source_id, column, score)
+    return MatchReport(best, per_source, [a for a in example.header if a not in best])
+
+
+class TestOneHashingPass:
+    @given(lake_sources, st.sampled_from([1, 4, 10, 16]))
+    @settings(max_examples=100, deadline=None)
+    def test_sign_columns_is_signature_per_column(self, sources, L):
+        expected = {}
+        for source_id, raw in sources.items():
+            for column in raw.header:
+                try:
+                    expected[(source_id, column)] = signature(raw.column(column), L)
+                except EmptyColumn:
+                    continue
+        store = sign_columns(sources, L)
+        assert list(store) == list(expected)
+        assert store == expected
+
+    @given(lake_sources, raw_tables(prefix="a"), st.sampled_from([1, 4, 10, 16]),
+           st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.7, 1.0]))
+    @example({"s1": table(["c0"], [["abc", "x"]])}, table(["a0"], [["abc", "x"]]), 10, 0.3)
+    @settings(max_examples=150, deadline=None)
+    def test_match_signatures_is_the_brute_force_loop(self, sources, example, L, threshold):
+        store = sign_columns(sources, L)
+        assert match_signatures(store, example, threshold) == reference_match(
+            store, example, threshold)
+
+    @given(raw_tables(prefix="a"))
+    @example(table(["a0", "a1"], [["", "NA"], ["null", ""]]))
+    @settings(max_examples=50, deadline=None)
+    def test_mixed_l_store_rejected_whatever_the_example(self, example):
+        store = {("s", "a"): signature(["alpha"], L=16), ("s", "b"): signature(["beta"], L=32)}
+        with pytest.raises(IncompatibleSignatures):
+            match_signatures(store, example)
+
+    def test_three_of_ten_agreeing_positions_meet_threshold_point_three(self):
+        # 3 / 10 == 0.3, while 0.3 * 10 == 3.0000000000000004.
+        values = ["alpha", "beta"]
+        target = signature(values, L=10)
+        stored = MinHashSignature(
+            [v if j < 3 else (v + 1) % 2**32 for j, v in enumerate(target.values)], 10)
+        report = match_signatures({("s", "c"): stored}, table(["a"], [values]), threshold=0.3)
+        assert report.best == {"a": ColumnMatch("s", "c", 0.3)}
+        assert estimate_jaccard(target, stored) == 0.3
 
 
 class TestMatchColumns:
@@ -256,6 +354,15 @@ class TestBaselineIntegrate:
         with pytest.raises(UncoverableAttribute):
             baseline_integrate(report, sources, schema)
 
+    def test_signed_zero_keys_share_one_row(self):
+        schema = TargetSchema(attributes=("k", "v"), key_attributes=("k",))
+        source = table(["K", "V"], [["-0", "0.00", "2"], ["a", "b", "c"]])
+        report = MatchReport(
+            {"k": ColumnMatch("s", "K", 1.0), "v": ColumnMatch("s", "V", 1.0)},
+            {("k", "s"): ColumnMatch("s", "K", 1.0)}, [])
+        result = baseline_integrate(report, {"s": source}, schema, {"k": NUMBER})
+        assert result.finalized_rows() == [["0", "b"], ["2", "c"]]
+
     def test_single_source_pass_through(self):
         sources, schema, target = integration_fixture()
         only = {"cases": sources["cases"]}
@@ -272,6 +379,41 @@ class TestBaselineIntegrate:
         assert {tuple(r) for r in result.finalized_rows()} == {
             tuple(r) for r in narrow_target.rows
         }
+
+
+class TestCanonicalizedOnce:
+    KEY_VALUES = ["1", "01", "1.0", "-0", "0", "x", "NA"]
+    ROWS = st.lists(st.tuples(st.sampled_from(KEY_VALUES), st.sampled_from(KEY_VALUES),
+                              st.sampled_from(["5", "", "7"])), min_size=1, max_size=8)
+
+    @given(ROWS, ROWS)
+    @settings(max_examples=60, deadline=None)
+    def test_each_key_value_is_canonicalized_once_per_call(self, rows_a, rows_b):
+        # The key attributes differ in kind, so a call's (value, kind)
+        # names its (key attribute, raw value).
+        sources = {"a": RawTable(("K1", "K2", "V"), rows_a),
+                   "b": RawTable(("K1", "K2", "W"), rows_b)}
+        schema = TargetSchema(attributes=("k1", "k2", "v", "w"), key_attributes=("k1", "k2"))
+        kinds = {"k1": NUMBER, "k2": NONE}
+        keys = {(a, s): ColumnMatch(s, c, 1.0) for a, c in (("k1", "K1"), ("k2", "K2"))
+                for s in sources}
+        report = MatchReport(
+            {"k1": keys["k1", "a"], "k2": keys["k2", "a"], "v": ColumnMatch("a", "V", 1.0),
+             "w": ColumnMatch("b", "W", 1.0)}, keys, [])
+        calls = []
+        canonicalize = baseline.canonicalize
+
+        def counted(value, kind, dictionaries=None):
+            calls.append((value, kind))
+            return canonicalize(value, kind, dictionaries)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(baseline, "canonicalize", counted)
+            baseline_integrate(report, sources, schema, kinds)
+        expected = {(row[i], kinds[k]) for raw in sources.values() for row in raw.rows
+                    for i, k in enumerate(("k1", "k2"))}
+        assert len(calls) == len(set(calls)) == len(expected)
+        assert set(calls) == expected
 
 
 class TestStorage:
@@ -302,7 +444,10 @@ class TestStorage:
         (lambda path, index: path.write_bytes(path.read_bytes()[:60]), "store"),
         (lambda path, index: index.write_text(
             json.dumps([{**e, "seed": 0} for e in json.loads(index.read_text())])), "index"),
-    ], ids=["missing_store", "store_short_of_its_index", "index_entry_with_seed"])
+        (lambda path, index: index.write_text(
+            json.dumps([{**e, "L": 0} for e in json.loads(index.read_text())])), "store"),
+    ], ids=["missing_store", "store_short_of_its_index", "index_entry_with_seed",
+            "index_entry_with_zero_l"])
     def test_damaged_store_is_malformed_record(self, tmp_path, damage, damaged):
         path = tmp_path / "sigs.bin"
         index = tmp_path / "sigs.bin.index.json"

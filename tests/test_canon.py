@@ -1,7 +1,9 @@
 """Canonicalization: date/number/dictionary normalization and idempotence."""
 
+from decimal import Decimal
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from supercell.canon import (
     CanonCounters,
@@ -80,6 +82,33 @@ class TestNumbers:
     def test_canonical_number_rejects_garbage(self):
         assert canonical_number("12x") is None
         assert canonical_number("") is None
+
+    @pytest.mark.parametrize("text", ["-0", "-0.0", "-00.000", "0.00", "+0", "-0%"])
+    def test_every_zero_is_one_form(self, text):
+        assert canonical_number(text) == "0"
+
+    @given(
+        st.text("0123456789", min_size=1, max_size=8),
+        st.text("0123456789", max_size=8),
+        st.sampled_from(["", "+", "-"]),
+        st.sampled_from(["", "+", "-"]),
+        st.integers(0, 3),
+        st.integers(0, 3),
+    )
+    @example("0", "", "-", "", 0, 0)
+    @settings(max_examples=300, deadline=None)
+    def test_one_number_one_form(self, whole, frac, sign, other_sign, lead, trail):
+        """Two spellings of one number, the second with leading and
+        trailing zeros and, for a zero, any sign, share one canonical form,
+        which is a fixed point."""
+        text = sign + whole + (f".{frac}" if frac else "")
+        if Decimal(f"{whole}.{frac}0") and (sign == "-") != (other_sign == "-"):
+            other_sign = sign
+        respelled = f"{other_sign}{'0' * lead}{whole}.{frac}{'0' * trail}"
+        once = canonical_number(text)
+        assert Decimal(once) == Decimal(text)
+        assert canonical_number(respelled) == once
+        assert canonical_number(once) == once
 
 
 class TestDictionary:

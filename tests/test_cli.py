@@ -217,18 +217,18 @@ class TestPipeline:
         from supercell.mapping import oracle_integrate
 
         fixture = workspace["fixture"]
-        calls = []
-        sign = baseline.signature
+        signed = []
+        minhash = baseline._minhash
 
-        def counted(column, *args, **kwargs):
-            calls.append(1)
-            return sign(column, *args, **kwargs)
+        def counted(shingle_sets, L):
+            signed.extend(shingle_sets)
+            return minhash(shingle_sets, L)
 
-        monkeypatch.setattr(baseline, "signature", counted)
+        monkeypatch.setattr(baseline, "_minhash", counted)
         assert run(["baseline", "--config", workspace["config_path"]]) == 0
         oracle = oracle_integrate(fixture.spec, fixture.corpora, fixture.dictionaries)
         n_columns = sum(len(t.header) for t in fixture.tables.values())
-        assert len(calls) == n_columns + len(oracle.header())
+        assert len(signed) == n_columns + len(oracle.header())
         store = baseline.load_signatures(workspace["root"] / "out" / "signatures.bin")
         assert store == baseline.sign_columns(fixture.tables)
 
