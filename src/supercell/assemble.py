@@ -1,15 +1,17 @@
 """Materializing predicted positions into the target table.
 
 The table is a keyed accumulation structure: each cell carries its
-aggregation mode and enough auxiliary state (running sum and count for
-averages) to merge values in arrival order. Numeric modes use exact
-``Decimal`` arithmetic so golden files are bit-stable.
+aggregation mode, one exact ``Decimal`` aggregate (the sum, minimum or
+maximum so far) and a count of the values merged, enough to merge values
+in arrival order. Numeric results are exact until they render, rounded
+once to 6 decimals, so golden files are bit-stable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Context, Decimal, InvalidOperation
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 from .canon import EXACT, canonical_number
@@ -33,75 +35,56 @@ class AggModeConflict(DataError):
     """Two different aggregation modes were written to one cell."""
 
 
-def _parse_decimal(value: str) -> Decimal | None:
-    text = canonical_number(value)
-    if text is None:
-        return None
-    try:
-        return Decimal(text)
-    except InvalidOperation:
-        return None
-
-
 def render_decimal(value: Decimal) -> str:
     """Render with at most 6 fractional digits, trailing zeros trimmed;
     integral values render without a decimal point. Every integer digit
-    is kept, however many."""
-    return format(value.quantize(Decimal("1e-6"), context=EXACT).normalize(EXACT), "f")
+    is kept, however many. A value that rounds to zero renders "0", never "-0"."""
+    rounded = value.quantize(Decimal("1e-6"), context=EXACT)
+    return "0" if rounded.is_zero() else format(rounded.normalize(EXACT), "f")
 
 
 @dataclass
 class CellState:
-    """Aggregation state of one target cell."""
+    """Aggregation state of one target cell: ``number`` is the exact sum
+    (SUM, AVG), minimum or maximum of the numeric values merged so far, and
+    ``count`` the number of values merged."""
 
     mode: AggMode
     value: str = ""
     number: Decimal | None = None
     count: int = 0
-    total: Decimal = Decimal(0)
 
     def merge(self, incoming: str) -> bool:
         """Fold one arriving value in; returns False on a numeric parse failure."""
         if self.mode in NUMERIC_MODES:
-            num = _parse_decimal(incoming)
-            if num is None:
+            text = canonical_number(incoming)
+            if text is None:
                 return False
-            if self.mode is AggMode.SUM:
-                self.number = num if self.number is None else EXACT.add(self.number, num)
+            num = Decimal(text)
+            if self.number is None:
+                self.number = num
             elif self.mode is AggMode.MIN:
-                self.number = num if self.number is None else min(self.number, num)
+                self.number = min(self.number, num)
             elif self.mode is AggMode.MAX:
-                self.number = num if self.number is None else max(self.number, num)
-            else:  # AVG
-                self.total = EXACT.add(self.total, num)
-                self.count += 1
-            return True
-        if self.mode is AggMode.COUNT:
-            self.count += 1
-            return True
-        if self.mode is AggMode.REPLACE:
-            self.value = incoming
-            return True
-        if self.mode is AggMode.DISCARD:
-            if self.count == 0:
-                self.value = incoming
-            self.count += 1
-            return True
-        # CONCAT: append in arrival order.
-        self.value = incoming if self.count == 0 else f"{self.value}|{incoming}"
+                self.number = max(self.number, num)
+            else:  # SUM, AVG
+                self.number = EXACT.add(self.number, num)
+        elif self.mode is AggMode.CONCAT and self.count:
+            self.value = f"{self.value}|{incoming}"  # arrival order
+        elif self.mode is AggMode.REPLACE or self.count == 0:
+            self.value = incoming  # every REPLACE value, the first of the others
         self.count += 1
         return True
 
     def finalize(self) -> str:
-        if self.mode in (AggMode.SUM, AggMode.MIN, AggMode.MAX):
-            return "" if self.number is None else render_decimal(self.number)
+        """The cell's rendered value. A state is stored only once a value
+        has merged, so ``number`` is set in every numeric mode."""
         if self.mode is AggMode.AVG:
-            if self.count == 0:
-                return ""
-            # The default 28 digits, widened for a mean of 1e22 or more so
-            # that it keeps the 6 fractional digits it renders with.
-            digits = max(28, (self.total / self.count).adjusted() + 7)
-            return render_decimal(Context(prec=digits).divide(self.total, self.count))
+            # The exact mean, rounded once (half-even) to the 6 rendered places.
+            micros = round(Fraction(self.number) / self.count * 10**6)
+            return render_decimal(Decimal(micros).scaleb(-6, EXACT))
+        if self.mode in NUMERIC_MODES:
+            return render_decimal(self.number)
         if self.mode is AggMode.COUNT:
             return str(self.count)
         return self.value

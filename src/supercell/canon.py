@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from pathlib import Path
 
 from .core import DataError, read_json, write_json
@@ -199,10 +199,7 @@ def canonical_number(value: str) -> str | None:
         text = text[:-1].strip()
     if not text or not re.match(r"^[+-]?(\d+(\.\d*)?|\.\d+)$", text):
         return None
-    try:
-        dec = Decimal(text)
-    except InvalidOperation:
-        return None
+    dec = Decimal(text)  # the pattern admits only text Decimal parses
     if dec.is_zero():
         return "0"
     return format(dec.normalize(EXACT), "f")

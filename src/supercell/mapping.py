@@ -230,41 +230,6 @@ def _is_expanded(cell: SuperCell, desc: SourceDescriptor, spec: MappingSpec) -> 
     return spec.key_hierarchy is not None and len(cell.keys) > base
 
 
-def _target_key_values(
-    cell: SuperCell,
-    entries: list[KeyMapEntry],
-    spec: MappingSpec,
-    dictionaries: DictionaryStore | None,
-) -> tuple[list[str | None], list[str | None], list[KeyMapEntry]]:
-    """Concrete target key values in schema order (WILDCARD where declared),
-    the canonical values before rendering (None for a wildcard), and the
-    entries they came from."""
-    by_target = {e.target: e for e in entries}
-    values: list[str | None] = []
-    canonical: list[str | None] = []
-    used: list[KeyMapEntry] = []
-    for attr in spec.target.key_attributes:
-        entry = by_target.get(attr)
-        if entry is None:
-            raise KeyResolutionFailure(
-                f"{cell.source_id}: no key_map entry for target key {attr!r}"
-            )
-        used.append(entry)
-        if entry.wildcard:
-            values.append(WILDCARD)
-            canonical.append(None)
-            continue
-        if entry.component >= len(cell.keys):
-            raise KeyResolutionFailure(
-                f"{cell.source_id}: component {entry.component} out of range "
-                f"for {len(cell.keys)} key components"
-            )
-        value = canonicalize(cell.keys[entry.component], entry.kind, dictionaries)
-        canonical.append(value)
-        values.append(_RENDERERS[entry.render](value) if entry.render else value)
-    return values, canonical, used
-
-
 def position_for_cell(
     spec: MappingSpec,
     cell: SuperCell,
@@ -273,10 +238,13 @@ def position_for_cell(
 ) -> TargetPosition:
     """The cell's target position under the spec.
 
-    With ``as_label`` the key entries prefer COPY(i) markers (indices into
-    the cell's canonically ordered key components) wherever the concrete
-    target value equals the canonicalized component; otherwise concrete
-    values are returned, ready for assembly.
+    Each target key attribute takes WILDCARD for a wildcard key_map entry,
+    otherwise the canonicalized source component, rendered when the entry
+    names a ``render``. With ``as_label`` a value that rendering left
+    unchanged becomes the COPY(i) marker naming its component among the
+    cell's canonically ordered keys; without it the concrete values are
+    returned, ready for assembly. Raises KeyResolutionFailure when an
+    entry's component is out of range for the cell's keys.
     """
     desc = spec.descriptor(cell.source_id)
     amap = spec.attr_map.get(cell.source_id, {})
@@ -302,19 +270,27 @@ def position_for_cell(
             )
         agg = modes.pop()
 
-    entries = spec.key_map.get(cell.source_id, [])
-    values, canonical, used = _target_key_values(cell, entries, spec, dictionaries)
-    if not as_label:
-        return TargetPosition(tuple(values), tuple(attrs), agg)
-
-    # A value that rendering left unchanged is the component canonicalized
-    # by its slot's one kind (validate), so COPY(i) resolves back to it.
-    sorted_keys = cell.sorted_keys()
-    keys = tuple(
-        _marker_for(sorted_keys, cell.keys[entry.component]) if value == canon else value
-        for value, canon, entry in zip(values, canonical, used)
-    )
-    return TargetPosition(keys, tuple(attrs), agg)
+    by_target = {e.target: e for e in spec.key_map.get(cell.source_id, ())}
+    sorted_keys = cell.sorted_keys() if as_label else ()
+    keys: list[str] = []
+    for attr in spec.target.key_attributes:
+        entry = by_target[attr]  # validate: every key attribute is covered
+        if entry.wildcard:
+            keys.append(WILDCARD)
+            continue
+        if entry.component >= len(cell.keys):
+            raise KeyResolutionFailure(
+                f"{cell.source_id}: component {entry.component} out of range "
+                f"for {len(cell.keys)} key components"
+            )
+        component = cell.keys[entry.component]
+        value = canonicalize(component, entry.kind, dictionaries)
+        rendered = _RENDERERS[entry.render](value) if entry.render else value
+        # A value that rendering left unchanged is the component canonicalized
+        # by its slot's one kind (validate), so COPY(i) resolves back to it.
+        keys.append(_marker_for(sorted_keys, component)
+                    if as_label and rendered == value else rendered)
+    return TargetPosition(tuple(keys), tuple(attrs), agg)
 
 
 def _marker_for(sorted_keys: tuple[str, ...], component: str) -> str:

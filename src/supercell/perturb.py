@@ -208,9 +208,7 @@ def _rename_reformat(
 
 
 def _partition_integer(total: int, parts: int, rng: np.random.Generator) -> list[int]:
-    """Random composition of ``total`` into ``parts`` nonnegative integers."""
-    if parts == 1:
-        return [total]
+    """Random composition of ``total`` into ``parts`` integers of its sign (or zero)."""
     if total >= 0:
         cuts = sorted(int(rng.integers(0, total + 1)) for _ in range(parts - 1))
         bounds = [0] + cuts + [total]

@@ -1,10 +1,11 @@
 """Aggregation semantics and the shared table writer."""
 
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from supercell.assemble import (
     AggModeConflict,
@@ -97,11 +98,36 @@ class TestModes:
         (AggMode.MAX, ["123456789012345678901234567889", THIRTY_DIGITS], THIRTY_DIGITS),
         # A mean of 23 integer digits keeps its 6 fractional ones.
         (AggMode.AVG, ["100000000000000000000000", "1", "0"], "33333333333333333333333.666667"),
+        # The exact mean 0.1234574999... rounds once, to 0.123457.
+        (AggMode.AVG, ["0.3703724999999999999999999999", "0", "0"], "0.123457"),
+        # A negative aggregate that rounds to zero renders without its sign.
+        (AggMode.SUM, ["-0.0000001"], "0"),
+        (AggMode.MIN, ["-0.0000001"], "0"),
+        (AggMode.AVG, ["-0.0000004"], "0"),
     ])
     def test_long_values_are_exact(self, mode, values, expected):
         table = TargetTable(SCHEMA)
         for v in values:
             write(table, ("d", "s"), v, mode)
+        assert cell_value(table, ("d", "s")) == expected
+
+    @given(st.lists(
+        st.builds(lambda digits, places: format(Decimal(f"{digits}e-{places}"), "f"),
+                  st.integers(-(10**30 - 1), 10**30 - 1), st.integers(0, 30)),
+        min_size=1, max_size=6))
+    @example(["0.3703724999999999999999999999", "0", "0"])
+    @settings(max_examples=300, deadline=None)
+    def test_avg_is_the_exact_mean_rounded_once(self, values):
+        table = TargetTable(SCHEMA)
+        for v in values:
+            write(table, ("d", "s"), v, AggMode.AVG)
+        mean = sum(Fraction(v) for v in values) / len(values)
+        micros, rest = divmod(mean.numerator * 10**6, mean.denominator)
+        if 2 * rest > mean.denominator or (2 * rest == mean.denominator and micros % 2):
+            micros += 1
+        whole, frac = divmod(abs(micros), 10**6)
+        text = f"{whole}.{frac:06d}".rstrip("0").rstrip(".")
+        expected = f"-{text}" if micros < 0 else text
         assert cell_value(table, ("d", "s")) == expected
 
     def test_numeric_parse_failure_skips(self):
@@ -381,3 +407,6 @@ def test_render_decimal():
     assert render_decimal(Decimal("7")) == "7"
     assert render_decimal(Decimal("1") / Decimal("3")) == "0.333333"
     assert render_decimal(Decimal("-2.5")) == "-2.5"
+    assert render_decimal(Decimal("-0.0000001")) == "0"
+    assert render_decimal(Decimal("-0.0000004")) == "0"
+    assert render_decimal(Decimal("-0.0000005")) == "0"

@@ -453,17 +453,23 @@ class TestExitCodes:
         assert run(["decompose", "--config", str(path)]) == 2
         assert f"{tmp_path / 'missing_spec.json'}: no such file" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("entry", [{"source_id": "covid"}, {"path": "covid.csv"}])
-    def test_incomplete_sources_entry_is_usage_error(self, workspace, tmp_path, capsys,
-                                                     entry):
+    @pytest.mark.parametrize("command, edit, message", [
+        ("decompose", {"sources": [{"source_id": "covid"}]}, "{'source_id': 'covid'}"),
+        ("decompose", {"sources": [{"path": "covid.csv"}]}, "{'path': 'covid.csv'}"),
+        ("decompose", {"sources": [{"source_id": "deaths", "path": "covid.csv"}]},
+         "source 'deaths' not in mapping spec"),
+        ("decompose", {"mapping_spec": None}, "config needs a 'mapping_spec' path"),
+        ("augment", {}, "config needs a 'plan' path"),
+    ], ids=["source_without_path", "source_without_id", "source_not_in_spec",
+            "no_mapping_spec", "augment_without_plan"])
+    def test_incomplete_run_config_is_usage_error(self, workspace, tmp_path, capsys,
+                                                  command, edit, message):
+        config = {"mapping_spec": str(workspace["root"] / "mapping_spec.json"),
+                  "out_dir": str(tmp_path), **edit}
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({
-            "sources": [entry],
-            "mapping_spec": str(workspace["root"] / "mapping_spec.json"),
-            "out_dir": str(tmp_path),
-        }))
-        assert run(["decompose", "--config", str(path)]) == 1
-        assert repr(entry) in capsys.readouterr().err
+        path.write_text(json.dumps({k: v for k, v in config.items() if v is not None}))
+        assert run([command, "--config", str(path)]) == 1
+        assert message in capsys.readouterr().err
 
     def test_cell_wider_than_max_width_is_data_error(self, workspace, tmp_path, capsys):
         root, fixture = workspace["root"], workspace["fixture"]

@@ -217,9 +217,11 @@ class TestLogDecompose:
             decompose_log([], self.UBUNTU)
 
     def test_unmatched_lines_counted(self):
+        # Blank lines are skipped and not counted as unmatched.
         stats = DecomposeStats()
         decompose_log(
-            ["garbage", "T t0", "%Cpu(s): 1.0 us"], self.UBUNTU, stats=stats
+            ["garbage", "", "T t0", "   \n", "%Cpu(s): 1.0 us", "\t"], self.UBUNTU,
+            stats=stats,
         )
         assert stats.unmatched_lines == 1
 

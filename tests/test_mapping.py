@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -172,6 +173,19 @@ class TestTrainingData:
         cell = SuperCell("s", ("2020-10-06",), ("v",), ("x",), 0)
         samples = generate_training_data(spec, {"s": [cell]})
         assert samples[0].label.keys == ("Oct 6, 2020",)
+
+    def test_pivoted_cell_with_an_appended_child_sums(self):
+        # A pivoted cell's keys are its key columns plus the pivot axis; under
+        # a key hierarchy one component more is a child that expand_keys
+        # appended, and its values sum into the parent's row.
+        spec = replace(sparse_spec(), agg_map={},
+                       key_hierarchy=KeyHierarchy("region", {"east": ("e1", "e2")}))
+        cell = SuperCell("deaths", ("east", "2020-10-06"), ("deaths",), ("5",), 0)
+        child = replace(cell, keys=cell.keys + ("e1",))
+        parent_pos, child_pos = position_for_cell(spec, cell), position_for_cell(spec, child)
+        assert parent_pos.agg_mode is AggMode.REPLACE
+        assert child_pos.agg_mode is AggMode.SUM
+        assert child_pos.keys == parent_pos.keys == ("2020-10-06", WILDCARD, "east")
 
     def test_copy_survives_reformatted_keys(self):
         # A reformatted surface form still canonicalizes to the target key,
