@@ -107,14 +107,19 @@ class SynonymDictionary:
 DictionaryStore = dict[str, SynonymDictionary]
 
 
-_MONTH_ABBR = ["Jan", "Feb", "Mar", "Apr", "May", "Jun",
-               "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"]
-_MONTH_INDEX = {m.lower(): i + 1 for i, m in enumerate(_MONTH_ABBR)}
+_MONTH_NAMES = ["January", "February", "March", "April", "May", "June", "July",
+                "August", "September", "October", "November", "December"]
+_MONTH_ABBR = [name[:3] for name in _MONTH_NAMES]
+# The month words parse_date accepts: a month's 3-letter abbreviation,
+# "sept", or its full name, in any case.
+_MONTH_INDEX = {word.lower(): i + 1 for i, name in enumerate(_MONTH_NAMES)
+                for word in (name, name[:3])} | {"sept": 9}
 
 _RE_ISO = re.compile(r"^(\d{4})-(\d{2})-(\d{2})(?:[ T](\d{2}):(\d{2}):(\d{2}))?$")
 _RE_MDY = re.compile(r"^(\d{1,2})/(\d{1,2})/(\d{4})(?:\s+(\d{1,2}):(\d{2}))?$")
 _RE_COMPACT = re.compile(r"^(\d{2})(\d{2})(\d{4})$")
 _RE_MONTH_NAME = re.compile(r"^([A-Za-z]{3,9})\.?\s+(\d{1,2}),?\s+(\d{4})$")
+_RE_NUMBER = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)$")
 
 
 def _valid_ymd(y: int, m: int, d: int) -> bool:
@@ -129,7 +134,9 @@ def parse_date(value: str) -> tuple[int, int, int, int | None, int | None, int |
     """Parse a date in any accepted input format; None if unrecognized.
 
     Accepted: ISO YYYY-MM-DD[ HH:MM:SS], M/D/YYYY[ H:MM], MMDDYYYY,
-    and month-name forms like "Oct 6, 2020".
+    and month-name forms like "Oct 6, 2020", "Sept. 6 2020" or "October 6,
+    2020"; a month word is a month's 3-letter abbreviation, "sept" or its
+    full name.
     """
     text = value.strip()
     m = _RE_ISO.match(text)
@@ -162,7 +169,7 @@ def parse_date(value: str) -> tuple[int, int, int, int | None, int | None, int |
         return (y, mo, d, None, None, None)
     m = _RE_MONTH_NAME.match(text)
     if m:
-        mo = _MONTH_INDEX.get(m[1].lower()[:3])
+        mo = _MONTH_INDEX.get(m[1].lower())
         d, y = int(m[2]), int(m[3])
         if mo is None or not _valid_ymd(y, mo, d):
             return None
@@ -197,7 +204,7 @@ def canonical_number(value: str) -> str | None:
     text = value.strip().replace(",", "")
     if text.endswith("%"):
         text = text[:-1].strip()
-    if not text or not re.match(r"^[+-]?(\d+(\.\d*)?|\.\d+)$", text):
+    if not _RE_NUMBER.match(text):
         return None
     dec = Decimal(text)  # the pattern admits only text Decimal parses
     if dec.is_zero():

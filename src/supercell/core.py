@@ -476,26 +476,31 @@ def fnv1a64(text: str) -> int:
     return acc
 
 
-def render_feature(cell: SuperCell) -> FeatureSentence:
-    """Render a super cell as the sentence the classifier consumes.
+def feature_texts(cell: SuperCell, sorted_keys: tuple[str, ...]) -> Iterator[tuple[str, str]]:
+    """The texts of a cell's feature sentence, each with its segment tag, in
+    sentence order: the key components in canonical order (``sorted_keys``,
+    the cell's ``sorted_keys()``), then each attribute name followed by its
+    value. The one owner of that order."""
+    for component in sorted_keys:
+        yield component, KEY
+    for attr, value in zip(cell.attributes, cell.values):
+        yield attr, ATTR
+        yield value, VAL
 
-    Keys come first in canonical order, then each cell's attribute name
-    followed by its value. The result does not depend on the order columns
-    appeared in the source file, nor on pivoting.
+
+def render_feature(cell: SuperCell) -> FeatureSentence:
+    """Render a super cell as the sentence the classifier consumes: the
+    tokens of its ``feature_texts``, each tagged with its text's segment.
+
+    The result does not depend on the order columns appeared in the source
+    file, nor on pivoting.
     """
     tokens: list[str] = []
     tags: list[str] = []
-    for component in cell.sorted_keys():
-        for tok in tokenize(component):
+    for text, tag in feature_texts(cell, cell.sorted_keys()):
+        for tok in tokenize(text):
             tokens.append(tok)
-            tags.append(KEY)
-    for attr, value in zip(cell.attributes, cell.values):
-        for tok in tokenize(attr):
-            tokens.append(tok)
-            tags.append(ATTR)
-        for tok in tokenize(value):
-            tokens.append(tok)
-            tags.append(VAL)
+            tags.append(tag)
     return FeatureSentence(tuple(tokens), tuple(tags))
 
 

@@ -165,7 +165,8 @@ def _emit(
     stats: DecomposeStats,
     axis: str | None = None,
 ) -> None:
-    """Append one super cell of the present (attribute, raw value) pairs.
+    """Append one super cell of the present (canonical attribute, value
+    kind, raw value) triples in ``pairs``.
 
     Missing values are skipped and counted; a cell with no present value is
     not emitted. ``axis`` (a pivoted column's header) is canonicalized as
@@ -173,12 +174,12 @@ def _emit(
     """
     attrs: list[str] = []
     values: list[str] = []
-    for name, raw in pairs:
+    for attr, kind, raw in pairs:
         if raw is None or is_missing(raw):
             stats.skipped_empty_cells += 1
             continue
-        attrs.append(canonicalize(name, NONE))
-        values.append(canonicalize(raw, desc.canon_kind(name), dictionaries, stats.canon))
+        attrs.append(attr)
+        values.append(canonicalize(raw, kind, dictionaries, stats.canon))
     if not attrs:
         return
     if axis is not None:
@@ -188,11 +189,17 @@ def _emit(
     stats.cells += 1
 
 
+def _attribute(desc: SourceDescriptor, name: str) -> tuple[str, CanonKind]:
+    """A source attribute's canonical name and the kind of its values."""
+    return canonicalize(name, NONE), desc.canon_kind(name)
+
+
 def _group_plan(
     header: tuple[str, ...], col_index: dict[str, int], desc: SourceDescriptor
-) -> list[tuple[str | None, tuple[tuple[str, int], ...]]]:
+) -> list[tuple[str | None, tuple[tuple[str, CanonKind, int], ...]]]:
     """Per emitted cell of a row: its pivot-axis header (None for a plain
-    table) and its (attribute, column index) pairs.
+    table) and its (canonical attribute, value kind, column index) triples;
+    each attribute name is canonicalized once, here.
 
     A plain table plans its declared groups first, then a singleton group
     for each remaining non-key column. A pivoted table plans one singleton
@@ -201,13 +208,14 @@ def _group_plan(
     keyset = set(desc.key_columns)
     rest = [c for c in header if c not in keyset]
     if desc.format == "pivoted_csv":
-        return [(c, ((desc.pivot.value_attr_name, col_index[c]),)) for c in rest]
+        value = _attribute(desc, desc.pivot.value_attr_name)
+        return [(c, ((*value, col_index[c]),)) for c in rest]
     grouped = [c for g in desc.supercell_groups for c in g]
     for col in grouped:
         if col not in col_index:
             raise MissingKeyColumn(f"grouped column {col!r} absent from header")
     groups = list(desc.supercell_groups) + [(c,) for c in rest if c not in grouped]
-    return [(None, tuple((c, col_index[c]) for c in g)) for g in groups]
+    return [(None, tuple((*_attribute(desc, c), col_index[c]) for c in g)) for g in groups]
 
 
 def decompose(
@@ -235,6 +243,7 @@ def decompose(
         if key_col not in col_index:
             raise MissingKeyColumn(key_col)
     plan = _group_plan(table.header, col_index, desc)
+    key_kinds = [desc.canon_kind(c) for c in desc.key_columns]
 
     cells: list[SuperCell] = []
     for ordinal, row in enumerate(table.rows):
@@ -244,11 +253,10 @@ def decompose(
             stats.skipped_missing_key_rows += 1
             continue
         keys = tuple(
-            canonicalize(v, desc.canon_kind(c), dictionaries, stats.canon)
-            for c, v in zip(desc.key_columns, raw_keys)
+            canonicalize(v, kind, dictionaries, stats.canon) for kind, v in zip(key_kinds, raw_keys)
         )
         for axis, columns in plan:
-            pairs = [(name, row[i]) for name, i in columns]
+            pairs = [(attr, kind, row[i]) for attr, kind, i in columns]
             _emit(cells, desc, keys, pairs, ordinal, dictionaries, stats, axis)
     return cells
 
@@ -267,7 +275,11 @@ def decompose_log(
     ambient keys. Lines matched by no rule are counted and skipped.
     """
     stats = stats if stats is not None else DecomposeStats()
-    compiled = [(rule, rule.compiled()) for rule in desc.log_rules]
+    compiled = [
+        (rule, rule.compiled(),
+         [(*_attribute(desc, a), c) for a, c in rule.attr_value_captures.items()])
+        for rule in desc.log_rules
+    ]
     ambient: dict[str, str] = dict(desc.constant_keys)
 
     cells: list[SuperCell] = []
@@ -275,7 +287,7 @@ def decompose_log(
         line = line.rstrip("\n")
         if not line.strip():
             continue
-        for rule, pattern in compiled:
+        for rule, pattern, captures in compiled:
             m = pattern.search(line)
             if m is None:
                 continue
@@ -283,14 +295,14 @@ def decompose_log(
                 ambient[key_name] = canonicalize(
                     m.group(capture), desc.canon_kind(key_name), dictionaries, stats.canon
                 )
-            if rule.attr_value_captures:
+            if captures:
                 missing_keys = [k for k in desc.key_columns if k not in ambient]
                 if missing_keys:
                     raise MissingKeyColumn(
                         f"no ambient value for key(s) {missing_keys} at line {lineno}"
                     )
                 keys = tuple(ambient[k] for k in desc.key_columns)
-                pairs = [(a, m.group(c)) for a, c in rule.attr_value_captures.items()]
+                pairs = [(attr, kind, m.group(c)) for attr, kind, c in captures]
                 _emit(cells, desc, keys, pairs, lineno, dictionaries, stats)
             break
         else:

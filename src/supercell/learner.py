@@ -30,11 +30,12 @@ from .core import (
     SuperCell,
     TargetPosition,
     TargetSchema,
+    feature_texts,
     fnv1a64,
     open_file,
-    render_feature,
+    tokenize,
 )
-from .mapping import LabeledSample, resolve_position
+from .mapping import LabeledSample, copy_slots, resolve_position
 
 
 class EmptyEvalSet(DataError):
@@ -582,6 +583,30 @@ class Prediction:
     copy_outside_domain: int = 0
 
 
+def _encode_cells(
+    cells: list[SuperCell], sorted_keys: list[tuple[str, ...]], vocab: SubwordVocab
+) -> list[np.ndarray]:
+    """Each cell's token ids, equal to ``encode(render_feature(cell), vocab)``
+    (``sorted_keys`` holds each cell's ``sorted_keys()``). Each distinct
+    text, a key component, an attribute name or a value, is tokenized and
+    looked up once, through a table that lives for this call only; tokens
+    reach ``vocab`` in the order ``render_feature`` gives them. A cell that
+    renders no token raises ValueError, as ``FeatureSentence`` does."""
+    ids_of: dict[str, list[int]] = {}
+    encoded = []
+    for cell, keys in zip(cells, sorted_keys):
+        ids: list[int] = []
+        for text, _ in feature_texts(cell, keys):
+            text_ids = ids_of.get(text)
+            if text_ids is None:
+                text_ids = ids_of[text] = [vocab.token_id(tok) for tok in tokenize(text)]
+            ids += text_ids
+        if not ids:
+            raise ValueError(f"cell {cell.source_id}:{cell.row_ordinal} renders no token")
+        encoded.append(np.array(ids, dtype=np.int64))
+    return encoded
+
+
 def predict_cells(cells: list[SuperCell], params: ModelParams) -> list[Prediction]:
     """Argmax position for each super cell, with COPY markers resolved
     against the cell's canonically ordered keys. A COPY component that is
@@ -590,27 +615,39 @@ def predict_cells(cells: list[SuperCell], params: ModelParams) -> list[Predictio
     counts the cell's values as skipped. A cell wider than ``max_width``
     gets a position of ``max_width`` attributes.
 
-    Inputs repeat across the cells of a call, so each distinct (head-choice
-    row, width) is decoded once and each distinct (key component, slot) is
-    canonicalized once, through tables that live for this call only; the
-    confidences are one product over the live-head mask, the masked heads
-    counting as 1. Nothing is kept between calls."""
-    encoded = [encode(render_feature(cell), params.vocab) for cell in cells]
-    choices, chosen = _head_choices(encoded, params)
+    Inputs repeat across the cells of a call, so each distinct key tuple is
+    sorted once, each distinct text is tokenized once, each distinct
+    (head-choice row, width) is decoded and searched for COPY markers once,
+    and each distinct (key component, slot) is canonicalized once, through
+    tables that live for this call only; the confidences are one product
+    over the live-head mask, the masked heads counting as 1. Nothing is kept
+    between calls."""
+    sorted_of: dict[tuple[str, ...], tuple[str, ...]] = {}
+    sorted_keys = []
+    for cell in cells:
+        keys = sorted_of.get(cell.keys)
+        if keys is None:
+            keys = sorted_of[cell.keys] = cell.sorted_keys()
+        sorted_keys.append(keys)
+    choices, chosen = _head_choices(_encode_cells(cells, sorted_keys, params.vocab), params)
     widths = [cell.width for cell in cells]
     live = params.space.live_mask(widths)
     confidences = np.where(live, chosen, chosen.dtype.type(1)).prod(axis=1).tolist()
     closed = params.schema.closed_values()
-    decoded: dict[tuple, TargetPosition] = {}
+    decoded: dict[tuple, tuple[TargetPosition, tuple[tuple[int, int], ...]]] = {}
     canonical: dict[tuple[str, int], str] = {}
     out = []
-    for cell, row, width, confidence in zip(cells, choices.tolist(), widths, confidences):
+    for cell, keys, row, width, confidence in zip(
+        cells, sorted_keys, choices.tolist(), widths, confidences
+    ):
         key = (*row, min(width, params.space.max_width))
-        position = decoded.get(key)
-        if position is None:
-            position = decoded[key] = params.space.decode(row, width)
+        entry = decoded.get(key)
+        if entry is None:
+            position = params.space.decode(row, width)
+            entry = decoded[key] = (position, copy_slots(position))
         position, out_of_range, outside = resolve_position(
-            position, cell, params.key_kinds, params.synonyms, closed, canonical
+            entry[0], cell, params.key_kinds, params.synonyms, closed, canonical,
+            sorted_keys=keys, copies=entry[1],
         )
         out.append(Prediction(position, confidence, out_of_range, outside))
     return out

@@ -328,6 +328,12 @@ def carry_label(label: TargetPosition, parent: SuperCell, child: SuperCell) -> T
     return replace(label, keys=tuple(keys))
 
 
+def copy_slots(pos: TargetPosition) -> tuple[tuple[int, int], ...]:
+    """(slot, index) of each COPY(index) marker among ``pos.keys``."""
+    return tuple((slot, idx) for slot, entry in enumerate(pos.keys)
+                 if (idx := copy_index(entry)) is not None)
+
+
 def resolve_position(
     pos: TargetPosition,
     cell: SuperCell,
@@ -335,31 +341,35 @@ def resolve_position(
     dictionaries: DictionaryStore | None = None,
     closed: list[frozenset[str] | None] | None = None,
     canonical: dict[tuple[str, int], str] | None = None,
+    *,
+    sorted_keys: tuple[str, ...] | None = None,
+    copies: tuple[tuple[int, int], ...] | None = None,
 ) -> tuple[TargetPosition, int, int]:
     """Resolve COPY markers against the cell's canonically ordered keys.
 
     Returns the concrete position, the number of COPY components that were
     out of range, and the number that resolved outside their slot's closed
     domain (``closed``, as ``TargetSchema.closed_values`` gives it; None
-    treats every domain as open); both degrade to NULL. ``canonical``, when
-    given, is the caller's table of canonical values by (component, slot)
-    for these ``key_kinds`` and ``dictionaries``: a component found there
-    is not canonicalized again, and one that is not is added.
+    treats every domain as open); both degrade to NULL. A position without
+    a COPY marker is returned as it is. ``canonical``, when given, is the
+    caller's table of canonical values by (component, slot) for these
+    ``key_kinds`` and ``dictionaries``: a component found there is not
+    canonicalized again, and one that is not is added. A caller resolving
+    many cells may pass ``sorted_keys`` (``cell.sorted_keys()``) and
+    ``copies`` (``copy_slots(pos)``), taken once for every cell that shares
+    them.
     """
-    if pos.is_discard:
+    copies = copy_slots(pos) if copies is None else copies
+    if not copies:
         return pos, 0, 0
-    sorted_keys = cell.sorted_keys()
+    sorted_keys = cell.sorted_keys() if sorted_keys is None else sorted_keys
     canonical = {} if canonical is None else canonical
-    out: list[str | None] = []
+    out = list(pos.keys)
     out_of_range = outside = 0
-    for slot, entry in enumerate(pos.keys):
-        idx = copy_index(entry)
-        if idx is None:
-            out.append(entry)
-            continue
+    for slot, idx in copies:
         component = _component_named(sorted_keys, idx)
         if component is None:
-            out.append(None)
+            out[slot] = None
             out_of_range += 1
             continue
         value = canonical.get((component, slot))
@@ -367,10 +377,10 @@ def resolve_position(
             value = canonical[component, slot] = canonicalize(
                 component, key_kinds[slot], dictionaries)
         if closed and closed[slot] is not None and value not in closed[slot]:
-            out.append(None)
+            out[slot] = None
             outside += 1
             continue
-        out.append(value)
+        out[slot] = value
     return TargetPosition(tuple(out), pos.attributes, pos.agg_mode), out_of_range, outside
 
 

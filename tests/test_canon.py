@@ -1,9 +1,10 @@
 """Canonicalization: date/number/dictionary normalization and idempotence."""
 
+import datetime
 from decimal import Decimal
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from supercell.canon import (
     CanonCounters,
@@ -14,6 +15,7 @@ from supercell.canon import (
     UnknownDictionary,
     canonical_number,
     canonicalize,
+    iso_date,
     long_date,
     parse_date,
 )
@@ -52,6 +54,72 @@ class TestDates:
 
     def test_long_date_rendering(self):
         assert long_date("2020-10-06") == "Oct 6, 2020"
+
+    @pytest.mark.parametrize("text, expected", [
+        ("Jun 3, 2020", "2020-06-03"), ("JUNE 3 2020", "2020-06-03"),
+        ("sep 6, 2020", "2020-09-06"), ("Sept. 6, 2020", "2020-09-06"),
+        ("September 6, 2020", "2020-09-06"), ("May. 1, 2020", "2020-05-01"),
+    ])
+    def test_month_words(self, text, expected):
+        assert canonicalize(text, DATE) == expected
+
+    @pytest.mark.parametrize("text", [
+        "Junk 3, 2020", "Decade 5, 2020", "Octopus 6, 2020", "Septem 6, 2020", "Marc 1, 2020",
+    ])
+    def test_a_word_that_only_starts_like_a_month_is_no_month(self, text):
+        assert parse_date(text) is None
+
+
+MONTHS = ["January", "February", "March", "April", "May", "June", "July", "August",
+          "September", "October", "November", "December"]
+
+
+@given(st.dates(min_value=datetime.date(1000, 1, 1)), st.times())
+@settings(max_examples=300, deadline=None)
+def test_valid_dates_round_trip_through_every_form(day, clock):
+    """A calendar date parses back to itself from its ISO, M/D/Y, MMDDYYYY,
+    ``long_date`` and full month name forms, with a time where the form
+    takes one."""
+    iso = day.isoformat()
+    y, m, d = day.year, day.month, day.day
+    for form in (iso, f"{m}/{d}/{y}", f"{m:02d}{d:02d}{y}", long_date(iso),
+                 f"{MONTHS[m - 1]} {d}, {y}"):
+        assert iso_date(parse_date(form)) == iso
+    stamp = f"{iso} {clock:%H:%M:%S}"
+    assert iso_date(parse_date(stamp)) == stamp
+    assert iso_date(parse_date(f"{m}/{d}/{y} {clock.hour}:{clock:%M}")) == f"{iso} {clock:%H:%M}:00"
+
+
+@given(st.integers(1000, 9999), st.one_of(st.integers(1, 12), st.integers(0, 99)),
+       st.one_of(st.integers(28, 32), st.integers(0, 99)))
+@example(2021, 2, 29)
+@example(2020, 13, 1)
+@settings(max_examples=300, deadline=None)
+def test_impossible_day_or_month_is_no_date(y, m, d):
+    try:
+        datetime.date(y, m, d)
+    except ValueError:
+        pass
+    else:
+        assume(False)
+    forms = [f"{y}-{m:02d}-{d:02d}", f"{m}/{d}/{y}", f"{m:02d}{d:02d}{y}"]
+    if 1 <= m <= 12:
+        forms.append(f"{MONTHS[m - 1][:3]} {d}, {y}")
+    for form in forms:
+        assert parse_date(form) is None, form
+
+
+@given(st.dates(min_value=datetime.date(1000, 1, 1)), st.integers(0, 99), st.integers(0, 99),
+       st.integers(0, 99))
+@example(datetime.date(2020, 1, 1), 24, 0, 0)
+@example(datetime.date(2020, 1, 1), 0, 60, 0)
+@example(datetime.date(2020, 1, 1), 0, 0, 60)
+@settings(max_examples=300, deadline=None)
+def test_impossible_time_is_no_date(day, hh, mi, ss):
+    assume(hh > 23 or mi > 59 or ss > 59)
+    assert parse_date(f"{day.isoformat()} {hh:02d}:{mi:02d}:{ss:02d}") is None
+    if hh > 23 or mi > 59:
+        assert parse_date(f"{day.month}/{day.day}/{day.year} {hh}:{mi:02d}") is None
 
 
 class TestNumbers:

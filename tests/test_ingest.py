@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from supercell import ingest
 from supercell.canon import CanonKind, SynonymDictionary
 from supercell.datasets import build_covid_fixture
 from supercell.ingest import (
@@ -102,6 +103,41 @@ class TestDecompose:
         with pytest.raises(MissingKeyColumn):
             decompose(covid_table([("1", "2", "3", "4", "5")]), bad, DICTS)
 
+    def test_grouped_column_absent_from_header(self):
+        desc = SourceDescriptor(source_id="covid", key_columns=("Date",),
+                                supercell_groups=(("Confirmed", "Deaths"),))
+        with pytest.raises(MissingKeyColumn, match="grouped column 'Deaths' absent"):
+            decompose(covid_table([("2020-10-06", "AZ", "US", "1", "2")]), desc, DICTS)
+
+    @pytest.mark.parametrize("groups, message", [
+        ((("Date", "Confirmed"),), "'Date' is both key and grouped"),
+        ((("Confirmed",), ("Recovered", "Confirmed")), "'Confirmed' appears in two groups"),
+    ])
+    def test_overlapping_groups_rejected(self, groups, message):
+        with pytest.raises(ValueError, match=message):
+            SourceDescriptor(source_id="covid", key_columns=("Date",), supercell_groups=groups)
+
+    def test_each_attribute_name_is_canonicalized_once_per_call(self, monkeypatch):
+        table = RawTable(
+            ("Date", "State", "Country", "Confirmed", "Recovered", "Extra"),
+            [(f"2020-10-0{day}", "AZ", "US", str(day), "", "x") for day in range(1, 6)],
+        )
+        names = {"Confirmed", "Recovered", "Extra"}
+        calls = Counter()
+        canonicalize = ingest.canonicalize
+
+        def counted(value, *args):
+            calls[value] += 1
+            return canonicalize(value, *args)
+
+        monkeypatch.setattr(ingest, "canonicalize", counted)
+        cells = decompose(table, covid_descriptor(), DICTS)
+        assert [c.attributes for c in cells[:2]] == [("confirmed",), ("extra",)]
+        assert {name: calls[name] for name in names} == dict.fromkeys(names, 1)
+        # The names are not kept between calls.
+        decompose(table, covid_descriptor(), DICTS)
+        assert {name: calls[name] for name in names} == dict.fromkeys(names, 2)
+
     def test_output_order_row_then_group(self):
         table = covid_table([
             ("2020-10-06", "AZ", "US", "1", "2"),
@@ -161,6 +197,21 @@ class TestPivotedDecompose:
         assert stats == DecomposeStats(
             rows=3, cells=1, skipped_missing_key_rows=1, skipped_empty_cells=3
         )
+
+    def test_value_attribute_is_canonicalized_once_per_call(self, monkeypatch):
+        calls = Counter()
+        canonicalize = ingest.canonicalize
+
+        def counted(value, *args):
+            calls[value] += 1
+            return canonicalize(value, *args)
+
+        monkeypatch.setattr(ingest, "canonicalize", counted)
+        table = RawTable(("State", "1/22/2020", "1/23/2020"), [("AZ", "1", "2"), ("NY", "3", "4")])
+        assert len(decompose(table, self.PIVOTED)) == 4
+        assert calls["deaths"] == 1
+        # The pivot-axis headers are canonicalized, and counted, per emitted cell.
+        assert calls["1/22/2020"] == calls["1/23/2020"] == 2
 
     def test_unparseable_date_header_counted_per_present_cell(self):
         table = RawTable(
@@ -242,6 +293,24 @@ class TestLogDecompose:
             (("used",), ("5",), 0), (("free",), ("7",), 1),
         ]
         assert stats == DecomposeStats(cells=2, skipped_empty_cells=4, unmatched_lines=1)
+
+    def test_missing_ambient_key_raises(self):
+        # No "T" line has set the ts key before the first cpu line.
+        with pytest.raises(MissingKeyColumn, match=r"\['ts'\] at line 1"):
+            decompose_log(["junk", "%Cpu(s): 1.0 us", "T t0"], self.UBUNTU)
+
+    def test_each_rule_attribute_is_canonicalized_once_per_call(self, monkeypatch):
+        calls = Counter()
+        canonicalize = ingest.canonicalize
+
+        def counted(value, *args):
+            calls[value] += 1
+            return canonicalize(value, *args)
+
+        monkeypatch.setattr(ingest, "canonicalize", counted)
+        lines = ["T t0", "%Cpu(s): 1.0 us", "%Cpu(s): 2.0 us", "T t1", "%Cpu(s): 3.0 us"]
+        assert len(decompose_log(lines, self.UBUNTU)) == 3
+        assert calls["cpu_user"] == 1
 
     def test_first_matching_rule_wins(self):
         desc = SourceDescriptor(

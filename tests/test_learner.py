@@ -506,8 +506,12 @@ KEYED_SCHEMA = TargetSchema(
 KEYED_KINDS = [CanonKind("date"), CanonKind("dict", "states")]
 STATES = {"states": [["alabama", "al"], ["alaska", "ak"], ["arizona", "az"]]}
 # Few components, so cells share them; up to three keys, so COPY(2) can be
-# out of range.
-COMPONENTS = ["1/2/2020", "2020-01-02", "Jan 3, 2020", "AL", "Alaska", "az", "tx"]
+# out of range. "AL", "al" and " al" differ only in case or whitespace, so
+# they tie in canonical order, and "New York" is two tokens.
+COMPONENTS = ["1/2/2020", "2020-01-02", "Jan 3, 2020", "AL", "al", " al", "Alaska", "az", "tx",
+              "New York"]
+ATTRIBUTES = ["Cases", "cases ", "deaths", "Tests", "x", "New Cases"]
+VALUES = ["7", " 7", "New York", "new york ", "x y z", " "]
 
 
 def predict_reference(cells, params):
@@ -528,16 +532,22 @@ def predict_reference(cells, params):
 
 @st.composite
 def keyed_cells(draw, max_width):
-    """Cells of one to three keys drawn from ``COMPONENTS`` and one to
-    ``max_width + 1`` attributes."""
+    """Cells of one to three keys drawn from ``COMPONENTS`` (some with the
+    key set of the cell before them in another order) and one to
+    ``max_width + 1`` attributes from ``ATTRIBUTES``, whose values are
+    drawn from ``VALUES`` or unique to the cell."""
     cells = []
     for row in range(draw(st.integers(9, 24))):
-        keys = draw(st.lists(st.sampled_from(COMPONENTS), min_size=1, max_size=3, unique=True))
+        if cells and draw(st.booleans()):
+            keys = draw(st.permutations(cells[-1].keys))
+        else:
+            keys = draw(st.lists(st.sampled_from(COMPONENTS), min_size=1, max_size=3,
+                                 unique=True))
         width = draw(st.integers(1, max_width + 1))
-        attrs = draw(st.lists(st.sampled_from(["Cases", "deaths", "Tests", "x"]),
-                              min_size=width, max_size=width))
-        cells.append(SuperCell("s", tuple(keys), tuple(attrs),
-                               tuple(str(row * 7 + i) for i in range(width)), row))
+        attrs = draw(st.lists(st.sampled_from(ATTRIBUTES), min_size=width, max_size=width))
+        values = draw(st.lists(st.sampled_from([*VALUES, str(row)]), min_size=width,
+                               max_size=width))
+        cells.append(SuperCell("s", tuple(keys), tuple(attrs), tuple(values), row))
     return cells
 
 
@@ -590,6 +600,40 @@ class TestPredict:
         # The table lives for one call: the next call canonicalizes again.
         predict_cells(cells[:1], params)
         assert len(calls) == 7
+
+    def test_each_text_is_tokenized_once_per_call(self, monkeypatch):
+        params = init_params(tiny_config(max_copy=3, max_width=2), KEYED_SCHEMA, KEYED_KINDS,
+                             STATES)
+        cells = [SuperCell("s", keys, attrs, values, i) for i, (keys, attrs, values) in enumerate([
+            (("AL", "1/2/2020"), ("Cases", "deaths"), ("7", "New York")),
+            (("1/2/2020", "AL"), ("cases ", "deaths"), ("7", " 7")),
+            (("al", "New York"), ("Cases",), ("AL",)),
+            (("AL", "1/2/2020"), ("New Cases", "x"), ("new york ", "7")),
+        ] * 3)]
+        calls = []
+        tokenize = learner.tokenize
+
+        def counted(text):
+            calls.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(learner, "tokenize", counted)
+        predictions = predict_cells(cells, params)
+        texts = {text for c in cells for text in (*c.keys, *c.attributes, *c.values)}
+        assert len(calls) == len(set(calls)) == len(texts) == 12
+        assert set(calls) == texts
+        assert predictions == predict_reference(cells, params)
+        # The table lives for one call: the next call tokenizes again.
+        predict_cells(cells[:1], params)
+        assert len(calls) == len(texts) + 6
+
+    def test_a_cell_with_no_token_is_rejected(self):
+        params = init_params(tiny_config(), SCHEMA)
+        blank = SuperCell("s", (), (" ",), ("",), 0)
+        with pytest.raises(ValueError):
+            render_feature(blank)
+        with pytest.raises(ValueError, match="renders no token"):
+            predict_cells([SuperCell("s", ("x",), ("a",), ("1",), 0), blank], params)
 
     def test_memorized_sample_replayed(self):
         samples = make_samples(10)
