@@ -8,9 +8,8 @@ corpus (renames + reformats) the augmented model barely moves while a
 model trained without augmentation degrades.
 """
 
-import time
-
 from supercell.assemble import diff_tables
+from supercell.core import Timings
 from supercell.datasets import build_covid_fixture
 from supercell.evaluate import (
     AblationVariant,
@@ -34,10 +33,11 @@ plan = PerturbationPlan(
     add_remove_noise_columns=40, synonym_dict="covid_synonyms",
 )
 
-started = time.perf_counter()
-aug_model, curve, train_samples = train_on_fixture(fixture, config, plan)
+timings = Timings()
+with timings.block("train_s"):
+    aug_model, curve, train_samples = train_on_fixture(fixture, config, plan)
 print(f"trained on {len(train_samples)} augmented samples "
-      f"in {time.perf_counter() - started:.1f}s; "
+      f"in {timings['train_s']:.1f}s; "
       f"loss {curve[0].loss:.2f} -> {curve[-1].loss:.4f}")
 
 noaug_model, _, _ = train_on_fixture(fixture, config, None)

@@ -207,7 +207,9 @@ def match_columns(
 
 def select_sources(matches: dict[str, ColumnMatch]) -> list[str]:
     """Greedy set cover: fewest sources whose matched columns cover every
-    matched target attribute. Ties go to the earlier source."""
+    matched target attribute. Ties go to the earlier source. Each attribute
+    is covered by its own match's source, so every step gains at least one
+    attribute and the cover always completes."""
     remaining = set(matches)
     covers: dict[str, set[str]] = {}
     order: list[str] = []
@@ -219,11 +221,8 @@ def select_sources(matches: dict[str, ColumnMatch]) -> list[str]:
     selected: list[str] = []
     while remaining:
         best = max(order, key=lambda s: (len(covers[s] & remaining), -order.index(s)))
-        gain = covers[best] & remaining
-        if not gain:
-            raise UncoverableAttribute(sorted(remaining))
         selected.append(best)
-        remaining -= gain
+        remaining -= covers[best]
     return selected
 
 

@@ -136,45 +136,30 @@ def parse_date(value: str) -> tuple[int, int, int, int | None, int | None, int |
     Accepted: ISO YYYY-MM-DD[ HH:MM:SS], M/D/YYYY[ H:MM], MMDDYYYY,
     and month-name forms like "Oct 6, 2020", "Sept. 6 2020" or "October 6,
     2020"; a month word is a month's 3-letter abbreviation, "sept" or its
-    full name.
+    full name. Each form is read into one (year, month, day, clock), which
+    one calendar check and one clock check then validate.
     """
     text = value.strip()
-    m = _RE_ISO.match(text)
-    if m:
+    clock = (None, None, None)
+    if m := _RE_ISO.match(text):
         y, mo, d = int(m[1]), int(m[2]), int(m[3])
-        if not _valid_ymd(y, mo, d):
-            return None
-        if m[4] is None:
-            return (y, mo, d, None, None, None)
-        hh, mi, ss = int(m[4]), int(m[5]), int(m[6])
-        if hh > 23 or mi > 59 or ss > 59:
-            return None
-        return (y, mo, d, hh, mi, ss)
-    m = _RE_MDY.match(text)
-    if m:
+        if m[4] is not None:
+            clock = (int(m[4]), int(m[5]), int(m[6]))
+    elif m := _RE_MDY.match(text):
         mo, d, y = int(m[1]), int(m[2]), int(m[3])
-        if not _valid_ymd(y, mo, d):
-            return None
-        if m[4] is None:
-            return (y, mo, d, None, None, None)
-        hh, mi = int(m[4]), int(m[5])
-        if hh > 23 or mi > 59:
-            return None
-        return (y, mo, d, hh, mi, 0)
-    m = _RE_COMPACT.match(text)
-    if m:
+        if m[4] is not None:
+            clock = (int(m[4]), int(m[5]), 0)
+    elif m := _RE_COMPACT.match(text):
         mo, d, y = int(m[1]), int(m[2]), int(m[3])
-        if not _valid_ymd(y, mo, d):
-            return None
-        return (y, mo, d, None, None, None)
-    m = _RE_MONTH_NAME.match(text)
-    if m:
-        mo = _MONTH_INDEX.get(m[1].lower())
-        d, y = int(m[2]), int(m[3])
-        if mo is None or not _valid_ymd(y, mo, d):
-            return None
-        return (y, mo, d, None, None, None)
-    return None
+    elif m := _RE_MONTH_NAME.match(text):
+        # An unknown month word reads as month 0, which _valid_ymd rejects.
+        mo, d, y = _MONTH_INDEX.get(m[1].lower(), 0), int(m[2]), int(m[3])
+    else:
+        return None
+    hh, mi, ss = clock
+    if not _valid_ymd(y, mo, d) or hh is not None and (hh > 23 or mi > 59 or ss > 59):
+        return None
+    return (y, mo, d, hh, mi, ss)
 
 
 def iso_date(parts: tuple[int, int, int, int | None, int | None, int | None]) -> str:

@@ -296,7 +296,7 @@ def cmd_ablate(config: RunConfig) -> int:
     return 0
 
 
-def cmd_gradcheck(config: RunConfig | None) -> int:
+def cmd_gradcheck() -> int:
     err = learner.gradient_check(seed=0)
     log(f"gradcheck: max relative error {err:.2e}")
     return 0 if err < 1e-3 else 3
@@ -339,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         if args.command == "gradcheck":
-            return cmd_gradcheck(None)
+            return cmd_gradcheck()
         config = load_config(args.config, args.seed, args.out)
         return _COMMANDS[args.command](config)
     except UsageError as exc:

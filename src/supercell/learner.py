@@ -279,7 +279,7 @@ def _embed_batch(batch: list[np.ndarray], params: ModelParams):
     return token_vecs[inverse], {"buckets": buckets, "lengths": lengths, "inverse": inverse}
 
 
-def _embed_backward(dX: np.ndarray, cache: dict, grads: dict, params: ModelParams) -> None:
+def _embed_backward(dX: np.ndarray, cache: dict, grads: dict) -> None:
     """Sum each distinct token's gradient over its occurrences (the rows
     of ``dX``), then scatter it, split evenly, onto its bucket rows.
 
@@ -456,7 +456,7 @@ def loss_and_grads(
                          arrays["Ub"], grads["Wb"], grads["Ub"], grads["biasb"])
     dX = np.empty_like(dXp)
     dX[cache["packed"]] = dXp
-    _embed_backward(dX, cache["embed"], grads, params)
+    _embed_backward(dX, cache["embed"], grads)
     return loss, grads, np.stack([head_logits.argmax(axis=1) for head_logits in logits], axis=1)
 
 
@@ -637,17 +637,14 @@ def predict_cells(cells: list[SuperCell], params: ModelParams) -> list[Predictio
     decoded: dict[tuple, tuple[TargetPosition, tuple[tuple[int, int], ...]]] = {}
     canonical: dict[tuple[str, int], str] = {}
     out = []
-    for cell, keys, row, width, confidence in zip(
-        cells, sorted_keys, choices.tolist(), widths, confidences
-    ):
+    for keys, row, width, confidence in zip(sorted_keys, choices.tolist(), widths, confidences):
         key = (*row, min(width, params.space.max_width))
         entry = decoded.get(key)
         if entry is None:
             position = params.space.decode(row, width)
             entry = decoded[key] = (position, copy_slots(position))
         position, out_of_range, outside = resolve_position(
-            entry[0], cell, params.key_kinds, params.synonyms, closed, canonical,
-            sorted_keys=keys, copies=entry[1],
+            entry[0], keys, params.key_kinds, params.synonyms, closed, canonical, copies=entry[1],
         )
         out.append(Prediction(position, confidence, out_of_range, outside))
     return out

@@ -336,16 +336,16 @@ def copy_slots(pos: TargetPosition) -> tuple[tuple[int, int], ...]:
 
 def resolve_position(
     pos: TargetPosition,
-    cell: SuperCell,
+    sorted_keys: tuple[str, ...],
     key_kinds: list[CanonKind],
     dictionaries: DictionaryStore | None = None,
     closed: list[frozenset[str] | None] | None = None,
     canonical: dict[tuple[str, int], str] | None = None,
     *,
-    sorted_keys: tuple[str, ...] | None = None,
     copies: tuple[tuple[int, int], ...] | None = None,
 ) -> tuple[TargetPosition, int, int]:
-    """Resolve COPY markers against the cell's canonically ordered keys.
+    """Resolve COPY markers against a cell's canonically ordered keys
+    (``sorted_keys``, the cell's ``sorted_keys()``).
 
     Returns the concrete position, the number of COPY components that were
     out of range, and the number that resolved outside their slot's closed
@@ -355,14 +355,12 @@ def resolve_position(
     caller's table of canonical values by (component, slot) for these
     ``key_kinds`` and ``dictionaries``: a component found there is not
     canonicalized again, and one that is not is added. A caller resolving
-    many cells may pass ``sorted_keys`` (``cell.sorted_keys()``) and
-    ``copies`` (``copy_slots(pos)``), taken once for every cell that shares
-    them.
+    many cells may pass ``copies`` (``copy_slots(pos)``), taken once for
+    every cell that shares the position.
     """
     copies = copy_slots(pos) if copies is None else copies
     if not copies:
         return pos, 0, 0
-    sorted_keys = cell.sorted_keys() if sorted_keys is None else sorted_keys
     canonical = {} if canonical is None else canonical
     out = list(pos.keys)
     out_of_range = outside = 0
@@ -426,7 +424,7 @@ def assemble_labels(
     closed = spec.target.closed_values()
     table = TargetTable(spec.target)
     for cell, label in zip(cells, labels):
-        pos, _, _ = resolve_position(label, cell, kinds, dictionaries, closed)
+        pos, _, _ = resolve_position(label, cell.sorted_keys(), kinds, dictionaries, closed)
         table.apply(cell, pos)
     return table
 

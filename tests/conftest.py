@@ -4,10 +4,9 @@ acceptance reporting hook, which prints one PASS/FAIL line per criterion in
 the terminal summary (after pytest's capture ends, so the lines always
 appear)."""
 
-import time
-
 import pytest
 
+from supercell.core import Timings
 from supercell.datasets import build_covid_fixture, build_log_fixture
 from supercell.learner import TrainConfig
 from supercell.mapping import generate_training_data
@@ -65,9 +64,9 @@ def covid_models(covid_fixture, tmp_path_factory):
     plus the saved model file and the wall time of the augmented training."""
     config = desk_train_config()
     plan = covid_train_plan()
-    started = time.perf_counter()
-    aug_params, aug_curve, aug_samples = train_on_fixture(covid_fixture, config, plan)
-    aug_train_s = time.perf_counter() - started
+    timings = Timings()
+    with timings.block("aug_train_s"):
+        aug_params, aug_curve, aug_samples = train_on_fixture(covid_fixture, config, plan)
     noaug_params, _, _ = train_on_fixture(covid_fixture, config, None)
     model_path = tmp_path_factory.mktemp("model") / "covid_model.npz"
     aug_params.save(model_path)
@@ -76,7 +75,7 @@ def covid_models(covid_fixture, tmp_path_factory):
         "plan": plan,
         "aug": aug_params,
         "aug_curve": aug_curve,
-        "aug_train_s": aug_train_s,
+        "aug_train_s": timings["aug_train_s"],
         "n_train_samples": len(aug_samples),
         "noaug": noaug_params,
         "model_path": model_path,

@@ -6,7 +6,6 @@ models) come from session fixtures in conftest.py.
 """
 
 import math
-import time
 from collections import Counter
 from decimal import Decimal
 
@@ -26,6 +25,7 @@ from supercell.core import (
     SuperCell,
     TargetPosition,
     TargetSchema,
+    Timings,
 )
 from supercell.datasets import (
     build_covid_fixture,
@@ -57,14 +57,14 @@ from conftest import covid_train_plan, desk_train_config, record_criterion as re
 
 
 def test_criterion_01_oracle_equivalence(covid_fixture, covid_models):
-    started = time.perf_counter()
-    table = integrate_predictions(covid_fixture.all_cells(), covid_models["aug"])
-    integrate_s = time.perf_counter() - started
+    timings = Timings()
+    with timings.block("integrate_s"):
+        table = integrate_predictions(covid_fixture.all_cells(), covid_models["aug"])
     oracle = oracle_integrate(
         covid_fixture.spec, covid_fixture.corpora, covid_fixture.dictionaries
     )
     agreement = diff_tables(oracle, table)["agreement"]
-    runtime = covid_models["aug_train_s"] + integrate_s
+    runtime = covid_models["aug_train_s"] + timings["integrate_s"]
     ok = agreement >= 0.99 and runtime < 180.0
     report(1, "oracle equivalence", ok,
            f"cell agreement {agreement:.4f} (gate 0.99), "

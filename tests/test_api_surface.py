@@ -1,5 +1,6 @@
 """Public names: the package exports, every name the demos import, and
-every program call the benchmark harness makes exist."""
+every program call the benchmark harness makes exist; and every function
+of the package reads each of its parameters."""
 
 import ast
 import importlib
@@ -123,3 +124,43 @@ def test_benchmark_trace_targets_resolve():
         if obj is None:
             missing.append(name)
     assert missing == []
+
+
+
+
+def names_read(node: ast.AST) -> set[str]:
+    """Every name ``node`` loads; an augmented assignment (``grads += ...``)
+    also reads its target."""
+    read = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.AugAssign) and isinstance(sub.target, ast.Name):
+            read.add(sub.target.id)
+        elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            read.add(sub.id)
+    return read
+
+
+def unread_parameters(path: Path) -> list[str]:
+    """``file:line function(parameter)`` for each parameter of a function in
+    ``path`` that its body never reads; ``self`` and ``cls`` are exempt."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        read = set().union(*map(names_read, node.body))
+        unread += [
+            f"{path.name}:{node.lineno} {node.name}({param.arg})"
+            for param in params
+            if param is not None and param.arg not in ("self", "cls") and param.arg not in read
+        ]
+    return unread
+
+
+def test_every_parameter_is_read():
+    # A parameter no body reads is an input callers must supply for nothing.
+    sources = sorted((ROOT / "src" / "supercell").glob("*.py"))
+    assert len(sources) >= 10
+    assert [entry for path in sources for entry in unread_parameters(path)] == []

@@ -335,6 +335,14 @@ class TestAccounting:
         assert (report.cells_written, report.cells_skipped) == (1, 1)
         assert report.cells_written + report.cells_skipped == cell.width
 
+    @pytest.mark.parametrize("keys", [("d",), ("d", "s", "x")], ids=["one_key", "three_keys"])
+    def test_position_with_another_key_count_writes_nothing(self, keys):
+        table = TargetTable(SCHEMA)
+        table.apply(SuperCell("s", keys, ("v",), ("1",), 0),
+                    TargetPosition(keys, ("v",), AggMode.REPLACE))
+        assert (table.report.cells_written, table.report.cells_skipped) == (0, 1)
+        assert table.finalized_rows() == []
+
     def test_unaddressable_wide_cell_skips_every_value(self):
         table = TargetTable(SCHEMA)
         cell = SuperCell("s", ("d", "s"), ("v", "w"), ("1", "2"), 0)

@@ -60,6 +60,10 @@ class TestSignature:
         with pytest.raises(IncompatibleSignatures):
             MinHashSignature((), L)
 
+    def test_value_count_must_be_l(self):
+        with pytest.raises(IncompatibleSignatures, match="2 values for L=3"):
+            MinHashSignature((1, 2), 3)
+
     def test_disjoint_columns_rarely_agree(self):
         rng = np.random.default_rng(0)
         a = ["".join(chr(97 + int(rng.integers(13))) for _ in range(12))
@@ -309,6 +313,16 @@ class TestSelectSources:
         assert "s3" not in selected
         assert set(selected) == {"s1", "s2"}
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.sampled_from("abcdefgh"), st.sampled_from(["s1", "s2", "s3", "s4"]),
+                           max_size=8))
+    def test_selection_covers_every_matched_attribute(self, source_of):
+        # Each attribute is covered only by its own match's source, so the
+        # cover is every such source, once.
+        matches = {attr: ColumnMatch(source, attr, 0.9) for attr, source in source_of.items()}
+        selected = select_sources(matches)
+        assert sorted(selected) == sorted(set(source_of.values()))
+
 
 def integration_fixture():
     dates = [f"2020-10-{d:02d}" for d in range(1, 9)]
@@ -352,6 +366,13 @@ class TestBaselineIntegrate:
         sources["cases"] = RawTable(cases.header, rows)
         report = match_columns(sources, target, threshold=0.35)
         with pytest.raises(UncoverableAttribute):
+            baseline_integrate(report, sources, schema)
+
+    def test_key_attribute_without_a_match_is_uncoverable(self):
+        sources, schema, _ = integration_fixture()
+        report = MatchReport({"confirmed": ColumnMatch("cases", "Confirmed", 1.0)}, {},
+                             ["date", "state", "workplace"])
+        with pytest.raises(UncoverableAttribute, match=r"^\['date', 'state'\]$"):
             baseline_integrate(report, sources, schema)
 
     def test_signed_zero_keys_share_one_row(self):

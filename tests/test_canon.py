@@ -54,6 +54,7 @@ class TestDates:
 
     def test_long_date_rendering(self):
         assert long_date("2020-10-06") == "Oct 6, 2020"
+        assert long_date("not a date") == "not a date"
 
     @pytest.mark.parametrize("text, expected", [
         ("Jun 3, 2020", "2020-06-03"), ("JUNE 3 2020", "2020-06-03"),
@@ -232,3 +233,8 @@ def test_dictionary_idempotence(value):
 def test_kind_parse_render_round_trip():
     for text in ("none", "date", "number", "dict:us_states"):
         assert CanonKind.parse(text).render() == text
+
+
+def test_dict_kind_needs_a_dictionary_name():
+    with pytest.raises(ValueError, match="requires a dictionary name"):
+        CanonKind.parse("dict:")

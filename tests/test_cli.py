@@ -798,6 +798,17 @@ class TestExitCodes:
             capsys.readouterr().err)
 
 
+def test_baseline_without_key_columns_logs_its_failure(tmp_path, capsys):
+    # A log workspace has no table to sign, so no target key attribute
+    # finds a column: the run still exits 0 and writes its matches.
+    path = fixture_workspace(build_log_fixture(n_stamps=2), tmp_path)
+    assert run(["baseline", "--config", path]) == 0
+    assert "baseline: integration failed (uncoverable: ['ts', 'host'])" in (
+        capsys.readouterr().err)
+    assert json.loads((tmp_path / "out" / "matches.json").read_text())["best"] == {}
+    assert not (tmp_path / "out" / "baseline.csv").exists()
+
+
 def test_ablate_without_hierarchy_leaves_out_key_expansion(tmp_path, capsys):
     path = fixture_workspace(build_log_fixture(n_stamps=2), tmp_path, plan=None, learner={
         "epochs": 1, "embed_dim": 4, "hidden": 4, "bucket_count": 64})

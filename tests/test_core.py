@@ -12,6 +12,7 @@ from supercell.core import (
     AggMode,
     FeatureSentence,
     InvalidPosition,
+    InvalidSuperCell,
     KeyDomain,
     LabelSpace,
     MalformedRecord,
@@ -83,6 +84,10 @@ class TestSuperCell:
             make_cell(["k"], ["a", "b"], ["1"])
         with pytest.raises(ValueError):
             make_cell(["k"], [], [])
+
+    def test_negative_row_ordinal_rejected(self):
+        with pytest.raises(InvalidSuperCell, match="row_ordinal must be >= 0"):
+            make_cell(["k"], ["a"], ["1"], ordinal=-1)
 
     def test_json_round_trip(self):
         cell = make_cell(["2020-10-06", "az"], ["confirmed"], ["3103"], ordinal=7)
@@ -281,6 +286,19 @@ class TestLabels:
     def test_discard_requires_null_keys(self):
         with pytest.raises(InvalidPosition):
             TargetPosition(("arizona",), (None,), AggMode.DISCARD)
+
+    def test_position_needs_an_attribute(self):
+        with pytest.raises(InvalidPosition, match="attributes must be nonempty"):
+            TargetPosition(("arizona",), (), AggMode.SUM)
+
+    def test_schema_needs_a_key_attribute(self):
+        with pytest.raises(ValueError, match="at least one key attribute"):
+            TargetSchema(attributes=("confirmed",), key_attributes=())
+
+    def test_render_rejects_a_position_wider_than_max_width(self):
+        pos = TargetPosition(("2020-10-06", "arizona"), ("confirmed",) * 3, AggMode.SUM)
+        with pytest.raises(InvalidPosition, match="cell width 3 exceeds max 2"):
+            LabelSpace(SCHEMA, max_copy=6, max_width=2).render(pos)
 
     def test_copy_marker_parsing(self):
         assert copy_index(copy_marker(3)) == 3

@@ -10,10 +10,12 @@ from supercell.evaluate import (
     AblationConfig,
     AblationVariant,
     build_training_samples,
+    compare_baseline,
     default_variants,
     run_ablation,
     variant_test_set,
 )
+from supercell.learner import TrainConfig, init_params
 from supercell.mapping import generate_training_data
 from supercell.perturb import PerturbationPlan
 
@@ -188,3 +190,15 @@ class TestDictionaryAxis:
                    "workplaces_pct", "retail_recreation", "grocery_pharmacy"}
         assert aliases & tokens(with_dict)
         assert not aliases & tokens(without)
+
+
+def test_baseline_without_key_columns_reports_its_failure(tmp_path):
+    # A log workspace has no table to sign, so no target key attribute
+    # finds a column and the baseline join cannot be stated.
+    fixture = build_log_fixture(n_stamps=2)
+    params = init_params(TrainConfig(embed_dim=4, hidden=4, bucket_count=64),
+                         fixture.spec.target)
+    report = compare_baseline(fixture, params, tmp_path)
+    assert report["baseline_clean_agreement"] == 0.0
+    assert report["baseline_clean_error"] == "['ts', 'host']"
+    assert json.loads((tmp_path / "comparison.json").read_text()) == report

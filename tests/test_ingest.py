@@ -357,6 +357,15 @@ class TestPivotTable:
         with pytest.raises(DuplicateCellOnPivot):
             pivot_table(table, ["k", "d"], "d")
 
+    @pytest.mark.parametrize("key_columns, axis, message", [
+        (["k"], "d", "axis 'd' must be one of the key columns"),
+        (["k", "d"], "d", r"exactly one value column, found \['v', 'w'\]"),
+    ], ids=["axis_not_a_key", "two_value_columns"])
+    def test_bad_arguments_rejected(self, key_columns, axis, message):
+        table = RawTable(("k", "d", "v", "w"), [("a", "d1", "1", "2")])
+        with pytest.raises(ValueError, match=message):
+            pivot_table(table, key_columns, axis)
+
 
 class TestInvariance:
     def test_column_order(self):
@@ -399,6 +408,13 @@ def test_csv_round_trip(tmp_path):
     path = tmp_path / "t.csv"
     table.write(path)
     assert RawTable.read(path) == table
+
+
+def test_empty_csv_file_has_no_header(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(EmptyInput, match="no header row"):
+        RawTable.read(path)
 
 
 def test_covid_fixture_dates_are_consecutive_calendar_days():

@@ -133,6 +133,12 @@ class TestOracle:
         with pytest.raises(SpecViolation):
             position_for_cell(spec, covid_cell(), DICTS)
 
+    def test_component_out_of_range(self):
+        # The spec maps the country from component 2; this cell has two keys.
+        cell = SuperCell("covid", ("2020-10-06", "arizona"), ("confirmed",), ("1",), 0)
+        with pytest.raises(KeyResolutionFailure, match="covid: component 2 out of range"):
+            position_for_cell(two_source_spec(), cell, DICTS)
+
 
 class TestTrainingData:
     def test_copy_labels_for_matching_keys(self):
@@ -227,7 +233,7 @@ class TestResolvePosition:
         cell = SuperCell("covid", ("10/6/2020", "AZ", "US"),
                          ("confirmed", "recovered"), ("1", "2"), 0)
         label = generate_training_data(spec, {"covid": [cell]}, DICTS)[0].label
-        resolved, degraded, outside = resolve_position(label, cell, kinds, DICTS)
+        resolved, degraded, outside = resolve_position(label, cell.sorted_keys(), kinds, DICTS)
         assert degraded == outside == 0
         assert resolved.keys == ("2020-10-06", "arizona", "united states")
 
@@ -236,7 +242,7 @@ class TestResolvePosition:
 
         cell = SuperCell("covid", ("k",), ("a",), ("1",), 0)
         pos = TargetPosition((copy_marker(5),), ("a",), AggMode.REPLACE)
-        resolved, degraded, outside = resolve_position(pos, cell, [CanonKind("none")])
+        resolved, degraded, outside = resolve_position(pos, cell.sorted_keys(), [CanonKind("none")])
         assert (degraded, outside) == (1, 0)
         assert resolved.keys == (None,)
 
@@ -342,6 +348,33 @@ class TestSpecValidation:
                 key_map=spec.key_map,
                 attr_map={"covid": {"confirmed": "nope"}},
             )
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(component=0, wildcard=True), "'date' is wildcard and mapped"),
+        (dict(), "'date' needs a component or wildcard"),
+        (dict(component=0, render="upper"), "unknown render 'upper'"),
+    ], ids=["wildcard_and_mapped", "neither", "unknown_render"])
+    def test_bad_key_map_entry(self, kwargs, message):
+        with pytest.raises(SpecViolation, match=message):
+            KeyMapEntry("date", **kwargs)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda spec: {"agg_map": {"covid": {"deaths": AggMode.SUM}}},
+         r"covid: agg_map covers unmapped attributes \['deaths'\]"),
+        (lambda spec: {"key_map": {**spec.key_map, "mobility": [
+            KeyMapEntry("date", 0, CanonKind("none")), *spec.key_map["mobility"][1:]]}},
+         "conflicting canon kinds for key 'date'"),
+    ], ids=["agg_map_unmapped", "conflicting_kinds"])
+    def test_bad_spec(self, edit, message):
+        spec = two_source_spec()
+        fields = dict(target=spec.target, sources=spec.sources, key_map=spec.key_map,
+                      attr_map=spec.attr_map)
+        with pytest.raises(SpecViolation, match=message):
+            MappingSpec(**{**fields, **edit(spec)})
+
+    def test_unknown_source_has_no_descriptor(self):
+        with pytest.raises(SpecViolation, match="unknown source 'nope'"):
+            two_source_spec().descriptor("nope")
 
     def test_discarded_source_needs_no_key_map(self):
         spec = two_source_spec()

@@ -137,6 +137,9 @@ class TestCharNoise:
         for _ in range(20):
             assert len(char_noise("a", rng)) == 1
 
+    def test_empty_token_unchanged(self):
+        assert char_noise("", np.random.default_rng(5)) == ""
+
 
 def hierarchy():
     return KeyHierarchy(
@@ -171,6 +174,12 @@ class TestExpandKeys:
         assert sum(int(c.values[0]) for c in out_cells) == 10
         assert all(l.agg_mode is AggMode.SUM for l in out_labels)
         assert all(l.keys == labels[0].keys for l in out_labels)
+
+    def test_corpus_must_parallel_labels(self):
+        corpus = cells()
+        with pytest.raises(ValueError, match="corpus and labels must be parallel"):
+            expand_keys(corpus, labeled(corpus)[1:], hierarchy(),
+                        plan(key_expansion_rate=0.0), {"s": 1})
 
     def test_rate_zero_unchanged(self):
         corpus = cells()
@@ -366,7 +375,8 @@ class TestAugment:
         reformatted = SuperCell("s", ("mid", "alpha"), ("confirmed",), ("1",), 0)
         assert [s.feature for s in copies] == [render_feature(reformatted)]
         kinds = [CanonKind("dict", "g")] * 2
-        resolved, _, _ = resolve_position(copies[0].label, reformatted, kinds, dicts)
+        resolved, _, _ = resolve_position(copies[0].label, reformatted.sorted_keys(), kinds,
+                                       dicts)
         assert resolved.keys == ("zeta", "mid")
 
 
