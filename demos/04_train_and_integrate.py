@@ -3,10 +3,15 @@
 The model never sees the mapping spec at inference time: each super cell's
 feature sentence goes in, a target position comes out, and the assembler
 merges values with full aggregation semantics. On a clean corpus the
-assembled table should match the oracle cell for cell; on a perturbed
-corpus (renames + reformats) the augmented model barely moves while a
-model trained without augmentation degrades.
+assembled table should match the oracle cell for cell. The model trained
+without augmentation gets as many Adam steps as the augmented one (its
+smaller sample set takes more epochs), so the two differ only in their
+data: it scores 0.9270 clean and 0.9227 on renames + reformats, where the
+augmented model scores 1.0000 and 0.9571.
 """
+
+import math
+from dataclasses import replace
 
 from supercell.assemble import diff_tables
 from supercell.core import Timings
@@ -40,9 +45,16 @@ print(f"trained on {len(train_samples)} augmented samples "
       f"in {timings['train_s']:.1f}s; "
       f"loss {curve[0].loss:.2f} -> {curve[-1].loss:.4f}")
 
-noaug_model, _, _ = train_on_fixture(fixture, config, None)
 
+# Train without augmentation for the same number of Adam steps.
+steps = config.epochs * math.ceil(len(train_samples) / config.batch_size)
 base = generate_training_data(fixture.spec, fixture.corpora, fixture.dictionaries)
+noaug_epochs = math.ceil(steps / math.ceil(len(base) / config.batch_size))
+noaug_model, _, _ = train_on_fixture(fixture, replace(config, epochs=noaug_epochs), None)
+print(f"trained without augmentation on {len(base)} samples for {noaug_epochs} epochs: "
+      f"{noaug_epochs * math.ceil(len(base) / config.batch_size)} Adam steps, "
+      f"against {steps} with augmentation")
+
 variant = AblationVariant(
     "rename+reformat",
     PerturbationPlan(seed=99, attr_rename_rate=6 / 7, value_reformat_rate=0.5,

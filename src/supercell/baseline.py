@@ -19,11 +19,11 @@ import numpy as np
 
 from .canon import CanonKind, DictionaryStore, NONE, canonicalize
 from .core import (
-    AggMode, DataError, MalformedRecord, SuperCell, TargetPosition, TargetSchema, fnv1a64,
-    open_file, read_json,
+    AggMode, DataError, MalformedRecord, SuperCell, TargetPosition, TargetSchema, ngram_hashes,
+    open_file, read_json, runs,
 )
 from .assemble import TargetTable
-from .ingest import RawTable, is_missing
+from .ingest import _MISSING, RawTable, is_missing
 
 
 class EmptyColumn(DataError):
@@ -53,57 +53,65 @@ class MinHashSignature:
             raise IncompatibleSignatures(f"{len(self.values)} values for L={self.L}")
 
 
-def shingles(value: str) -> set[str]:
-    """The 3-character shingles of a value, lowercased; a shorter value is
-    its own one shingle."""
-    text = value.strip().lower()
-    if len(text) <= 3:
-        return {text} if text else set()
-    return {text[i : i + 3] for i in range(len(text) - 2)}
+def _shingle_hashes(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``fnv1a64`` of each 3-character shingle of each non-empty text,
+    in text order, and each text's shingle count; a text of 3 or fewer
+    characters is its own one shingle."""
+    n_chars = np.fromiter(map(len, texts), np.int64, len(texts))
+    counts = np.maximum(n_chars - 2, 1)
+    text, offset = runs(counts)
+    return ngram_hashes(texts, text, offset, np.minimum(n_chars, 3)[text]), counts
 
 
-def column_shingles(column: list[str]) -> set[str]:
-    out: set[str] = set()
-    for value in set(column):
-        if not is_missing(value):
-            out |= shingles(value)
-    return out
+def _hash_matrix(base: np.ndarray, L: int) -> np.ndarray:
+    """L 64-bit hashes per shingle hash in ``base``, truncated to 32 bits:
+    one hash family shared by every signature, so any two signatures of
+    one L compare."""
+    mix = base[:, None] ^ (np.arange(L, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15))
+    shift = np.uint64(33)
+    mix ^= mix >> shift
+    mix *= np.uint64(0xFF51AFD7ED558CCD)
+    mix ^= mix >> shift
+    mix *= np.uint64(0xC4CEB9FE1A85EC53)
+    mix ^= mix >> shift
+    return mix.astype(np.uint32)  # the low 32 bits
 
 
-def _hash_matrix(shingle_list: list[str], L: int) -> np.ndarray:
-    """L 64-bit hashes per shingle, truncated to 32 bits: one hash family
-    shared by every signature, so any two signatures of one L compare."""
-    base = np.array([fnv1a64(s) for s in shingle_list], dtype=np.uint64)
-    js = np.arange(L, dtype=np.uint64)
-    mix = base[:, None] ^ (js[None, :] * np.uint64(0x9E3779B97F4A7C15))
-    mix = (mix ^ (mix >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
-    mix = (mix ^ (mix >> np.uint64(33))) * np.uint64(0xC4CEB9FE1A85EC53)
-    mix ^= mix >> np.uint64(33)
-    return (mix & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-
-
-def _minhash(shingle_sets: list[set[str]], L: int) -> np.ndarray:
-    """The ``(len(shingle_sets), L)`` minima of non-empty shingle sets: each
-    distinct shingle of the call is hashed once, and a set's row is the
-    column-wise minimum over its shingles' hash rows."""
+def _minhash(columns: list[list[str]], L: int) -> tuple[list[int], np.ndarray]:
+    """The indices of the columns that have a shingle, and their
+    ``(len, L)`` MinHash minima. A value is stripped and lowercased, and a
+    missing one dropped. Each column's distinct texts are shingled and
+    hashed in one pass over the call, each distinct shingle hash gets one
+    ``_hash_matrix`` row, and a column's minima are the column-wise minimum
+    over the rows of its shingles, which lie in one contiguous run."""
     if L < 1:
         raise IncompatibleSignatures(f"L must be at least 1, got {L}")
-    union = list(set().union(*shingle_sets))
-    row = {s: i for i, s in enumerate(union)}
-    matrix = _hash_matrix(union, L)
-    out = np.empty((len(shingle_sets), L), np.uint32)
-    for i, shingle_set in enumerate(shingle_sets):
-        out[i] = matrix[[row[s] for s in shingle_set]].min(axis=0)
-    return out
+    kept: list[int] = []
+    texts: list[str] = []
+    sizes: list[int] = []
+    for i, column in enumerate(columns):
+        distinct = {value.strip().lower() for value in set(column)} - _MISSING
+        if distinct:
+            kept.append(i)
+            texts.extend(distinct)
+            sizes.append(len(distinct))
+    hashes, counts = _shingle_hashes(texts)
+    unique, rows = np.unique(hashes, return_inverse=True)
+    matrix = _hash_matrix(unique, L)
+    bounds = [0, *np.cumsum(counts)[np.cumsum(sizes, dtype=np.int64) - 1].tolist()]
+    out = np.empty((len(kept), L), np.uint32)
+    for i in range(len(kept)):
+        out[i] = matrix[rows[bounds[i] : bounds[i + 1]]].min(axis=0)
+    return kept, out
 
 
 def signature(column: list[str], L: int = 128) -> MinHashSignature:
     """MinHash signature of a column: position j holds the minimum of the
     j-th hash over the column's shingle set."""
-    shingle_set = column_shingles(column)
-    if not shingle_set:
+    kept, minima = _minhash([column], L)
+    if not kept:
         raise EmptyColumn("no shingles after dropping missing cells")
-    return MinHashSignature(_minhash([shingle_set], L)[0].tolist(), L)
+    return MinHashSignature(minima[0].tolist(), L)
 
 
 def estimate_jaccard(a: MinHashSignature, b: MinHashSignature) -> float:
@@ -138,16 +146,9 @@ def sign_columns(
     ``(source_id, column)`` in source insertion order, then header order.
     A column with no shingles (``EmptyColumn``) has no entry. All columns
     are signed in one ``_minhash`` call."""
-    keys: list[tuple[str, str]] = []
-    shingle_sets: list[set[str]] = []
-    for source_id, table in sources.items():
-        for column in table.header:
-            shingle_set = column_shingles(table.column(column))
-            if shingle_set:
-                keys.append((source_id, column))
-                shingle_sets.append(shingle_set)
-    minima = _minhash(shingle_sets, L)
-    return {key: MinHashSignature(row.tolist(), L) for key, row in zip(keys, minima)}
+    keys = [(source_id, column) for source_id, table in sources.items() for column in table.header]
+    kept, minima = _minhash([sources[source_id].column(column) for source_id, column in keys], L)
+    return {keys[i]: MinHashSignature(row.tolist(), L) for i, row in zip(kept, minima)}
 
 
 def match_signatures(
@@ -172,17 +173,13 @@ def match_signatures(
         raise IncompatibleSignatures("the store mixes signature lengths")
     keys = list(store)
     stored = np.array([sig.values for sig in store.values()], np.uint32)
-    attrs: list[str] = []
-    shingle_sets: list[set[str]] = []
-    for attr in target_example.header:
-        shingle_set = column_shingles(target_example.column(attr))
-        if shingle_set:
-            attrs.append(attr)
-            shingle_sets.append(shingle_set)
+    attrs = target_example.header
+    kept, minima = _minhash([target_example.column(attr) for attr in attrs], L)
     best: dict[str, ColumnMatch] = {}
     per_source: dict[tuple[str, str], ColumnMatch] = {}
-    for attr, minima in zip(attrs, _minhash(shingle_sets, L)):
-        scores = ((stored == minima).sum(axis=1) / L).tolist()
+    for i, row in zip(kept, minima):
+        attr = attrs[i]
+        scores = ((stored == row).sum(axis=1) / L).tolist()
         for (source_id, column), score in zip(keys, scores):
             if score < threshold:
                 continue

@@ -464,16 +464,50 @@ def tokenize(text: str) -> list[str]:
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
-_U64 = 0xFFFFFFFFFFFFFFFF
+
+
+def fnv1a64_spans(blob: bytes, start: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """Deterministic, platform-independent 64-bit FNV-1a hash of each byte
+    span ``blob[start[i] : start[i] + span[i]]``, as uint64. One pass per
+    byte position of the longest span, each over every span at once."""
+    data = np.frombuffer(blob, np.uint8)
+    acc = np.full(len(start), _FNV_OFFSET, np.uint64)
+    for k in range(int(np.max(span, initial=0))):
+        live = span > k
+        byte = data[np.where(live, start + k, 0)]
+        acc = np.where(live, (acc ^ byte) * np.uint64(_FNV_PRIME), acc)
+    return acc
 
 
 def fnv1a64(text: str) -> int:
-    """Deterministic, platform-independent 64-bit string hash (subword
-    buckets and MinHash shingles)."""
-    acc = _FNV_OFFSET
-    for byte in text.encode("utf-8"):
-        acc = ((acc ^ byte) * _FNV_PRIME) & _U64
-    return acc
+    """``fnv1a64_spans`` of one string's UTF-8 bytes."""
+    blob = text.encode("utf-8")
+    return int(fnv1a64_spans(blob, np.zeros(1, np.int64), np.array([len(blob)]))[0])
+
+
+def runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For consecutive runs of ``counts[i]`` items: each item's run index
+    and its position within its run."""
+    run = np.repeat(np.arange(len(counts)), counts)
+    return run, np.arange(len(run)) - (np.cumsum(counts) - counts)[run]
+
+
+def ngram_hashes(
+    texts: list[str], text: np.ndarray, offset: np.ndarray, width: np.ndarray
+) -> np.ndarray:
+    """``fnv1a64`` of each character n-gram
+    ``texts[text[i]][offset[i] : offset[i] + width[i]]``, without building
+    the n-gram strings: the texts are joined into one UTF-8 blob, and an
+    n-gram is the byte span from its first character's lead byte (any byte
+    but a ``10xxxxxx`` continuation byte) to the lead byte after its last.
+    A lone surrogate raises ``UnicodeEncodeError``, as ``str.encode`` does."""
+    blob = "".join(texts).encode("utf-8")
+    lead = np.flatnonzero((np.frombuffer(blob, np.uint8) & 0xC0) != 0x80)
+    lead = np.append(lead, len(blob))
+    n_chars = np.fromiter(map(len, texts), np.int64, len(texts))
+    first = (np.cumsum(n_chars) - n_chars)[text] + offset
+    start = lead[first]
+    return fnv1a64_spans(blob, start, lead[first + width] - start)
 
 
 def feature_texts(cell: SuperCell, sorted_keys: tuple[str, ...]) -> Iterator[tuple[str, str]]:

@@ -31,8 +31,9 @@ from .core import (
     TargetPosition,
     TargetSchema,
     feature_texts,
-    fnv1a64,
+    ngram_hashes,
     open_file,
+    runs,
     tokenize,
 )
 from .mapping import LabeledSample, copy_slots, resolve_position
@@ -57,41 +58,44 @@ class SubwordVocab:
 
     A token gets an int id the first time it is seen; ``table()`` holds the
     bucket ids of every token so far, concatenated in id order, with each
-    token's bucket count and first index. Ids depend only on the order
-    tokens arrive, never on the embedding, so a grown table changes no
-    token's vector.
+    token's bucket count and first index; it hashes the n-grams of every
+    token that arrived since its last call in one pass. Ids depend only on
+    the order tokens arrive, never on the embedding, so a grown table
+    changes no token's vector.
     """
 
     def __init__(self, bucket_count: int):
         self.bucket_count = bucket_count
         self._ids: dict[str, int] = {}
-        self._new: list[np.ndarray] = []  # bucket ids of tokens not yet in the table
+        self._new: list[str] = []  # tokens not yet in the table
         self._flat = np.zeros(0, dtype=np.int64)
         self._lengths = np.zeros(0, dtype=np.int64)
         self._starts = np.zeros(0, dtype=np.int64)
-
-    def ngrams(self, token: str) -> list[str]:
-        wrapped = f"<{token}>"
-        out = [wrapped]
-        for n in range(3, 6):
-            if len(wrapped) >= n:
-                out.extend(wrapped[i : i + n] for i in range(len(wrapped) - n + 1))
-        return out
 
     def token_id(self, token: str) -> int:
         token_id = self._ids.get(token)
         if token_id is None:
             token_id = self._ids[token] = len(self._ids)
-            self._new.append(np.array(
-                [fnv1a64(g) % self.bucket_count for g in self.ngrams(token)], dtype=np.int64
-            ))
+            self._new.append(token)
         return token_id
 
     def table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(flat bucket ids, bucket count per token, first flat index per token)."""
         if self._new:
-            lengths = np.array([len(b) for b in self._new], dtype=np.int64)
-            self._flat = np.concatenate([self._flat, *self._new])
+            wrapped = [f"<{token}>" for token in self._new]
+            n_chars = np.fromiter(map(len, wrapped), np.int64, len(wrapped))
+            # Each token's buckets: the whole wrapped token, then its 3-, 4-
+            # and 5-grams in position order; a stable sort by token gathers them.
+            parts = [(np.arange(len(wrapped)), np.zeros(len(wrapped), np.int64), n_chars)]
+            for n in range(3, 6):
+                token, offset = runs(np.maximum(n_chars - n + 1, 0))
+                parts.append((token, offset, np.full(len(token), n)))
+            token, offset, width = map(np.concatenate, zip(*parts))
+            order = np.argsort(token, kind="stable")
+            hashes = ngram_hashes(wrapped, token[order], offset[order], width[order])
+            lengths = np.bincount(token, minlength=len(wrapped))
+            self._flat = np.concatenate(
+                [self._flat, (hashes % np.uint64(self.bucket_count)).astype(np.int64)])
             self._lengths = np.concatenate([self._lengths, lengths])
             self._starts = np.cumsum(self._lengths) - self._lengths
             self._new = []

@@ -38,6 +38,14 @@ def desk_train_config(**kw):
     return TrainConfig(**{"seed": 3, **kw})
 
 
+def reference_fnv1a64(data: str | bytes) -> int:
+    """64-bit FNV-1a, one byte at a time: the reference for ``fnv1a64_spans``."""
+    acc = 0xCBF29CE484222325
+    for byte in data.encode("utf-8") if isinstance(data, str) else data:
+        acc = ((acc ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return acc
+
+
 def covid_train_plan(seed=5):
     return PerturbationPlan(
         seed=seed, attr_rename_rate=0.583, char_noise_rate=0.08,

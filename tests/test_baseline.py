@@ -1,5 +1,6 @@
 """MinHash signatures, column matching, source selection, baseline join."""
 
+import hashlib
 import json
 import re
 import struct
@@ -17,21 +18,56 @@ from supercell.baseline import (
     MinHashSignature,
     UncoverableAttribute,
     baseline_integrate,
-    column_shingles,
     estimate_jaccard,
     load_signatures,
     match_columns,
     match_signatures,
     save_signatures,
     select_sources,
-    shingles,
     sign_columns,
     signature,
     storage_report,
 )
 from supercell.canon import NONE, NUMBER
 from supercell.core import KeyDomain, MalformedRecord, TargetSchema
-from supercell.ingest import RawTable
+from supercell.datasets import build_covid_fixture
+from supercell.ingest import RawTable, is_missing
+
+from conftest import reference_fnv1a64
+
+
+def reference_shingles(value: str) -> set[str]:
+    """The 3-character shingles of a value, lowercased; a shorter value is
+    its own one shingle."""
+    text = value.strip().lower()
+    if len(text) <= 3:
+        return {text} if text else set()
+    return {text[i : i + 3] for i in range(len(text) - 2)}
+
+
+def reference_column_shingles(column: list[str]) -> set[str]:
+    out: set[str] = set()
+    for value in column:
+        if not is_missing(value):
+            out |= reference_shingles(value)
+    return out
+
+
+def reference_signature(column: list[str], L: int) -> MinHashSignature:
+    """``signature`` as a string set: every shingle sliced out as a string
+    and hashed byte by byte."""
+    shingle_set = reference_column_shingles(column)
+    if not shingle_set:
+        raise EmptyColumn("no shingles")
+    base = np.array([reference_fnv1a64(s) for s in shingle_set], np.uint64)
+    return MinHashSignature(baseline._hash_matrix(base, L).min(axis=0).tolist(), L)
+
+
+# Values that strip or lowercase to another length or to a missing token,
+# and characters of every UTF-8 length.
+TRICKY = ["", " ", "NA", " null ", "Na\t", "İ", "İİİİ", "\x00", "a\x00b", "é", "中文",
+          "😀", "x😀yz", " \u2003ab\u2003 ", "ß", "ABC", "abcd"]
+values = st.one_of(st.sampled_from(TRICKY), st.text(max_size=8))
 
 
 class TestSignature:
@@ -74,6 +110,56 @@ class TestSignature:
         assert est < 3 / 128
 
 
+class TestShingleHashing:
+    @given(st.lists(values, max_size=8), st.sampled_from([1, 3, 16]))
+    @example(["İ"], 4)
+    @example(["abc", "ABCD", " abc "], 8)
+    @settings(max_examples=300, deadline=None)
+    def test_signature_is_the_string_set_reference(self, column, L):
+        try:
+            expected = reference_signature(column, L)
+        except EmptyColumn:
+            with pytest.raises(EmptyColumn):
+                signature(column, L)
+            return
+        assert signature(column, L) == expected
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_sign_columns_is_the_reference_per_column(self, data):
+        # Columns share one blob in a call, so each must keep to its own bytes.
+        n_rows = data.draw(st.integers(0, 5))
+        columns = data.draw(st.lists(st.lists(values, min_size=n_rows, max_size=n_rows),
+                                     min_size=1, max_size=4))
+        raw = table([f"c{i}" for i in range(len(columns))], columns)
+        expected = {}
+        for column in raw.header:
+            try:
+                expected[("s", column)] = reference_signature(raw.column(column), 8)
+            except EmptyColumn:
+                continue
+        assert sign_columns({"s": raw}, 8) == expected
+
+    @pytest.mark.parametrize("column", [["a\ud800b"], ["ok", "\udfff"], ["\ud83d"]])
+    def test_lone_surrogate_raises(self, column):
+        with pytest.raises(UnicodeEncodeError):
+            signature(column, 8)
+        with pytest.raises(UnicodeEncodeError):
+            sign_columns({"s": table(["c"], [column])}, 8)
+
+    def test_signature_store_bytes_are_pinned(self, tmp_path):
+        # Any change to the shingles, their FNV-1a hash or the hash family
+        # changes these bytes, and every stored signature with them.
+        words = [["Café", " 中文字 ", "😀ok", "İstanbul", "a\x00b", "NA", "x"],
+                 ["2020-10-06", "-12", "", "null", "ab", "Ab", "ÉTÉ"]]
+        sources = {**build_covid_fixture(seed=31, n_dates=3, n_states=6).tables,
+                   "words": table(["w", "v"], words)}
+        path = tmp_path / "sigs.bin"
+        save_signatures(sign_columns(sources, L=32), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "633b7edaff3768d8ab4325ce74cdabbce31e4b43df9af2c5cf14af1336c62e05")
+
+
 class TestJaccardEstimate:
     def test_self_similarity(self):
         sig = signature(["abcdef"])
@@ -83,8 +169,8 @@ class TestJaccardEstimate:
         # Shingle sets {abc,bcd,cde} and {bcd,cde,def}: exact J = 2/4.
         a = signature(["abcde"], L=128)
         b = signature(["bcdef"], L=128)
-        assert shingles("abcde") == {"abc", "bcd", "cde"}
-        assert shingles("bcdef") == {"bcd", "cde", "def"}
+        assert reference_shingles("abcde") == {"abc", "bcd", "cde"}
+        assert reference_shingles("bcdef") == {"bcd", "cde", "def"}
         assert abs(estimate_jaccard(a, b) - 0.5) <= 0.15
 
     def test_disjoint_sets_near_zero(self):
@@ -480,4 +566,5 @@ class TestStorage:
 
 
 def test_column_shingles_drops_missing():
-    assert column_shingles(["", "NA", "abcd"]) == {"abc", "bcd"}
+    assert reference_column_shingles(["", "NA", "abcd"]) == {"abc", "bcd"}
+    assert signature(["", "NA", "abcd"], 16) == signature(["abcd"], 16)

@@ -25,6 +25,9 @@ from supercell.core import (
     copy_index,
     copy_marker,
     discard_position,
+    fnv1a64,
+    fnv1a64_spans,
+    ngram_hashes,
     read_json,
     read_jsonl,
     read_text,
@@ -33,6 +36,8 @@ from supercell.core import (
     write_jsonl,
 )
 from supercell.mapping import LabeledSample, Origin
+
+from conftest import reference_fnv1a64
 
 
 def make_cell(keys, attrs, values, source="s", ordinal=0):
@@ -384,3 +389,39 @@ def test_record_json_round_trip(kind, records):
 def test_feature_sentence_round_trip():
     sentence = FeatureSentence(("a", "b"), ("KEY", "VAL"))
     assert FeatureSentence.from_dict(sentence.to_dict()) == sentence
+
+
+class TestFnv1a64Spans:
+    @given(st.binary(max_size=40), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_each_span_is_the_per_byte_loop(self, blob, data):
+        spans = data.draw(st.lists(st.integers(0, len(blob)).flatmap(
+            lambda a: st.tuples(st.just(a), st.integers(0, len(blob) - a))), max_size=12))
+        start = np.array([a for a, _ in spans], np.int64)
+        span = np.array([n for _, n in spans], np.int64)
+        got = fnv1a64_spans(blob, start, span)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [reference_fnv1a64(blob[a : a + n]) for a, n in spans]
+
+    @given(st.text(max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_fnv1a64_is_the_per_byte_loop(self, text):
+        assert fnv1a64(text) == reference_fnv1a64(text)
+
+    @given(st.lists(st.text(max_size=8), min_size=1, max_size=5), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_ngram_hashes_are_the_hashes_of_the_sliced_strings(self, texts, data):
+        grams = []
+        for _ in range(data.draw(st.integers(0, 10))):
+            t = data.draw(st.integers(0, len(texts) - 1))
+            offset = data.draw(st.integers(0, len(texts[t])))
+            grams.append((t, offset, data.draw(st.integers(0, len(texts[t]) - offset))))
+        text, offset, width = (np.array([g[i] for g in grams], np.int64) for i in range(3))
+        assert ngram_hashes(texts, text, offset, width).tolist() == [
+            fnv1a64(texts[t][a : a + n]) for t, a, n in grams]
+
+    def test_lone_surrogate_raises(self):
+        with pytest.raises(UnicodeEncodeError):
+            fnv1a64("\ud800")
+        with pytest.raises(UnicodeEncodeError):
+            ngram_hashes(["ok", "a\udfffb"], np.array([0]), np.array([0]), np.array([2]))

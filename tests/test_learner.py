@@ -46,6 +46,7 @@ from supercell.learner import (
 from supercell import mapping
 from supercell.mapping import LabeledSample, resolve_position
 
+from conftest import reference_fnv1a64
 
 SCHEMA = TargetSchema(
     attributes=("k", "a", "b"),
@@ -182,6 +183,27 @@ class TestSubwords:
         assert fnv1a64("confirmed") != fnv1a64("confirmd")
         # Frozen value guards against platform-dependent hashing.
         assert fnv1a64("abc") == 0xE71FA2190541574B
+
+    @given(st.lists(st.lists(st.text(max_size=7), max_size=6), max_size=4),
+           st.sampled_from([1, 7, 4096]))
+    @example([["İi", "😀", "", "a\x00"]], 64)
+    @settings(max_examples=100, deadline=None)
+    def test_bucket_ids_are_the_hashed_ngram_strings(self, rounds, bucket_count):
+        # Tokens arrive over several calls, each followed by a table read.
+        vocab = SubwordVocab(bucket_count)
+        order: list[str] = []
+        for tokens in rounds:
+            for token in tokens:
+                vocab.token_id(token)
+                if token not in order:
+                    order.append(token)
+            flat, lengths, starts = vocab.table()
+            for token_id, token in enumerate(order):
+                wrapped = f"<{token}>"
+                grams = [wrapped] + [wrapped[i : i + n] for n in range(3, 6)
+                                     for i in range(len(wrapped) - n + 1)]
+                assert flat[starts[token_id] : starts[token_id] + lengths[token_id]].tolist() \
+                    == [reference_fnv1a64(g) % bucket_count for g in grams]
 
     def test_every_token_maps_to_buckets(self):
         vocab = SubwordVocab(bucket_count=64)
