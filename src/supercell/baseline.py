@@ -46,7 +46,7 @@ class MinHashSignature:
     L: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(map(int, self.values)))
+        object.__setattr__(self, "values", tuple(self.values))
         if self.L < 1:
             raise IncompatibleSignatures(f"L must be at least 1, got {self.L}")
         if len(self.values) != self.L:

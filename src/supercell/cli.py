@@ -168,7 +168,19 @@ def cmd_augment(config: RunConfig) -> int:
     plan = _plan(config)
     cells_path, samples_path = out_dir / "supercells.jsonl", out_dir / "samples.jsonl"
     cells = spec.cells(_read_corpora(cells_path))
-    samples = core.read_jsonl(samples_path, mapping.LabeledSample)
+    paired = iter(cells)
+
+    def check(sample: mapping.LabeledSample) -> None:
+        # Samples pair with cells by position, so each must be its cell's.
+        cell = next(paired, None)
+        if cell is not None and (sample.origin != (cell.source_id, cell.row_ordinal)
+                                 or sample.feature != core.render_feature(cell)):
+            raise core.DataError(
+                f"not the sample of the super cell at this position in {cells_path} "
+                f"({cell.source_id!r}, row {cell.row_ordinal}); rerun gen-train"
+            )
+
+    samples = core.read_jsonl(samples_path, mapping.LabeledSample, check)
     if len(cells) != len(samples):
         raise core.DataError(
             f"{cells_path} holds {len(cells)} super cells but {samples_path} holds "
@@ -284,11 +296,7 @@ def cmd_ablate(config: RunConfig) -> int:
             if variant.plan.key_expansion_rate > 0:
                 log(f"ablate: left out {variant.name}: the spec has no key hierarchy")
         variants = [v for v in variants if v.plan.key_expansion_rate == 0]
-    ablation = evaluate.AblationConfig(
-        variants=variants,
-        train_plan=train_plan,
-        seed=config.seed,
-    )
+    ablation = evaluate.AblationConfig(variants=variants, train_plan=train_plan)
     out_dir = _out_dir(config) / "ablation"
     rows = evaluate.run_ablation(_train_config(config), fixture, ablation, out_dir)
     for row in rows:

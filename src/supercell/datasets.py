@@ -4,6 +4,7 @@ comparisons. Every builder is a pure function of its seed."""
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
 from dataclasses import dataclass, field
 from importlib import resources
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .canon import CanonKind, DictionaryStore, SynonymDictionary
+from .canon import DATE, NONE, NUMBER, CanonKind, DictionaryStore, SynonymDictionary
 from .core import KeyDomain, SuperCell, TargetSchema
 from .ingest import (
     LogRule,
@@ -69,6 +70,43 @@ def _iso_dates(start: datetime.date, n: int) -> list[str]:
     return [(start + datetime.timedelta(days=i)).isoformat() for i in range(n)]
 
 
+def _spec(
+    key_kinds: dict[str, CanonKind],
+    key_domains: dict[str, KeyDomain],
+    descs: list[SourceDescriptor],
+    attr_map: dict[str, dict[str, str]],
+    key_hierarchy: KeyHierarchy | None = None,
+) -> MappingSpec:
+    """A spec whose every source lists its key columns in target key order:
+    one key map per source, and the target's attributes are its keys then
+    each mapped attribute in source order."""
+    values = dict.fromkeys(t for amap in attr_map.values() for t in amap.values())
+    entries = [KeyMapEntry(attr, i, kind) for i, (attr, kind) in enumerate(key_kinds.items())]
+    return MappingSpec(
+        target=TargetSchema((*key_kinds, *values), tuple(key_kinds), key_domains),
+        sources=descs,
+        key_map={d.source_id: list(entries) for d in descs},
+        attr_map=attr_map,
+        key_hierarchy=key_hierarchy,
+    )
+
+
+# The canonicalization kind of each COVID target key attribute, in target
+# key order.
+_COVID_DICT = CanonKind("dict", "covid_synonyms")
+_COVID_KEY_KINDS = {"date": DATE, "state": _COVID_DICT, "country": _COVID_DICT}
+
+# Per COVID source: its key columns in target key order, its super-cell
+# groups of numeric columns, each feeding the target attribute of its
+# lowercased name, and its unmapped columns.
+_COVID_LAYOUT = {
+    "covid": (("Date", "Province/State", "Country/Region"),
+              (("Confirmed", "Recovered"), ("Deaths",)), ("Fips",)),
+    "mobility": (("Time", "Sub Region", "Region"),
+                 (("Workplace", "Recreation", "Grocery"),), ()),
+}
+
+
 def build_covid_fixture(
     seed: int = 7, n_dates: int = 20, n_states: int | None = None
 ) -> Fixture:
@@ -87,120 +125,54 @@ def build_covid_fixture(
         states = states[:n_states]
     dates = _iso_dates(datetime.date(2020, 10, 1), n_dates)
 
-    covid_rows = []
-    mobility_rows = []
+    rows: dict[str, list[tuple[str, ...]]] = {"covid": [], "mobility": []}
     for date in dates:
         for state in states:
             confirmed = int(rng.integers(50, 10000))
             recovered = int(rng.integers(10, confirmed + 10))
             deaths = int(rng.integers(0, 500))
             fips = str(int(rng.integers(1000, 99999))) if rng.random() < 0.2 else ""
-            covid_rows.append(
+            rows["covid"].append(
                 (date, state.title(), "United States", str(confirmed),
                  str(recovered), str(deaths), fips)
             )
             workplace = int(rng.integers(-80, 40))
             recreation = int(rng.integers(-80, 40))
             grocery = int(rng.integers(-60, 60))
-            mobility_rows.append(
+            rows["mobility"].append(
                 (date, state.title(), "United States", str(workplace),
                  str(recreation), str(grocery))
             )
 
-    covid_table = RawTable(
-        ("Date", "Province/State", "Country/Region", "Confirmed", "Recovered",
-         "Deaths", "Fips"),
-        tuple(covid_rows),
-    )
-    mobility_table = RawTable(
-        ("Time", "Sub Region", "Region", "Workplace", "Recreation", "Grocery"),
-        tuple(mobility_rows),
-    )
+    descs, tables, attr_map = [], {}, {}
+    for source_id, (keys, groups, unmapped) in _COVID_LAYOUT.items():
+        values = [c for g in groups for c in g]
+        descs.append(SourceDescriptor(
+            source_id=source_id, format="csv", key_columns=keys, supercell_groups=groups,
+            canonicalizers={**dict(zip(keys, _COVID_KEY_KINDS.values())),
+                            **dict.fromkeys(values, NUMBER)},
+        ))
+        tables[source_id] = RawTable((*keys, *values, *unmapped), tuple(rows[source_id]))
+        attr_map[source_id] = {c.lower(): c.lower() for c in values}
 
-    dict_kind = CanonKind("dict", "covid_synonyms")
-    covid_desc = SourceDescriptor(
-        source_id="covid",
-        format="csv",
-        key_columns=("Date", "Province/State", "Country/Region"),
-        supercell_groups=(("Confirmed", "Recovered"), ("Deaths",)),
-        canonicalizers={
-            "Date": CanonKind("date"),
-            "Province/State": dict_kind,
-            "Country/Region": dict_kind,
-            "Confirmed": CanonKind("number"),
-            "Recovered": CanonKind("number"),
-            "Deaths": CanonKind("number"),
-        },
-    )
-    mobility_desc = SourceDescriptor(
-        source_id="mobility",
-        format="csv",
-        key_columns=("Time", "Sub Region", "Region"),
-        supercell_groups=(("Workplace", "Recreation", "Grocery"),),
-        canonicalizers={
-            "Time": CanonKind("date"),
-            "Sub Region": dict_kind,
-            "Region": dict_kind,
-            "Workplace": CanonKind("number"),
-            "Recreation": CanonKind("number"),
-            "Grocery": CanonKind("number"),
-        },
-    )
-
-    schema = TargetSchema(
-        attributes=("date", "state", "country", "confirmed", "recovered", "deaths",
-                    "workplace", "recreation", "grocery"),
-        key_attributes=("date", "state", "country"),
-        key_domains={
-            "date": KeyDomain((), open=True),
-            "state": KeyDomain(tuple(sorted(states)), open=False),
-            "country": KeyDomain(("united states",), open=False),
-        },
-    )
+    key_domains = {
+        "date": KeyDomain((), open=True),
+        "state": KeyDomain(tuple(sorted(states)), open=False),
+        "country": KeyDomain(("united states",), open=False),
+    }
     hierarchy = KeyHierarchy(
         key_attr="state",
         children={s: (f"{s} north", f"{s} south") for s in states},
     )
-    spec = MappingSpec(
-        target=schema,
-        sources=[covid_desc, mobility_desc],
-        key_map={
-            "covid": [
-                KeyMapEntry("date", 0, CanonKind("date")),
-                KeyMapEntry("state", 1, dict_kind),
-                KeyMapEntry("country", 2, dict_kind),
-            ],
-            "mobility": [
-                KeyMapEntry("date", 0, CanonKind("date")),
-                KeyMapEntry("state", 1, dict_kind),
-                KeyMapEntry("country", 2, dict_kind),
-            ],
-        },
-        attr_map={
-            "covid": {
-                "confirmed": "confirmed",
-                "recovered": "recovered",
-                "deaths": "deaths",
-            },
-            "mobility": {
-                "workplace": "workplace",
-                "recreation": "recreation",
-                "grocery": "grocery",
-            },
-        },
-        key_hierarchy=hierarchy,
-    )
+    spec = _spec(_COVID_KEY_KINDS, key_domains, descs, attr_map, hierarchy)
+    corpora = {d.source_id: decompose(tables[d.source_id], d, dictionaries) for d in descs}
+    return Fixture(spec=spec, tables=tables, corpora=corpora, dictionaries=dictionaries)
 
-    corpora = {
-        "covid": decompose(covid_table, covid_desc, dictionaries),
-        "mobility": decompose(mobility_table, mobility_desc, dictionaries),
-    }
-    return Fixture(
-        spec=spec,
-        tables={"covid": covid_table, "mobility": mobility_table},
-        corpora=corpora,
-        dictionaries=dictionaries,
-    )
+
+def _project(table: RawTable, columns: tuple[str, ...]) -> RawTable:
+    """``table`` cut down to ``columns``, in that order."""
+    idx = [table.header.index(c) for c in columns]
+    return RawTable(columns, tuple(tuple(row[i] for i in idx) for row in table.rows))
 
 
 def build_pivoted_deaths(fixture: Fixture) -> tuple[RawTable, SourceDescriptor]:
@@ -208,97 +180,73 @@ def build_pivoted_deaths(fixture: Fixture) -> tuple[RawTable, SourceDescriptor]:
 
     Decomposing it reproduces the original deaths super cells; its columns
     contain no date values, which is what defeats column matching."""
-    covid = fixture.tables["covid"]
-    idx = {name: i for i, name in enumerate(covid.header)}
-    deaths_rows = tuple(
-        (row[idx["Date"]], row[idx["Province/State"]], row[idx["Country/Region"]],
-         row[idx["Deaths"]])
-        for row in covid.rows
+    desc = fixture.spec.descriptor("covid")
+    date, *rest = desc.key_columns  # the date comes first in target key order
+    deaths = _project(fixture.tables["covid"], (*desc.key_columns, "Deaths"))
+    pivoted = pivot_table(deaths, list(desc.key_columns), date)
+    return pivoted, dataclasses.replace(
+        desc, format="pivoted_csv", key_columns=tuple(rest), supercell_groups=(),
+        pivot=Pivot(pivot_axis_name=date, value_attr_name="Deaths"),
     )
-    deaths_table = RawTable(
-        ("Date", "Province/State", "Country/Region", "Deaths"), deaths_rows
-    )
-    pivoted = pivot_table(
-        deaths_table, ["Date", "Province/State", "Country/Region"], "Date"
-    )
-    dict_kind = CanonKind("dict", "covid_synonyms")
-    desc = SourceDescriptor(
-        source_id="covid",
-        format="pivoted_csv",
-        key_columns=("Province/State", "Country/Region"),
-        pivot=Pivot(pivot_axis_name="Date", value_attr_name="Deaths"),
-        canonicalizers={
-            "Date": CanonKind("date"),
-            "Province/State": dict_kind,
-            "Country/Region": dict_kind,
-            "Deaths": CanonKind("number"),
-        },
-    )
-    return pivoted, desc
 
 
 def covid_unpivoted_view(fixture: Fixture) -> tuple[RawTable, SourceDescriptor]:
     """The covid source without its Deaths column (the companion view when
     deaths arrive pivoted)."""
     covid = fixture.tables["covid"]
-    keep = [i for i, name in enumerate(covid.header) if name != "Deaths"]
-    table = RawTable(
-        tuple(covid.header[i] for i in keep),
-        tuple(tuple(row[i] for i in keep) for row in covid.rows),
-    )
     desc = fixture.spec.descriptor("covid")
+    table = _project(covid, tuple(c for c in covid.header if c != "Deaths"))
     groups = tuple(g for g in desc.supercell_groups if "Deaths" not in g)
-    view_desc = SourceDescriptor(
-        source_id=desc.source_id,
-        format="csv",
-        key_columns=desc.key_columns,
-        supercell_groups=groups,
-        canonicalizers=dict(desc.canonicalizers),
-    )
-    return table, view_desc
+    return table, dataclasses.replace(desc, supercell_groups=groups)
 
 
-_MACOS_RULES = (
-    LogRule(r"^Time: (?P<ts>\d{4}-\d{2}-\d{2} \d{2}:\d{2}:\d{2})$", {"ts": "ts"}),
-    LogRule(
-        r"^CPU usage: (?P<user>[\d.]+)% user, (?P<sys>[\d.]+)% sys, (?P<idle>[\d.]+)% idle",
-        {},
-        {"cpu_user": "user", "cpu_sys": "sys", "cpu_idle": "idle"},
-    ),
-    LogRule(
-        r"^PhysMem: (?P<used>\d+)M used, (?P<free>\d+)M unused",
-        {},
-        {"mem_used": "used", "mem_free": "free"},
-    ),
-)
+# The log sources' target keys; a host needs no canonicalization.
+_LOG_KEY_KINDS = {"ts": DATE, "host": NONE}
+_LOG_METRICS = ("cpu_user", "cpu_sys", "cpu_idle", "mem_used", "mem_free")
 
-_UBUNTU_RULES = (
-    LogRule(r"^top - (?P<ts>\d{4}-\d{2}-\d{2} \d{2}:\d{2}:\d{2})", {"ts": "ts"}),
-    LogRule(
-        r"^%Cpu\(s\): (?P<us>[\d.]+) us, (?P<sy>[\d.]+) sy, (?P<id>[\d.]+) id",
-        {},
-        {"cpu_us": "us", "cpu_sy": "sy", "cpu_id": "id"},
-    ),
-    LogRule(
-        r"^MiB Mem : (?P<total>[\d.]+) total, (?P<free>[\d.]+) free, (?P<used>[\d.]+) used",
-        {},
-        {"mem_used_mib": "used", "mem_free_mib": "free"},
-    ),
-)
-
-_ANDROID_RULES = (
-    LogRule(r"^-- (?P<ts>\d{4}-\d{2}-\d{2} \d{2}:\d{2}:\d{2}) --$", {"ts": "ts"}),
-    LogRule(
-        r"^(?P<total>\d+)%cpu (?P<user>\d+)%user (?P<sys>\d+)%sys (?P<idle>\d+)%idle",
-        {},
-        {"pct_cpu_user": "user", "pct_cpu_sys": "sys", "pct_cpu_idle": "idle"},
-    ),
-    LogRule(
-        r"^RAM: (?P<total>\d+)K total, (?P<used>\d+)K used, (?P<free>\d+)K free",
-        {},
-        {"ram_used_k": "used", "ram_free_k": "free"},
-    ),
-)
+# Per OS: its host, and its rules, whose attribute captures name the target
+# metrics in ``_LOG_METRICS`` order, each under that OS's own name.
+_LOG_LAYOUT = {
+    "macos": ("mac01", (
+        LogRule(r"^Time: (?P<ts>\d{4}-\d{2}-\d{2} \d{2}:\d{2}:\d{2})$", {"ts": "ts"}),
+        LogRule(
+            r"^CPU usage: (?P<user>[\d.]+)% user, (?P<sys>[\d.]+)% sys, (?P<idle>[\d.]+)% idle",
+            {},
+            {"cpu_user": "user", "cpu_sys": "sys", "cpu_idle": "idle"},
+        ),
+        LogRule(
+            r"^PhysMem: (?P<used>\d+)M used, (?P<free>\d+)M unused",
+            {},
+            {"mem_used": "used", "mem_free": "free"},
+        ),
+    )),
+    "ubuntu": ("ubu01", (
+        LogRule(r"^top - (?P<ts>\d{4}-\d{2}-\d{2} \d{2}:\d{2}:\d{2})", {"ts": "ts"}),
+        LogRule(
+            r"^%Cpu\(s\): (?P<us>[\d.]+) us, (?P<sy>[\d.]+) sy, (?P<id>[\d.]+) id",
+            {},
+            {"cpu_us": "us", "cpu_sy": "sy", "cpu_id": "id"},
+        ),
+        LogRule(
+            r"^MiB Mem : (?P<total>[\d.]+) total, (?P<free>[\d.]+) free, (?P<used>[\d.]+) used",
+            {},
+            {"mem_used_mib": "used", "mem_free_mib": "free"},
+        ),
+    )),
+    "android": ("droid01", (
+        LogRule(r"^-- (?P<ts>\d{4}-\d{2}-\d{2} \d{2}:\d{2}:\d{2}) --$", {"ts": "ts"}),
+        LogRule(
+            r"^(?P<total>\d+)%cpu (?P<user>\d+)%user (?P<sys>\d+)%sys (?P<idle>\d+)%idle",
+            {},
+            {"pct_cpu_user": "user", "pct_cpu_sys": "sys", "pct_cpu_idle": "idle"},
+        ),
+        LogRule(
+            r"^RAM: (?P<total>\d+)K total, (?P<used>\d+)K used, (?P<free>\d+)K free",
+            {},
+            {"ram_used_k": "used", "ram_free_k": "free"},
+        ),
+    )),
+}
 
 
 def build_log_fixture(seed: int = 11, n_stamps: int = 60) -> Fixture:
@@ -315,102 +263,55 @@ def build_log_fixture(seed: int = 11, n_stamps: int = 60) -> Fixture:
         idle = 100.0 - user - sys_
         return round(user, 1), round(sys_, 1), round(idle, 1)
 
-    macos_lines = []
+    lines: dict[str, list[str]] = {"macos": [], "ubuntu": [], "android": []}
     for ts in hours:
         user, sys_, idle = cpu_split()
         used, free = int(rng.integers(2000, 12000)), int(rng.integers(500, 8000))
-        macos_lines += [
+        lines["macos"] += [
             f"Time: {ts}",
             f"CPU usage: {user}% user, {sys_}% sys, {idle}% idle",
             f"PhysMem: {used}M used, {free}M unused.",
         ]
-    ubuntu_lines = []
     for ts in hours:
         user, sys_, idle = cpu_split()
         used, free = int(rng.integers(1000, 16000)), int(rng.integers(200, 8000))
-        ubuntu_lines += [
+        lines["ubuntu"] += [
             f"top - {ts} up 10 days",
             f"%Cpu(s): {user} us, {sys_} sy, {idle} id",
             f"MiB Mem : 16000.0 total, {free}.0 free, {used}.0 used",
         ]
-    android_lines = []
     for ts in hours:
         user, sys_, idle = (int(x) for x in cpu_split())
         used, free = int(rng.integers(100000, 4000000)), int(rng.integers(50000, 2000000))
-        android_lines += [
+        lines["android"] += [
             f"-- {ts} --",
             f"{user + sys_ + idle}%cpu {user}%user {sys_}%sys {idle}%idle",
             f"RAM: 5734400K total, {used}K used, {free}K free",
         ]
 
-    number = CanonKind("number")
-    descs = {
-        "macos": SourceDescriptor(
-            source_id="macos", format="log_lines", key_columns=("ts", "host"),
-            log_rules=_MACOS_RULES, constant_keys={"host": "mac01"},
-            canonicalizers={"ts": CanonKind("date"), "cpu_user": number,
-                            "cpu_sys": number, "cpu_idle": number,
-                            "mem_used": number, "mem_free": number},
-        ),
-        "ubuntu": SourceDescriptor(
-            source_id="ubuntu", format="log_lines", key_columns=("ts", "host"),
-            log_rules=_UBUNTU_RULES, constant_keys={"host": "ubu01"},
-            canonicalizers={"ts": CanonKind("date"), "cpu_us": number,
-                            "cpu_sy": number, "cpu_id": number,
-                            "mem_used_mib": number, "mem_free_mib": number},
-        ),
-        "android": SourceDescriptor(
-            source_id="android", format="log_lines", key_columns=("ts", "host"),
-            log_rules=_ANDROID_RULES, constant_keys={"host": "droid01"},
-            canonicalizers={"ts": CanonKind("date"), "pct_cpu_user": number,
-                            "pct_cpu_sys": number, "pct_cpu_idle": number,
-                            "ram_used_k": number, "ram_free_k": number},
-        ),
+    key_canon = {k: kind for k, kind in _LOG_KEY_KINDS.items() if kind != NONE}
+    descs, attr_map = [], {}
+    for source_id, (host, rules) in _LOG_LAYOUT.items():
+        names = [a for rule in rules for a in rule.attr_value_captures]
+        descs.append(SourceDescriptor(
+            source_id=source_id, format="log_lines", key_columns=tuple(_LOG_KEY_KINDS),
+            log_rules=rules, constant_keys={"host": host},
+            canonicalizers={**key_canon, **dict.fromkeys(names, NUMBER)},
+        ))
+        attr_map[source_id] = dict(zip(names, _LOG_METRICS, strict=True))
+    key_domains = {
+        "ts": KeyDomain((), open=True),
+        "host": KeyDomain(tuple(host for host, _ in _LOG_LAYOUT.values()), open=True),
     }
-
-    schema = TargetSchema(
-        attributes=("ts", "host", "cpu_user", "cpu_sys", "cpu_idle",
-                    "mem_used", "mem_free"),
-        key_attributes=("ts", "host"),
-        key_domains={
-            "ts": KeyDomain((), open=True),
-            "host": KeyDomain(("mac01", "ubu01", "droid01"), open=True),
-        },
-    )
-    key_map_entries = [
-        KeyMapEntry("ts", 0, CanonKind("date")),
-        KeyMapEntry("host", 1, CanonKind("none")),
-    ]
-    spec = MappingSpec(
-        target=schema,
-        sources=list(descs.values()),
-        key_map={s: list(key_map_entries) for s in descs},
-        attr_map={
-            "macos": {"cpu_user": "cpu_user", "cpu_sys": "cpu_sys",
-                      "cpu_idle": "cpu_idle", "mem_used": "mem_used",
-                      "mem_free": "mem_free"},
-            "ubuntu": {"cpu_us": "cpu_user", "cpu_sy": "cpu_sys",
-                       "cpu_id": "cpu_idle", "mem_used_mib": "mem_used",
-                       "mem_free_mib": "mem_free"},
-            "android": {"pct_cpu_user": "cpu_user", "pct_cpu_sys": "cpu_sys",
-                        "pct_cpu_idle": "cpu_idle", "ram_used_k": "mem_used",
-                        "ram_free_k": "mem_free"},
-        },
-    )
+    spec = _spec(_LOG_KEY_KINDS, key_domains, descs, attr_map)
 
     dictionaries = log_dictionaries()
-    logs = {
-        "macos": "\n".join(macos_lines) + "\n",
-        "ubuntu": "\n".join(ubuntu_lines) + "\n",
-        "android": "\n".join(android_lines) + "\n",
-    }
+    logs = {name: "\n".join(text) + "\n" for name, text in lines.items()}
     corpora = {
-        name: decompose_log(logs[name].splitlines(), descs[name], dictionaries)
-        for name in descs
+        d.source_id: decompose_log(logs[d.source_id].splitlines(), d, dictionaries)
+        for d in descs
     }
-    return Fixture(
-        spec=spec, logs=logs, corpora=corpora, dictionaries=dictionaries
-    )
+    return Fixture(spec=spec, logs=logs, corpora=corpora, dictionaries=dictionaries)
 
 
 def build_wide_tables(

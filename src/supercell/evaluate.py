@@ -49,10 +49,12 @@ class AblationConfig(Record):
 
     variants: list[AblationVariant]
     train_plan: PerturbationPlan | None = None
-    seed: int = 0
 
-    def config_hash(self) -> str:
-        return hashlib.sha256(json.dumps(self.to_dict(), sort_keys=True).encode()).hexdigest()[:12]
+    def config_hash(self, model_config: TrainConfig) -> str:
+        """The run directory's name: it covers the learner block too, so two
+        runs that differ only in their model write to two directories."""
+        run = {"ablation": self.to_dict(), "model": model_config.to_dict()}
+        return hashlib.sha256(json.dumps(run, sort_keys=True).encode()).hexdigest()[:12]
 
 
 def default_variants(seed: int, synonym_dict: str | None) -> list[AblationVariant]:
@@ -159,7 +161,7 @@ def run_ablation(
 
     Writes ``ablation.csv`` (deterministic) and ``timings.json`` under a
     run directory named by the config hash; returns the report rows."""
-    run_dir = Path(out_dir) / ablation.config_hash()
+    run_dir = Path(out_dir) / ablation.config_hash(model_config)
     run_dir.mkdir(parents=True, exist_ok=True)
     plan = ablation.train_plan
     condition = {"with_augmentation": plan is not None,

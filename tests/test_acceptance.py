@@ -316,14 +316,13 @@ def _eval_suite_run(out_dir):
     ablation = AblationConfig(
         variants=default_variants(13 + 9001, "covid_synonyms"),
         train_plan=plan,
-        seed=13,
     )
     run_ablation(config, fixture, ablation, out_dir / "ablation")
     from supercell.evaluate import train_on_fixture
 
     params, _, _ = train_on_fixture(fixture, config, plan)
     compare_baseline(fixture, params, out_dir / "compare")
-    run_dir = out_dir / "ablation" / ablation.config_hash()
+    run_dir = out_dir / "ablation" / ablation.config_hash(config)
     return (
         (run_dir / "ablation.csv").read_bytes(),
         (out_dir / "compare" / "comparison.json").read_bytes(),

@@ -418,6 +418,28 @@ class TestExitCodes:
         assert "supercells.jsonl" in err and "samples.jsonl" in err
         assert not (tmp_path / "augmented.jsonl").exists()
 
+    def test_samples_of_other_cells_are_data_error(self, workspace, tmp_path, capsys):
+        # As many samples as cells, but generated from another seed's fixture:
+        # pairing them by position would give each copy another cell's label.
+        path = augment_config(workspace, tmp_path, lambda spec: None)
+        other = build_covid_fixture(seed=32, n_dates=3, n_states=6)
+        assert len(other.all_cells()) == len(workspace["fixture"].all_cells())
+        write_jsonl(other.all_cells(), tmp_path / "supercells.jsonl")
+        assert run(["augment", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'samples.jsonl'}:1: " in err and "rerun gen-train" in err
+        assert not (tmp_path / "augmented.jsonl").exists()
+
+    def test_samples_keep_their_cells_order(self, workspace, tmp_path, capsys):
+        # Two swapped samples each carry the other cell's origin.
+        path = augment_config(workspace, tmp_path, lambda spec: None)
+        lines = (tmp_path / "samples.jsonl").read_text().splitlines(keepends=True)
+        lines[4], lines[5] = lines[5], lines[4]
+        (tmp_path / "samples.jsonl").write_text("".join(lines))
+        assert run(["augment", "--config", path]) == 2
+        assert f"{tmp_path / 'samples.jsonl'}:5: " in capsys.readouterr().err
+        assert not (tmp_path / "augmented.jsonl").exists()
+
     def test_hierarchy_rollup_key_is_data_error(self, workspace, tmp_path, capsys):
         # Expanded rows always sum, so a key_hierarchy has no rollup to name.
         path = augment_config(workspace, tmp_path,

@@ -42,7 +42,6 @@ def tiny_ablation(seed=1):
             value_reformat_rate=0.3, key_expansion_rate=0.1,
             add_remove_noise_columns=10, synonym_dict="covid_synonyms",
         ),
-        seed=seed,
     )
 
 
@@ -95,13 +94,14 @@ class TestVariants:
             AblationVariant("v", PerturbationPlan(add_remove_noise_columns=1))
         ])
         assert AblationVariant("v").plan == PerturbationPlan()
-        assert plain.config_hash() != noisy.config_hash()
+        assert plain.config_hash(tiny_config()) != noisy.config_hash(tiny_config())
 
     def test_config_hash_is_the_records_json(self):
-        ablation = tiny_ablation()
-        text = json.dumps(ablation.to_dict(), sort_keys=True)
-        assert ablation.config_hash() == hashlib.sha256(text.encode()).hexdigest()[:12]
-        assert AblationConfig.from_dict(json.loads(text)) == ablation
+        ablation, config = tiny_ablation(), tiny_config()
+        text = json.dumps({"ablation": ablation.to_dict(), "model": config.to_dict()},
+                          sort_keys=True)
+        assert ablation.config_hash(config) == hashlib.sha256(text.encode()).hexdigest()[:12]
+        assert AblationConfig.from_dict(json.loads(text)["ablation"]) == ablation
 
     def test_log_ladder_renames_through_the_log_dictionary(self):
         fixture = build_log_fixture(n_stamps=6)
@@ -118,7 +118,7 @@ class TestAblationReport:
         ablation = tiny_ablation()
         rows = run_ablation(tiny_config(), fixture, ablation, tmp_path)
         assert [r["variant"] for r in rows] == [v.name for v in ablation.variants]
-        run_dir = tmp_path / ablation.config_hash()
+        run_dir = tmp_path / ablation.config_hash(tiny_config())
         content = (run_dir / "ablation.csv").read_text()
         assert content.startswith("variant,accuracy,n_samples")
         assert (run_dir / "timings.json").exists()
@@ -136,14 +136,24 @@ class TestAblationReport:
 
     def test_empty_variant_list(self, tmp_path):
         fixture = tiny_fixture()
-        ablation = AblationConfig(variants=[], train_plan=None, seed=1)
+        ablation = AblationConfig(variants=[], train_plan=None)
         rows = run_ablation(tiny_config(), fixture, ablation, tmp_path)
         assert rows == []
-        content = (tmp_path / ablation.config_hash() / "ablation.csv").read_text()
+        content = (tmp_path / ablation.config_hash(tiny_config()) / "ablation.csv").read_text()
         assert content == (
             "variant,accuracy,n_samples,reference_target,"
             "with_augmentation,dictionary\n"
         )
+
+    def test_learner_block_names_its_own_run_directory(self, tmp_path):
+        # Two runs that differ only in the model's width must not share a
+        # run directory, or the second overwrites the first's reports.
+        fixture = tiny_fixture()
+        ablation = AblationConfig([AblationVariant("clean")])
+        narrow = desk_train_config(embed_dim=4, hidden=4, bucket_count=64, epochs=1)
+        for config in (narrow, replace(narrow, hidden=8)):
+            run_ablation(config, fixture, ablation, tmp_path)
+        assert len(list(tmp_path.glob("*/ablation.csv"))) == 2
 
 
 class TestTrainingCondition:
@@ -171,7 +181,7 @@ class TestTrainingCondition:
         for columns, plan in plans.items():
             ablation = AblationConfig([AblationVariant("clean")], plan)
             (row,) = run_ablation(config, fixture, ablation, tmp_path)
-            lines = (tmp_path / ablation.config_hash() / "ablation.csv").read_text().splitlines()
+            lines = (tmp_path / ablation.config_hash(config) / "ablation.csv").read_text().splitlines()
             assert lines[1].endswith("," + columns)
             assert f"{row['with_augmentation']},{row['dictionary']}" == columns
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from supercell import ingest
 from supercell.canon import CanonKind, SynonymDictionary
-from supercell.datasets import build_covid_fixture
+from supercell.datasets import build_covid_fixture, build_pivoted_deaths, covid_unpivoted_view
 from supercell.ingest import (
     DecomposeStats,
     DuplicateCellOnPivot,
@@ -401,6 +401,19 @@ def test_random_reorder_invariance(seed):
     a = decompose(table, covid_descriptor(), DICTS)
     b = decompose(reordered, covid_descriptor(), DICTS)
     assert Counter(c.signature() for c in a) == Counter(c.signature() for c in b)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 12))
+@settings(max_examples=25, deadline=None)
+def test_covid_scenario_views_lose_no_cell(seed, n_dates, n_states):
+    # Deaths pivoted so dates are headers, beside the covid source without
+    # them, decompose to exactly the covid source's super cells.
+    fixture = build_covid_fixture(seed=seed, n_dates=n_dates, n_states=n_states)
+    views = (build_pivoted_deaths(fixture), covid_unpivoted_view(fixture))
+    cells = [c for table, desc in views for c in decompose(table, desc, fixture.dictionaries)]
+    assert Counter(c.signature() for c in cells) == Counter(
+        c.signature() for c in fixture.corpora["covid"]
+    )
 
 
 def test_csv_round_trip(tmp_path):
