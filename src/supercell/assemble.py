@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from typing import Sequence
 
 from .canon import EXACT, canonical_number
 from .core import (
@@ -22,13 +23,14 @@ from .core import (
     SuperCell,
     TargetPosition,
     TargetSchema,
+    WILDCARD,
     copy_index,
     csv_text,
-    is_wildcard,
     write_csv,
 )
 
-NUMERIC_MODES = {AggMode.SUM, AggMode.AVG, AggMode.MIN, AggMode.MAX}
+# A tuple: membership tests compare by identity and never call Enum.__hash__.
+NUMERIC_MODES = (AggMode.SUM, AggMode.AVG, AggMode.MIN, AggMode.MAX)
 
 
 class AggModeConflict(DataError):
@@ -43,7 +45,7 @@ def render_decimal(value: Decimal) -> str:
     return "0" if rounded.is_zero() else format(rounded.normalize(EXACT), "f")
 
 
-@dataclass
+@dataclass(slots=True)
 class CellState:
     """Aggregation state of one target cell: ``number`` is the exact sum
     (SUM, AVG), minimum or maximum of the numeric values merged so far, and
@@ -105,7 +107,8 @@ class TargetTable:
     mode is fixed by its first write; writing a different mode raises
     AggModeConflict. A concrete key creates its row when a value first
     merges there. Wildcard key components broadcast to every existing row
-    matching the concrete components and never create rows.
+    matching the concrete components and never create rows. ``write`` is
+    the one writer; ``apply`` places a predicted super cell through it.
     """
 
     def __init__(self, schema: TargetSchema):
@@ -116,61 +119,68 @@ class TargetTable:
     def apply(self, cell: SuperCell, pos: TargetPosition) -> None:
         """Write one super cell at its (already COPY-resolved) position.
 
-        Values past the position's last attribute (a cell wider than the
-        model's ``max_width``) have nowhere to go and count as skipped, as do
-        the placed values of a position that addresses no row. A NULL
-        attribute slot drops its value uncounted. On an AggModeConflict the
-        conflicting value and every value after it count as skipped before
-        the conflict propagates; values written before it stay written."""
+        A discard position writes nothing and a NULL attribute slot drops
+        its value uncounted. Values past the position's last attribute (a
+        cell wider than the model's ``max_width``) have nowhere to go and
+        count as skipped. The placed values go through ``write``."""
         if pos.is_discard:
             return
-        unplaced = max(len(cell.values) - len(pos.attributes), 0)
-        placed = [(a, v) for a, v in zip(pos.attributes, cell.values) if a is not None]
-        targets = self._target_rows(pos.keys)
-        if not targets:
-            self.report.cells_skipped += len(placed) + unplaced
-            return
-        for done, (attr, value) in enumerate(placed):
-            try:
-                for key in targets:
-                    self._write(key, attr, value, pos.agg_mode)
-            except AggModeConflict:
-                self.report.cells_skipped += len(placed) - done + unplaced
-                raise
-        self.report.cells_skipped += unplaced
+        attributes, values = pos.attributes, cell.values
+        self.report.cells_skipped += max(len(values) - len(attributes), 0)
+        placed = [(a, v) for a, v in zip(attributes, values) if a is not None]
+        self.write(pos.keys, [a for a, _ in placed], [v for _, v in placed], pos.agg_mode)
 
-    def _target_rows(self, keys: tuple) -> list[tuple[str, ...]]:
-        """Row keys a position writes to (a concrete key's row may not exist
+    def write(
+        self, keys: Sequence[str | None], attributes: Sequence[str], values: Sequence[str],
+        mode: AggMode,
+    ) -> None:
+        """Merge ``values`` in order into the cells of the parallel
+        ``attributes`` in the row(s) that ``keys`` address.
+
+        Keys with a None or COPY(i) component, or the wrong number of
+        components, address no row, and every value counts as skipped. A
+        value that fails to parse in a numeric mode counts as skipped and
+        creates no row. On an AggModeConflict the conflicting value and every
+        value after it count as skipped before the conflict propagates;
+        values written before it stay written."""
+        report = self.report
+        targets = self._target_rows(keys)
+        if not targets:
+            report.cells_skipped += len(values)
+            return
+        rows = self.rows
+        for done, (attr, value) in enumerate(zip(attributes, values)):
+            for key in targets:
+                row = rows.get(key) or {}
+                state = row.get(attr) or CellState(mode)
+                if state.mode is not mode:
+                    report.cells_skipped += len(values) - done
+                    raise AggModeConflict(
+                        f"cell ({key}, {attr!r}) written with {state.mode.value} then {mode.value}"
+                    )
+                if not state.merge(value):
+                    report.cells_skipped += 1
+                    continue
+                # A row and its cell state are stored once a value has landed.
+                row[attr] = state
+                rows[key] = row
+                report.cells_written += 1
+
+    def _target_rows(self, keys: Sequence[str | None]) -> list[tuple[str, ...]]:
+        """Row keys a write goes to (a concrete key's row may not exist
         yet); empty when the keys address no row."""
-        if len(keys) != self.schema.q:
+        if len(keys) != self.schema.q or None in keys:
             return []
-        if any(is_wildcard(k) for k in keys):
-            concrete = [(i, k) for i, k in enumerate(keys) if not is_wildcard(k)]
-            if any(k is None for _, k in concrete):
-                return []
+        if WILDCARD in keys:
+            concrete = [(i, k) for i, k in enumerate(keys) if k != WILDCARD]
             return [
                 key for key in self.rows if all(key[i] == k for i, k in concrete)
             ]
-        if any(k is None or copy_index(k) is not None for k in keys):
-            # Unresolved or unaddressable key; nothing sensible to write.
+        # Every COPY(i) component contains "COPY(", so the join is a cheap
+        # first test; an unresolved key addresses no row.
+        if "COPY(" in "".join(keys) and any(copy_index(k) is not None for k in keys):
             return []
         return [tuple(keys)]
-
-    def _write(self, key: tuple[str, ...], attr: str, value: str, mode: AggMode) -> None:
-        """Merge one value; a row and its cell state are stored only once a
-        value has landed in them."""
-        row = self.rows.get(key, {})
-        state = row.get(attr) or CellState(mode=mode)
-        if state.mode is not mode:
-            raise AggModeConflict(
-                f"cell ({key}, {attr!r}) written with {state.mode.value} then {mode.value}"
-            )
-        if not state.merge(value):
-            self.report.cells_skipped += 1
-            return
-        row[attr] = state
-        self.rows[key] = row
-        self.report.cells_written += 1
 
     def finalized_rows(self) -> list[list[str]]:
         """Rows sorted by key tuple: key attributes first, then the remaining

@@ -19,8 +19,7 @@ import numpy as np
 
 from .canon import CanonKind, DictionaryStore, NONE, canonicalize
 from .core import (
-    AggMode, DataError, MalformedRecord, SuperCell, TargetPosition, TargetSchema, ngram_hashes,
-    open_file, read_json, runs,
+    AggMode, DataError, MalformedRecord, TargetSchema, ngram_hashes, open_file, read_json, runs,
 )
 from .assemble import TargetTable
 from .ingest import _MISSING, RawTable, is_missing
@@ -139,16 +138,61 @@ class MatchReport:
     unmatched: list[str]
 
 
+def _signed(
+    sources: dict[str, RawTable], L: int
+) -> tuple[list[tuple[str, str]], np.ndarray]:
+    """The ``(source_id, column)`` key of each non-empty column, in source
+    insertion order, then header order, and their ``(len, L)`` minima, all
+    signed in one ``_minhash`` call."""
+    keys = [(source_id, column) for source_id, table in sources.items() for column in table.header]
+    kept, minima = _minhash([sources[source_id].column(column) for source_id, column in keys], L)
+    return [keys[i] for i in kept], minima
+
+
 def sign_columns(
     sources: dict[str, RawTable], L: int = 128
 ) -> dict[tuple[str, str], MinHashSignature]:
     """The signature store: one signature per non-empty column, keyed
     ``(source_id, column)`` in source insertion order, then header order.
-    A column with no shingles (``EmptyColumn``) has no entry. All columns
-    are signed in one ``_minhash`` call."""
-    keys = [(source_id, column) for source_id, table in sources.items() for column in table.header]
-    kept, minima = _minhash([sources[source_id].column(column) for source_id, column in keys], L)
-    return {keys[i]: MinHashSignature(row.tolist(), L) for i, row in zip(kept, minima)}
+    A column with no shingles (``EmptyColumn``) has no entry."""
+    keys, minima = _signed(sources, L)
+    return {key: MinHashSignature(row.tolist(), L) for key, row in zip(keys, minima)}
+
+
+def _match(
+    keys: list[tuple[str, str]],
+    stored: np.ndarray,
+    L: int,
+    target_example: RawTable,
+    threshold: float,
+) -> MatchReport:
+    """Best stored column per target attribute, by estimated Jaccard, over
+    ``stored``, the ``(len(keys), L)`` minima of the columns ``keys`` name.
+
+    The example's columns are signed with L. Each attribute's agreement
+    counts against every stored column are one array comparison; the
+    scores are ``estimate_jaccard``'s. Candidates are scanned in store
+    order, so ties go to the earlier column. An unmatched attribute is
+    recorded, not fatal."""
+    if not keys:
+        return MatchReport({}, {}, list(target_example.header))
+    attrs = target_example.header
+    kept, minima = _minhash([target_example.column(attr) for attr in attrs], L)
+    best: dict[str, ColumnMatch] = {}
+    per_source: dict[tuple[str, str], ColumnMatch] = {}
+    for i, row in zip(kept, minima):
+        attr = attrs[i]
+        scores = (stored == row).sum(axis=1) / L
+        candidates = np.flatnonzero(~(scores < threshold))
+        for j, score in zip(candidates.tolist(), scores[candidates].tolist()):
+            source_id, column = keys[j]
+            key = (attr, source_id)
+            if key not in per_source or score > per_source[key].score:
+                per_source[key] = ColumnMatch(source_id, column, score)
+            if attr not in best or score > best[attr].score:
+                best[attr] = ColumnMatch(source_id, column, score)
+    unmatched = [a for a in target_example.header if a not in best]
+    return MatchReport(best, per_source, unmatched)
 
 
 def match_signatures(
@@ -159,11 +203,8 @@ def match_signatures(
     """Best stored column per target attribute, by estimated Jaccard.
 
     The example's columns are signed with the store's own L; a store that
-    mixes L values raises ``IncompatibleSignatures``. Each attribute's
-    agreement counts against every stored column are one array comparison;
-    the scores are ``estimate_jaccard``'s. Stored columns are scanned in
-    insertion order, so ties go to the earlier column. An unmatched
-    attribute is recorded, not fatal.
+    mixes L values raises ``IncompatibleSignatures``. Stored columns are
+    scanned in insertion order, so ties go to the earlier column.
     """
     first = next(iter(store.values()), None)
     if first is None:
@@ -171,25 +212,8 @@ def match_signatures(
     L = first.L
     if any(sig.L != L for sig in store.values()):
         raise IncompatibleSignatures("the store mixes signature lengths")
-    keys = list(store)
     stored = np.array([sig.values for sig in store.values()], np.uint32)
-    attrs = target_example.header
-    kept, minima = _minhash([target_example.column(attr) for attr in attrs], L)
-    best: dict[str, ColumnMatch] = {}
-    per_source: dict[tuple[str, str], ColumnMatch] = {}
-    for i, row in zip(kept, minima):
-        attr = attrs[i]
-        scores = ((stored == row).sum(axis=1) / L).tolist()
-        for (source_id, column), score in zip(keys, scores):
-            if score < threshold:
-                continue
-            key = (attr, source_id)
-            if key not in per_source or score > per_source[key].score:
-                per_source[key] = ColumnMatch(source_id, column, score)
-            if attr not in best or score > best[attr].score:
-                best[attr] = ColumnMatch(source_id, column, score)
-    unmatched = [a for a in target_example.header if a not in best]
-    return MatchReport(best, per_source, unmatched)
+    return _match(list(store), stored, L, target_example, threshold)
 
 
 def match_columns(
@@ -198,8 +222,10 @@ def match_columns(
     threshold: float = 0.5,
     L: int = 128,
 ) -> MatchReport:
-    """``match_signatures`` over a store signed from ``sources``."""
-    return match_signatures(sign_columns(sources, L), target_example, threshold)
+    """``match_signatures`` over the store ``sign_columns`` would sign from
+    ``sources``, scored from the signed minima without building it."""
+    keys, minima = _signed(sources, L)
+    return _match(keys, minima, L, target_example, threshold)
 
 
 def select_sources(matches: dict[str, ColumnMatch]) -> list[str]:
@@ -242,50 +268,38 @@ def baseline_integrate(
     key_kinds = key_kinds or {}
     selected = select_sources(report.best)
     table = TargetTable(schema)
-    # Canonical form by (key attribute, raw value), for this call only.
-    canonical: dict[tuple[str, str], str] = {}
+    keys = schema.key_attributes
+    # Canonical form by key attribute and raw value, for this call only.
+    forms: dict[str, dict[str, str]] = {k: {} for k in keys}
     for source_id in selected:
         raw = sources[source_id]
-        key_cols = {}
-        for k in schema.key_attributes:
+        # A repeated name reads its first column, the one signing read.
+        index = raw.header.index
+        key_cols = []
+        for k in keys:
             match = report.per_source.get((k, source_id))
             if match is None:
                 raise UncoverableAttribute(
                     f"source {source_id!r} has no column matching key {k!r}"
                 )
-            key_cols[k] = match.column
-        value_attrs = [
-            a
+            key_cols.append((index(match.column), key_kinds.get(k, NONE), forms[k]))
+        value_cols = [
+            (a, index(report.best[a].column))
             for a in schema.attributes
-            if a not in schema.key_attributes
-            and a in report.best
-            and report.best[a].source_id == source_id
+            if a not in keys and a in report.best and report.best[a].source_id == source_id
         ]
-        idx = {name: i for i, name in enumerate(raw.header)}
         for row in raw.rows:
-            parts = []
-            for k in schema.key_attributes:
-                value = row[idx[key_cols[k]]]
-                form = canonical.get((k, value))
+            key = []
+            for i, kind, seen in key_cols:
+                form = seen.get(row[i])
                 if form is None:
-                    form = canonical[k, value] = canonicalize(
-                        value, key_kinds.get(k, NONE), dictionaries
-                    )
-                parts.append(form)
-            key = tuple(parts)
-            attrs = []
-            values = []
-            for attr in value_attrs:
-                raw_value = row[idx[report.best[attr].column]]
-                if is_missing(raw_value):
-                    continue
-                attrs.append(attr)
-                values.append(raw_value)
-            if not attrs:
-                continue
-            cell = SuperCell(source_id, key, tuple(attrs), tuple(values), 0)
-            pos = TargetPosition(key, tuple(attrs), AggMode.REPLACE)
-            table.apply(cell, pos)
+                    form = seen[row[i]] = canonicalize(row[i], kind, dictionaries)
+                key.append(form)
+            present = [(a, row[i]) for a, i in value_cols if not is_missing(row[i])]
+            if present:
+                table.write(
+                    tuple(key), [a for a, _ in present], [v for _, v in present], AggMode.REPLACE
+                )
     return table
 
 

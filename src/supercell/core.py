@@ -189,14 +189,10 @@ def copy_marker(index: int) -> str:
 
 def copy_index(entry: str | None) -> int | None:
     """The index inside a COPY marker, or None if ``entry`` is not one."""
-    if entry is None:
+    if entry is None or not entry.startswith("COPY("):
         return None
     m = _COPY_RE.match(entry)
     return int(m[1]) if m else None
-
-
-def is_wildcard(entry: str | None) -> bool:
-    return entry == WILDCARD
 
 
 class InvalidSuperCell(DataError):
@@ -431,7 +427,7 @@ class TargetPosition(Record):
 
     @property
     def is_discard(self) -> bool:
-        return all(a is None for a in self.attributes)
+        return self.attributes.count(None) == len(self.attributes)
 
 
 def discard_position(q: int, width: int) -> TargetPosition:

@@ -163,14 +163,15 @@ def _emit(
     ordinal: int,
     dictionaries: DictionaryStore | None,
     stats: DecomposeStats,
-    axis: str | None = None,
+    axis: tuple[str, CanonCounters] | None = None,
 ) -> None:
     """Append one super cell of the present (canonical attribute, value
     kind, raw value) triples in ``pairs``.
 
     Missing values are skipped and counted; a cell with no present value is
-    not emitted. ``axis`` (a pivoted column's header) is canonicalized as
-    the pivot axis and appended as the last key component.
+    not emitted. ``axis`` is a pivoted column's canonical header, appended
+    as the last key component, and the warnings its canonicalization
+    counted, which count again for each cell emitted under it.
     """
     attrs: list[str] = []
     values: list[str] = []
@@ -183,8 +184,10 @@ def _emit(
     if not attrs:
         return
     if axis is not None:
-        axis_kind = desc.canon_kind(desc.pivot.pivot_axis_name)
-        keys = keys + (canonicalize(axis, axis_kind, dictionaries, stats.canon),)
+        form, counted = axis
+        keys = keys + (form,)
+        stats.canon.unparseable_date += counted.unparseable_date
+        stats.canon.unparseable_number += counted.unparseable_number
     cells.append(SuperCell(desc.source_id, keys, tuple(attrs), tuple(values), ordinal))
     stats.cells += 1
 
@@ -195,21 +198,31 @@ def _attribute(desc: SourceDescriptor, name: str) -> tuple[str, CanonKind]:
 
 
 def _group_plan(
-    header: tuple[str, ...], col_index: dict[str, int], desc: SourceDescriptor
-) -> list[tuple[str | None, tuple[tuple[str, CanonKind, int], ...]]]:
-    """Per emitted cell of a row: its pivot-axis header (None for a plain
-    table) and its (canonical attribute, value kind, column index) triples;
-    each attribute name is canonicalized once, here.
+    header: tuple[str, ...],
+    col_index: dict[str, int],
+    desc: SourceDescriptor,
+    dictionaries: DictionaryStore | None,
+) -> list[tuple[tuple[str, CanonCounters] | None, tuple[tuple[str, CanonKind, int], ...]]]:
+    """Per emitted cell of a row: its pivot axis (None for a plain table)
+    and its (canonical attribute, value kind, column index) triples. Each
+    attribute name and each pivot-axis header is canonicalized once, here.
 
     A plain table plans its declared groups first, then a singleton group
     for each remaining non-key column. A pivoted table plans one singleton
-    group per non-key column, whose header becomes the last key component.
+    group per non-key column, whose canonical header, with the warnings
+    counted canonicalizing it, is the ``_emit`` axis.
     """
     keyset = set(desc.key_columns)
     rest = [c for c in header if c not in keyset]
     if desc.format == "pivoted_csv":
         value = _attribute(desc, desc.pivot.value_attr_name)
-        return [(c, ((*value, col_index[c]),)) for c in rest]
+        axis_kind = desc.canon_kind(desc.pivot.pivot_axis_name)
+        plan = []
+        for c in rest:
+            counted = CanonCounters()
+            axis = (canonicalize(c, axis_kind, dictionaries, counted), counted)
+            plan.append((axis, ((*value, col_index[c]),)))
+        return plan
     grouped = [c for g in desc.supercell_groups for c in g]
     for col in grouped:
         if col not in col_index:
@@ -242,7 +255,7 @@ def decompose(
     for key_col in desc.key_columns:
         if key_col not in col_index:
             raise MissingKeyColumn(key_col)
-    plan = _group_plan(table.header, col_index, desc)
+    plan = _group_plan(table.header, col_index, desc, dictionaries)
     key_kinds = [desc.canon_kind(c) for c in desc.key_columns]
 
     cells: list[SuperCell] = []

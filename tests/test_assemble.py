@@ -1,5 +1,6 @@
 """Aggregation semantics and the shared table writer."""
 
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from supercell.assemble import (
     AggModeConflict,
+    CellState,
     TargetTable,
     diff_tables,
     finalize_and_write,
@@ -391,6 +393,135 @@ class TestAccounting:
         assert (table.report.cells_written, table.report.cells_skipped) == (2, 3)
         assert table.to_csv() == "k,a,b,c\nx,2,1,\n"
 
+
+
+_REFERENCE_COPY_RE = re.compile(r"^COPY\((\d+)\)$")
+
+
+def reference_apply(table, cell, pos):
+    """``TargetTable.apply`` as one generic method: build the placed values,
+    find the target rows, then merge value by value."""
+    if pos.is_discard:
+        return
+    unplaced = max(len(cell.values) - len(pos.attributes), 0)
+    placed = [(a, v) for a, v in zip(pos.attributes, cell.values) if a is not None]
+    targets = reference_target_rows(table, pos.keys)
+    if not targets:
+        table.report.cells_skipped += len(placed) + unplaced
+        return
+    for done, (attr, value) in enumerate(placed):
+        try:
+            for key in targets:
+                reference_write(table, key, attr, value, pos.agg_mode)
+        except AggModeConflict:
+            table.report.cells_skipped += len(placed) - done + unplaced
+            raise
+    table.report.cells_skipped += unplaced
+
+
+def reference_target_rows(table, keys):
+    if len(keys) != table.schema.q:
+        return []
+    if any(k == WILDCARD for k in keys):
+        concrete = [(i, k) for i, k in enumerate(keys) if k != WILDCARD]
+        if any(k is None for _, k in concrete):
+            return []
+        return [key for key in table.rows if all(key[i] == k for i, k in concrete)]
+    if any(k is None or _REFERENCE_COPY_RE.match(k) for k in keys):
+        return []
+    return [tuple(keys)]
+
+
+def reference_write(table, key, attr, value, mode):
+    row = table.rows.get(key, {})
+    state = row.get(attr) or CellState(mode=mode)
+    if state.mode is not mode:
+        raise AggModeConflict(
+            f"cell ({key}, {attr!r}) written with {state.mode.value} then {mode.value}"
+        )
+    if not state.merge(value):
+        table.report.cells_skipped += 1
+        return
+    row[attr] = state
+    table.rows[key] = row
+    table.report.cells_written += 1
+
+
+TWO_KEYS = TargetSchema(
+    attributes=("k1", "k2", "v", "w"),
+    key_attributes=("k1", "k2"),
+    key_domains={"k1": KeyDomain((), open=True), "k2": KeyDomain((), open=True)},
+)
+# Literal keys, the wildcard, NULL, COPY markers and strings that only look
+# like one ("COPY(1)\n" matches the marker pattern, "COPY(x)" does not).
+KEY_ENTRIES = st.sampled_from(
+    ["a", "b", WILDCARD, None, "COPY(0)", "COPY(12)", "COPY(x)", "COPY()", "copy(1)", "COPY(1)\n"]
+)
+VALUES = st.sampled_from(["1", "2.5", "-0", "007", "1e3", "x", "", "NA"])
+MODES = st.sampled_from(
+    [AggMode.SUM, AggMode.REPLACE, AggMode.CONCAT, AggMode.MAX, AggMode.AVG, AggMode.COUNT]
+)
+
+
+@st.composite
+def placements(draw):
+    """One super cell and a position for it: keys of 1 to 3 components,
+    NULL slots, and cells wider or narrower than the position."""
+    keys = tuple(draw(st.lists(KEY_ENTRIES, min_size=1, max_size=3)))
+    attributes = tuple(draw(st.lists(st.sampled_from(["v", "w", None]), min_size=1, max_size=3)))
+    if all(a is None for a in attributes):
+        pos = discard_position(len(keys), len(attributes))
+    else:
+        pos = TargetPosition(keys, attributes, draw(MODES))
+    values = tuple(draw(st.lists(VALUES, min_size=1, max_size=4)))
+    cell = SuperCell("s", ("a", "b"), tuple(f"c{i}" for i in range(len(values))), values, 0)
+    return cell, pos
+
+
+def outcome(step, table, *args):
+    """The outcome of one write: the exception raised, if any, and the
+    report's counts after it."""
+    try:
+        step(table, *args)
+        raised = None
+    except AggModeConflict as exc:
+        raised = str(exc)
+    return raised, table.report.cells_written, table.report.cells_skipped
+
+
+class TestOneWriter:
+    @given(st.lists(placements(), min_size=1, max_size=14))
+    @example([
+        (SuperCell("s", ("a",), ("c0",), ("1",), 0),
+         TargetPosition(("a", "b"), ("v",), AggMode.SUM)),
+        (SuperCell("s", ("a",), ("c0", "c1", "c2"), ("2", "x", "3"), 0),
+         TargetPosition((WILDCARD, "b"), ("w", "v"), AggMode.REPLACE)),
+    ])
+    @settings(max_examples=300, deadline=None)
+    def test_apply_is_the_reference_apply(self, steps):
+        table, reference = TargetTable(TWO_KEYS), TargetTable(TWO_KEYS)
+        for cell, pos in steps:
+            assert outcome(TargetTable.apply, table, cell, pos) == outcome(
+                reference_apply, reference, cell, pos)
+        assert table.rows == reference.rows
+        assert table.finalized_rows() == reference.finalized_rows()
+        assert table.report == reference.report
+
+    @given(st.lists(st.tuples(
+        st.lists(KEY_ENTRIES, min_size=1, max_size=3),
+        st.lists(st.tuples(st.sampled_from(["v", "w", "other"]), VALUES), min_size=1, max_size=3),
+        MODES,
+    ), min_size=1, max_size=14))
+    @settings(max_examples=200, deadline=None)
+    def test_write_is_apply_of_the_equivalent_cell(self, writes):
+        written, applied = TargetTable(TWO_KEYS), TargetTable(TWO_KEYS)
+        for keys, pairs, mode in writes:
+            attributes, values = (tuple(x) for x in zip(*pairs))
+            cell = SuperCell("s", ("a", "b"), attributes, values, 0)
+            assert outcome(TargetTable.write, written, keys, attributes, values, mode) == outcome(
+                TargetTable.apply, applied, cell, TargetPosition(keys, attributes, mode))
+        assert written.rows == applied.rows
+        assert written.report == applied.report
 
 class TestDiff:
     def test_identical_tables(self):

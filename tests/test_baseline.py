@@ -28,8 +28,11 @@ from supercell.baseline import (
     signature,
     storage_report,
 )
-from supercell.canon import NONE, NUMBER
-from supercell.core import KeyDomain, MalformedRecord, TargetSchema
+from supercell.assemble import TargetTable
+from supercell.canon import DATE, NONE, NUMBER, canonicalize
+from supercell.core import (
+    AggMode, KeyDomain, MalformedRecord, SuperCell, TargetPosition, TargetSchema,
+)
 from supercell.datasets import build_covid_fixture
 from supercell.ingest import RawTable, is_missing
 
@@ -253,6 +256,19 @@ class TestOneHashingPass:
         assert match_signatures(store, example, threshold) == reference_match(
             store, example, threshold)
 
+    @given(st.data(), st.sampled_from([1, 4, 10, 16]), st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_match_columns_is_match_signatures_of_the_store(self, data, L, threshold):
+        # Header names may repeat: the store keeps one entry per name.
+        sources = {
+            source_id: RawTable(
+                tuple(data.draw(st.sampled_from(["c0", "c1"])) for _ in raw.header), raw.rows)
+            for source_id, raw in data.draw(lake_sources).items()
+        }
+        example = data.draw(raw_tables(prefix="a"))
+        assert match_columns(sources, example, threshold, L) == match_signatures(
+            sign_columns(sources, L), example, threshold)
+
     @given(raw_tables(prefix="a"))
     @example(table(["a0", "a1"], [["", "NA"], ["null", ""]]))
     @settings(max_examples=50, deadline=None)
@@ -470,6 +486,18 @@ class TestBaselineIntegrate:
         result = baseline_integrate(report, {"s": source}, schema, {"k": NUMBER})
         assert result.finalized_rows() == [["0", "b"], ["2", "c"]]
 
+    def test_repeated_column_name_joins_the_matched_column(self):
+        # Signing reads the first "v" column, so the join must read it too.
+        keys = [f"k{i}" for i in range(8)]
+        first = [f"value_{i}" for i in range(8)]
+        source = table(["k", "v", "v"], [keys, first, [f"x{i * 7}" for i in range(8)]])
+        example = table(["k", "v"], [keys, first])
+        schema = TargetSchema(attributes=("k", "v"), key_attributes=("k",))
+        report = match_columns({"s": source}, example)
+        assert report.best["v"] == ColumnMatch("s", "v", 1.0)
+        result = baseline_integrate(report, {"s": source}, schema)
+        assert result.finalized_rows() == [list(row) for row in example.rows]
+
     def test_single_source_pass_through(self):
         sources, schema, target = integration_fixture()
         only = {"cases": sources["cases"]}
@@ -522,6 +550,90 @@ class TestCanonicalizedOnce:
         assert len(calls) == len(set(calls)) == len(expected)
         assert set(calls) == expected
 
+
+
+def reference_integrate(report, sources, schema, key_kinds=None, dictionaries=None):
+    """``baseline_integrate`` as one ``SuperCell``, ``TargetPosition`` and
+    ``TargetTable.apply`` per source row with a present value. Header names
+    must not repeat: a name's column is looked up by name."""
+    missing_keys = [k for k in schema.key_attributes if k not in report.best]
+    if missing_keys:
+        raise UncoverableAttribute(missing_keys)
+    key_kinds = key_kinds or {}
+    table = TargetTable(schema)
+    for source_id in select_sources(report.best):
+        raw = sources[source_id]
+        key_cols = {}
+        for k in schema.key_attributes:
+            match = report.per_source.get((k, source_id))
+            if match is None:
+                raise UncoverableAttribute(f"source {source_id!r} has no column matching key {k!r}")
+            key_cols[k] = match.column
+        value_attrs = [a for a in schema.attributes if a not in schema.key_attributes
+                       and a in report.best and report.best[a].source_id == source_id]
+        idx = {name: i for i, name in enumerate(raw.header)}
+        for row in raw.rows:
+            key = tuple(canonicalize(row[idx[key_cols[k]]], key_kinds.get(k, NONE), dictionaries)
+                        for k in schema.key_attributes)
+            attrs, values = [], []
+            for attr in value_attrs:
+                raw_value = row[idx[report.best[attr].column]]
+                if not is_missing(raw_value):
+                    attrs.append(attr)
+                    values.append(raw_value)
+            if attrs:
+                cell = SuperCell(source_id, key, tuple(attrs), tuple(values), 0)
+                table.apply(cell, TargetPosition(key, tuple(attrs), AggMode.REPLACE))
+    return table
+
+
+# Date keys that fail to parse pass through canonicalization unchanged, the
+# wildcard and COPY markers among them.
+JOIN_DATES = ["2020-01-22", "1/22/2020", "Jan 23, 2020", "someday", "WILDCARD", "COPY(1)", "", "NA"]
+JOIN_STATES = ["AZ", "az", " Utah", "WILDCARD", "NA"]
+JOIN_VALUES = ["1", "2", "x", "", "NA", " null", "3.50"]
+
+
+@st.composite
+def join_cases(draw):
+    """Sources of repeated and missing keys and values, and a match report
+    that assigns each value attribute to some source's column."""
+    header = ("D", "S", "A", "B")
+    sources = {}
+    for source_id in draw(st.lists(st.sampled_from(["s0", "s1", "s2"]), min_size=1, max_size=3,
+                                   unique=True)):
+        rows = draw(st.lists(st.tuples(st.sampled_from(JOIN_DATES), st.sampled_from(JOIN_STATES),
+                                       st.sampled_from(JOIN_VALUES), st.sampled_from(JOIN_VALUES)),
+                             max_size=8))
+        sources[source_id] = RawTable(header, rows)
+    ids = list(sources)
+    per_source = {(k, source_id): ColumnMatch(source_id, column, 1.0)
+                  for k, column in (("date", "D"), ("state", "S")) for source_id in ids
+                  if draw(st.integers(0, 9))}  # a source now and then lacks a key match
+    best = {k: ColumnMatch(ids[0], column, 1.0) for k, column in (("date", "D"), ("state", "S"))}
+    for attr in ("v", "w", "x"):
+        if draw(st.booleans()):
+            best[attr] = ColumnMatch(draw(st.sampled_from(ids)), draw(st.sampled_from(header)), 1.0)
+    return sources, MatchReport(best, per_source, [])
+
+
+class TestJoinReference:
+    SCHEMA = TargetSchema(attributes=("date", "state", "v", "w", "x"),
+                          key_attributes=("date", "state"))
+
+    @given(join_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_join_is_the_per_row_apply_loop(self, case):
+        sources, report = case
+        kinds = {"date": DATE}
+        outcomes = []
+        for integrate in (baseline_integrate, reference_integrate):
+            try:
+                table = integrate(report, sources, self.SCHEMA, kinds)
+                outcomes.append((table.rows, table.report, table.to_csv()))
+            except UncoverableAttribute as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 class TestStorage:
     def test_paper_scale_arithmetic(self):
