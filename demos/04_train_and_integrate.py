@@ -6,8 +6,9 @@ merges values with full aggregation semantics. On a clean corpus the
 assembled table should match the oracle cell for cell. The model trained
 without augmentation gets as many Adam steps as the augmented one (its
 smaller sample set takes more epochs), so the two differ only in their
-data: it scores 0.9270 clean and 0.9227 on renames + reformats, where the
-augmented model scores 1.0000 and 0.9571.
+data: it scores 0.9270 clean and 0.9270 on renames + reformats, where the
+augmented model scores 1.0000 and 0.9785. The aggregation mode in the
+position is not predicted: the target schema's rule gives it.
 """
 
 import math

@@ -113,6 +113,7 @@ class TargetTable:
 
     def __init__(self, schema: TargetSchema):
         self.schema = schema
+        self._value_attributes = frozenset(schema.value_attributes)
         self.rows: dict[tuple[str, ...], dict[str, CellState]] = {}
         self.report = AssemblyReport()
 
@@ -139,7 +140,8 @@ class TargetTable:
 
         Keys with a None or COPY(i) component, or the wrong number of
         components, address no row, and every value counts as skipped. A
-        value that fails to parse in a numeric mode counts as skipped and
+        value for an attribute outside the schema's value attributes, or
+        one that fails to parse in a numeric mode, counts as skipped and
         creates no row. On an AggModeConflict the conflicting value and every
         value after it count as skipped before the conflict propagates;
         values written before it stay written."""
@@ -150,6 +152,9 @@ class TargetTable:
             return
         rows = self.rows
         for done, (attr, value) in enumerate(zip(attributes, values)):
+            if attr not in self._value_attributes:
+                report.cells_skipped += 1
+                continue
             for key in targets:
                 row = rows.get(key) or {}
                 state = row.get(attr) or CellState(mode)

@@ -176,8 +176,6 @@ class AggMode(Enum):
     CONCAT = "concat"
 
 
-AGG_MODES: tuple[AggMode, ...] = tuple(AggMode)
-
 WILDCARD = "WILDCARD"
 _COPY_RE = re.compile(r"^COPY\((\d+)\)$")
 
@@ -363,11 +361,15 @@ class KeyDomain(Record):
 
 @dataclass(frozen=True)
 class TargetSchema(Record):
-    """Schema of the user-specified target table."""
+    """Schema of the user-specified target table.
+
+    ``agg_modes`` names how each value attribute merges the values that
+    land in one cell; an attribute it does not name is REPLACE."""
 
     attributes: tuple[str, ...]
     key_attributes: tuple[str, ...]
     key_domains: dict[str, KeyDomain] = field(default_factory=dict)
+    agg_modes: dict[str, AggMode] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "attributes", tuple(self.attributes))
@@ -377,6 +379,24 @@ class TargetSchema(Record):
             raise ValueError(f"key attributes not in attributes: {missing}")
         if not self.key_attributes:
             raise ValueError("at least one key attribute is required")
+        stray = sorted(set(self.agg_modes) - set(self.value_attributes))
+        if stray:
+            raise ValueError(f"agg_modes names no value attribute: {stray}")
+
+    def agg_mode(
+        self, attributes: Sequence[str | None], keys: Sequence[str | None], n_components: int
+    ) -> AggMode:
+        """The one rule for a position's mode: DISCARD when every attribute
+        is NULL; SUM when the cell has more key components than ``keys``
+        has non-WILDCARD slots (a finer source, such as county rows under
+        a state, rolls up); otherwise the mode of its first mapped
+        attribute."""
+        mapped = next((a for a in attributes if a is not None), None)
+        if mapped is None:
+            return AggMode.DISCARD
+        if n_components > len(keys) - keys.count(WILDCARD):
+            return AggMode.SUM
+        return self.agg_modes.get(mapped, AggMode.REPLACE)
 
     @property
     def q(self) -> int:
@@ -538,12 +558,13 @@ class LabelSpace:
     """Classifier head vocabularies for a target schema.
 
     One head per target key attribute (domain values plus NULL, COPY(i) up
-    to ``max_copy`` components, and WILDCARD), one head per cell slot up to
-    ``max_width`` (target attributes plus NULL), and one aggregation head,
-    in that order. The head layout is known only here: ``render`` and
-    ``decode`` convert between positions and flat per-head class ids, and
-    ``live_heads`` names the heads a cell of a given width is scored on
-    (``live_mask`` for many cells at once).
+    to ``max_copy`` components, and WILDCARD), then one head per cell slot
+    up to ``max_width`` (target attributes plus NULL). No head learns the
+    aggregation mode: ``decode`` takes it from ``TargetSchema.agg_mode``.
+    The head layout is known only here: ``render`` and ``decode`` convert
+    between positions and flat per-head class ids, and ``live_heads`` names
+    the heads a cell of a given width is scored on (``live_mask`` for many
+    cells at once).
     """
 
     def __init__(self, schema: TargetSchema, max_copy: int, max_width: int):
@@ -565,18 +586,12 @@ class LabelSpace:
 
     @property
     def head_sizes(self) -> list[int]:
-        return (
-            [len(v) for v in self.key_vocabs]
-            + [len(self.attr_vocab)] * self.max_width
-            + [len(AGG_MODES)]
-        )
+        return [len(v) for v in self.key_vocabs] + [len(self.attr_vocab)] * self.max_width
 
     def live_heads(self, width: int) -> list[int]:
-        """Heads scored for a cell of ``width`` values: every key head, the
-        first ``width`` attribute slots (at most ``max_width``), and the
-        aggregation head."""
-        q = self.schema.q
-        return list(range(q + min(width, self.max_width))) + [q + self.max_width]
+        """Heads scored for a cell of ``width`` values: every key head and
+        the first ``width`` attribute slots (at most ``max_width``)."""
+        return list(range(self.schema.q + min(width, self.max_width)))
 
     def live_mask(self, widths: Sequence[int]) -> np.ndarray:
         """``(len(widths), heads)`` bools, row ``i`` true on
@@ -588,8 +603,8 @@ class LabelSpace:
         return rows[inverse]
 
     def render(self, pos: TargetPosition) -> tuple[int, ...]:
-        """Encode a position as one class id per head: keys, ``max_width``
-        attribute slots (NULL past the cell's width), then aggregation.
+        """Encode a position as one class id per head: keys, then
+        ``max_width`` attribute slots (NULL past the cell's width).
 
         Raises UnknownKeyValue for a literal key outside the slot's domain
         and InvalidPosition for arity mismatches.
@@ -616,16 +631,17 @@ class LabelSpace:
                 raise InvalidPosition(f"unknown target attribute {entry!r}")
             ids.append(self._attr_index[entry])
         ids.extend([0] * (self.max_width - len(pos.attributes)))
-        ids.append(AGG_MODES.index(pos.agg_mode))
         return tuple(ids)
 
-    def decode(self, ids: Sequence[int], width: int) -> TargetPosition:
+    def decode(self, ids: Sequence[int], width: int, n_components: int) -> TargetPosition:
         """The position a flat head vector names for a cell of ``width``
-        values; a cell wider than ``max_width`` gets ``max_width`` attributes."""
+        values and ``n_components`` key components, under the schema's
+        ``agg_mode``; a cell wider than ``max_width`` gets ``max_width``
+        attributes."""
         live = [int(ids[h]) for h in self.live_heads(width)]
         q = self.schema.q
         keys = tuple(vocab[idx] for vocab, idx in zip(self.key_vocabs, live[:q]))
-        attrs = tuple(self.attr_vocab[idx] for idx in live[q:-1])
+        attrs = tuple(self.attr_vocab[idx] for idx in live[q:])
         if all(a is None for a in attrs):
             return discard_position(q, len(attrs))
-        return TargetPosition(keys, attrs, AGG_MODES[live[-1]])
+        return TargetPosition(keys, attrs, self.schema.agg_mode(attrs, keys, n_components))

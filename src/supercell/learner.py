@@ -1,8 +1,9 @@
 """Subword-embedding multi-head classifier, trained from scratch in numpy.
 
 The model maps a feature sentence to one class per head: one head per
-target key attribute (domain values, NULL, COPY(i), WILDCARD), one head per
-cell slot (target attributes plus NULL), and one aggregation-mode head.
+target key attribute (domain values, NULL, COPY(i), WILDCARD) and one head
+per cell slot (target attributes plus NULL). The aggregation mode is not
+learned: the target schema's rule (``TargetSchema.agg_mode``) gives it.
 Tokens embed as the mean of their character n-gram bucket rows, so a token
 and its one-edit or renamed variant land on overlapping buckets; the
 encoder is a bidirectional gated recurrent network. All gradients are
@@ -570,9 +571,8 @@ def _accuracy_encoded(choices: np.ndarray, targets: np.ndarray, live: np.ndarray
 
 
 def accuracy(samples: list[LabeledSample], params: ModelParams) -> float:
-    """Fraction of samples whose every head (all key components, all
-    attribute slots within the cell's width, and the aggregation mode)
-    matches the label."""
+    """Fraction of samples whose every head (all key components and all
+    attribute slots within the cell's width) matches the label."""
     if not samples:
         raise EmptyEvalSet("no evaluation samples")
     ids, targets, live = encode_samples(samples, params)
@@ -613,7 +613,8 @@ def _encode_cells(
 
 def predict_cells(cells: list[SuperCell], params: ModelParams) -> list[Prediction]:
     """Argmax position for each super cell, with COPY markers resolved
-    against the cell's canonically ordered keys. A COPY component that is
+    against the cell's canonically ordered keys, under the schema's mode
+    (``TargetSchema.agg_mode``). A COPY component that is
     out of range, or that resolves outside its slot's closed key domain,
     degrades to NULL and is counted on the prediction; ``apply`` then
     counts the cell's values as skipped. A cell wider than ``max_width``
@@ -621,11 +622,11 @@ def predict_cells(cells: list[SuperCell], params: ModelParams) -> list[Predictio
 
     Inputs repeat across the cells of a call, so each distinct key tuple is
     sorted once, each distinct text is tokenized once, each distinct
-    (head-choice row, width) is decoded and searched for COPY markers once,
-    and each distinct (key component, slot) is canonicalized once, through
-    tables that live for this call only; the confidences are one product
-    over the live-head mask, the masked heads counting as 1. Nothing is kept
-    between calls."""
+    (head-choice row, width, key count) is decoded and searched for COPY
+    markers once, and each distinct (key component, slot) is canonicalized
+    once, through tables that live for this call only; the confidences are
+    one product over the live-head mask, the masked heads counting as 1.
+    Nothing is kept between calls."""
     sorted_of: dict[tuple[str, ...], tuple[str, ...]] = {}
     sorted_keys = []
     for cell in cells:
@@ -642,10 +643,10 @@ def predict_cells(cells: list[SuperCell], params: ModelParams) -> list[Predictio
     canonical: dict[tuple[str, int], str] = {}
     out = []
     for keys, row, width, confidence in zip(sorted_keys, choices.tolist(), widths, confidences):
-        key = (*row, min(width, params.space.max_width))
+        key = (*row, min(width, params.space.max_width), len(keys))
         entry = decoded.get(key)
         if entry is None:
-            position = params.space.decode(row, width)
+            position = params.space.decode(row, width, len(keys))
             entry = decoded[key] = (position, copy_slots(position))
         position, out_of_range, outside = resolve_position(
             entry[0], keys, params.key_kinds, params.synonyms, closed, canonical, copies=entry[1],
@@ -658,7 +659,9 @@ def integrate_predictions(cells: list[SuperCell], params: ModelParams):
     """Assemble predictions for a corpus into a target table of the model's
     schema.
 
-    A mispredicted aggregation mode that conflicts with an existing cell is
+    A position whose mode conflicts with an existing cell (a mispredicted
+    attribute that sends a rolled-up SUM value into a cell that another
+    source fills under REPLACE, say) is
     skipped rather than aborting the run (``apply`` counts the values it
     could not write); a handful of wrong cells is the tolerable failure
     mode here."""

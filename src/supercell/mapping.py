@@ -2,8 +2,9 @@
 
 A mapping spec captures exactly the information a hand-written integration
 script encodes: how each source's key components line up with the target
-key, how source attributes map to target attributes (or are discarded), and
-how colliding values aggregate. The same spec drives two independent paths:
+key and how source attributes map to target attributes (or are discarded);
+its target schema says how colliding values aggregate. The same spec drives
+two independent paths:
 ``oracle_integrate`` executes it directly (the ground truth for every
 end-to-end test), and ``generate_training_data`` turns it into labeled
 samples for the learner.
@@ -82,7 +83,8 @@ class KeyHierarchy(Record):
     ``children`` maps a parent key value (of target key attribute
     ``key_attr``) to its child names. Expansion splits each value into an
     integer sum, so values of expanded rows aggregate back to the parent
-    cell with SUM: no other mode gives the parent value back.
+    cell with SUM (``TargetSchema.agg_mode``): no other mode gives the
+    parent value back.
     """
 
     key_attr: str
@@ -97,26 +99,20 @@ class MappingSpec(Record):
     sources: list[SourceDescriptor]
     key_map: dict[str, list[KeyMapEntry]] = field(default_factory=dict)
     attr_map: dict[str, dict[str, str]] = field(default_factory=dict)
-    agg_map: dict[str, dict[str, AggMode]] = field(default_factory=dict)
     key_hierarchy: KeyHierarchy | None = None
 
     def __post_init__(self) -> None:
         self.validate()
 
     def validate(self) -> None:
-        attrs = set(self.target.attributes)
+        values = set(self.target.value_attributes)
         for source_id, amap in self.attr_map.items():
             for src_attr, tgt in amap.items():
-                if tgt != DISCARD and tgt not in attrs:
+                if tgt != DISCARD and tgt not in values:
+                    kind = "key" if tgt in self.target.key_attributes else "unknown"
                     raise SpecViolation(
-                        f"{source_id}: {src_attr!r} maps to unknown attribute {tgt!r}"
+                        f"{source_id}: {src_attr!r} maps to {kind} attribute {tgt!r}"
                     )
-        for source_id, amap in self.agg_map.items():
-            unknown = set(amap) - set(self.attr_map.get(source_id, {}))
-            if unknown:
-                raise SpecViolation(
-                    f"{source_id}: agg_map covers unmapped attributes {sorted(unknown)}"
-                )
         for desc in self.sources:
             if not self._is_relevant(desc.source_id):
                 continue
@@ -137,21 +133,6 @@ class MappingSpec(Record):
             }
             if len(kinds) > 1:
                 raise SpecViolation(f"conflicting canon kinds for key {attr!r}")
-        # One mode per target attribute, or the table raises AggModeConflict
-        # at the first collision. Expanded rows' SUM (key_hierarchy) is exempt.
-        feeds: dict[str, dict[AggMode, list[str]]] = {}
-        for source_id, amap in self.attr_map.items():
-            modes = self.agg_map.get(source_id, {})
-            for src_attr, tgt in amap.items():
-                if tgt != DISCARD:
-                    mode = modes.get(src_attr, AggMode.REPLACE)
-                    feeds.setdefault(tgt, {}).setdefault(mode, []).append(
-                        f"{source_id} {src_attr!r}")
-        for tgt, by_mode in feeds.items():
-            if len(by_mode) > 1:
-                detail = "; ".join(f"{m.value} from {', '.join(f)}" for m, f in by_mode.items())
-                raise SpecViolation(f"target attribute {tgt!r} is fed under several "
-                                    f"aggregation modes: {detail}")
 
     def _is_relevant(self, source_id: str) -> bool:
         amap = self.attr_map.get(source_id, {})
@@ -223,13 +204,6 @@ class LabeledSample(Record):
         return LabeledSample(render_feature(cell), label, Origin(cell.source_id, cell.row_ordinal))
 
 
-def _is_expanded(cell: SuperCell, desc: SourceDescriptor, spec: MappingSpec) -> bool:
-    base = len(desc.key_columns)
-    if desc.format == "pivoted_csv":
-        base += 1
-    return spec.key_hierarchy is not None and len(cell.keys) > base
-
-
 def position_for_cell(
     spec: MappingSpec,
     cell: SuperCell,
@@ -243,10 +217,12 @@ def position_for_cell(
     names a ``render``. With ``as_label`` a value that rendering left
     unchanged becomes the COPY(i) marker naming its component among the
     cell's canonically ordered keys; without it the concrete values are
-    returned, ready for assembly. Raises KeyResolutionFailure when an
-    entry's component is out of range for the cell's keys.
+    returned, ready for assembly. The mode is ``TargetSchema.agg_mode``'s.
+    Raises KeyResolutionFailure when an entry's component is out of range
+    for the cell's keys, and SpecViolation when the cell's mapped
+    attributes carry different modes.
     """
-    desc = spec.descriptor(cell.source_id)
+    spec.descriptor(cell.source_id)  # an unknown source raises
     amap = spec.attr_map.get(cell.source_id, {})
     attrs: list[str | None] = []
     for attr in cell.attributes:
@@ -254,21 +230,12 @@ def position_for_cell(
         attrs.append(None if target == DISCARD else target)
     if all(a is None for a in attrs):
         return discard_position(spec.target.q, cell.width)
-
-    if _is_expanded(cell, desc, spec):
-        agg = AggMode.SUM
-    else:
-        agg_map = spec.agg_map.get(cell.source_id, {})
-        modes = {
-            agg_map.get(src_attr, AggMode.REPLACE)
-            for src_attr, tgt in zip(cell.attributes, attrs)
-            if tgt is not None
-        }
-        if len(modes) > 1:
-            raise SpecViolation(
-                f"{cell.source_id}: one super cell mixes aggregation modes {modes}"
-            )
-        agg = modes.pop()
+    modes = {spec.target.agg_modes.get(a, AggMode.REPLACE) for a in attrs if a is not None}
+    if len(modes) > 1:
+        raise SpecViolation(
+            f"{cell.source_id}: one super cell mixes aggregation modes "
+            f"{sorted(m.value for m in modes)}"
+        )
 
     by_target = {e.target: e for e in spec.key_map.get(cell.source_id, ())}
     sorted_keys = cell.sorted_keys() if as_label else ()
@@ -290,7 +257,8 @@ def position_for_cell(
         # by its slot's one kind (validate), so COPY(i) resolves back to it.
         keys.append(_marker_for(sorted_keys, component)
                     if as_label and rendered == value else rendered)
-    return TargetPosition(tuple(keys), tuple(attrs), agg)
+    return TargetPosition(tuple(keys), tuple(attrs),
+                          spec.target.agg_mode(attrs, keys, len(cell.keys)))
 
 
 def _marker_for(sorted_keys: tuple[str, ...], component: str) -> str:

@@ -9,8 +9,8 @@ also perturbs at token level and never renames or reformats its
 key-expansion copies.
 Renames, reformats, and character noise never alter what a label points
 at. Key expansion labels each child with ``mapping.carry_label`` under
-SUM, and both ``perturb_corpus`` and ``augment`` carry
-each label through a whole-cell reformat the same way, since an
+SUM, the schema's rollup mode, and both ``perturb_corpus`` and ``augment``
+carry each label through a whole-cell reformat the same way, since an
 abbreviation can move a key component in the canonical order; this module
 builds no key label itself. Everything is driven by a single 64-bit seed
 and is fully deterministic.
@@ -232,7 +232,9 @@ def expand_keys(
     component. The children's integer values sum to the parent value; rows
     with non-integer values are left unexpanded and counted. Each child is
     labelled with ``mapping.carry_label`` of its parent's label, so its COPY
-    markers name the same key components as the parent's, under SUM.
+    markers name the same key components as the parent's, under SUM: the
+    mode ``TargetSchema.agg_mode`` gives a cell with one key component more
+    than its position addresses, so no model has to learn it.
 
     ``parent_component`` maps source_id to the index of the expandable key
     component (``MappingSpec.parent_components``); rows of a source absent

@@ -381,6 +381,21 @@ class TestAccounting:
         assert table.to_csv() == "k,a,b\nx,1,\n"
         assert (table.report.cells_written, table.report.cells_skipped) == (1, 3)
 
+    @pytest.mark.parametrize("attr", ["other", "k"], ids=["unknown", "key_attribute"])
+    def test_value_outside_the_value_attributes_is_skipped(self, attr):
+        # No output column holds it, so it is skipped and creates no row.
+        schema = TargetSchema(("k", "v"), ("k",), {"k": KeyDomain((), open=True)})
+        table = TargetTable(schema)
+        table.write(("a",), [attr], ["1"], AggMode.REPLACE)
+        assert table.rows == {}
+        assert table.to_csv() == "k,v\n"
+        assert (table.report.cells_written, table.report.cells_skipped) == (0, 1)
+        # The values beside it still land.
+        table.apply(SuperCell("s", ("a",), ("x", "y"), ("1", "2"), 0),
+                    TargetPosition(("a",), (attr, "v"), AggMode.REPLACE))
+        assert table.cells() == {("a", "v"): "2"}
+        assert (table.report.cells_written, table.report.cells_skipped) == (1, 2)
+
     def test_conflict_counts_the_rest_of_the_cell_once(self):
         # The value that conflicts and every value after it are skipped;
         # the value written before the conflict stays written.

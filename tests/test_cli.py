@@ -553,19 +553,22 @@ class TestExitCodes:
         assert str(bad_model) in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", [
-        lambda spec: spec.update(agg_map={"covid": {"Confirmed": "median"}}),
+        lambda spec: spec["target"].update(agg_modes={"confirmed": "median"}),
         lambda spec: spec["sources"][0].update(format="xlsx"),
         lambda spec: spec["sources"][0]["canonicalizers"].update(Date="weekday"),
         lambda spec: spec["target"]["attributes"].remove("country"),
         lambda spec: spec.pop("target"),
         lambda spec: spec.update(key_map=5),
-        lambda spec: spec.update(agg_map={"covid": 5}),
+        lambda spec: spec["target"].update(agg_modes=5),
+        lambda spec: spec["target"].update(agg_modes={"state": "sum"}),
+        lambda spec: spec["attr_map"]["covid"].update(confirmed="state"),
         lambda spec: spec["key_hierarchy"].update(children=5),
         lambda spec: spec["target"].update(key_domains=5),
         lambda spec: spec["sources"][0].update(canonicalizers=5),
         lambda spec: spec.update(notes="an unknown key"),
     ], ids=["agg_mode", "format", "canonicalizer", "key_attribute", "no_target",
-            "key_map_shape", "agg_map_shape", "children_shape", "key_domains_shape",
+            "key_map_shape", "agg_modes_shape", "key_attribute_mode",
+            "key_attribute_target", "children_shape", "key_domains_shape",
             "canonicalizers_shape", "unknown_key"])
     def test_malformed_spec_is_data_error(self, workspace, tmp_path, capsys, edit):
         root = workspace["root"]
@@ -760,16 +763,18 @@ class TestExitCodes:
         assert not (tmp_path / "model.npz").exists()
 
     def test_spec_mode_conflict_is_data_error(self, workspace, tmp_path, capsys):
-        # mobility's workplace lands on covid's confirmed, REPLACE against SUM.
+        # mobility's workplace would land on covid's confirmed, REPLACE
+        # against SUM. Modes are target.agg_modes, one per target attribute,
+        # so the per-source agg_map that could say so is refused by name.
         spec = json.loads((workspace["root"] / "mapping_spec.json").read_text())
         spec["attr_map"]["mobility"]["workplace"] = "confirmed"
-        spec["agg_map"]["covid"] = {"confirmed": "sum", "recovered": "sum"}
+        spec["agg_map"] = {"covid": {"confirmed": "sum", "recovered": "sum"}}
         (tmp_path / "spec.json").write_text(json.dumps(spec))
         path = workspace_config(workspace, tmp_path, mapping_spec=str(tmp_path / "spec.json"))
         assert run(["decompose", "--config", path]) == 2
         err = capsys.readouterr().err
         assert f"data error: SpecViolation: {tmp_path / 'spec.json'}: " in err
-        assert "'confirmed'" in err and "sum from covid" in err and "replace from mobility" in err
+        assert "unknown MappingSpec field 'agg_map'" in err
         assert not (tmp_path / "supercells.jsonl").exists()
 
     @pytest.mark.parametrize("damage", [

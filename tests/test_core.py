@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from supercell.core import (
-    AGG_MODES,
     AggMode,
     FeatureSentence,
     InvalidPosition,
@@ -199,9 +198,8 @@ class TestLabels:
         space = LabelSpace(SCHEMA, max_copy=6, max_width=4)
         ids = space.render(pos)
         assert len(ids) == len(space.head_sizes)
-        assert all(i == 0 for i in ids[:-1])
-        assert AGG_MODES[ids[-1]] is AggMode.DISCARD
-        assert space.decode(ids, 3) == pos
+        assert all(i == 0 for i in ids)
+        assert space.decode(ids, 3, 2) == pos
 
     def test_slots_past_width_are_null(self):
         space = LabelSpace(SCHEMA, max_copy=6, max_width=4)
@@ -209,12 +207,13 @@ class TestLabels:
         ids = space.render(pos)
         assert len(ids) == len(space.head_sizes)
         assert ids[3:6] == (0, 0, 0)
-        assert space.decode(ids, 1) == pos
+        # Three key components under two addressed slots roll up by SUM.
+        assert space.decode(ids, 1, 3) == pos
 
     def test_live_heads(self):
         space = LabelSpace(SCHEMA, max_copy=6, max_width=4)
-        assert space.live_heads(1) == [0, 1, 2, 6]
-        assert space.live_heads(4) == [0, 1, 2, 3, 4, 5, 6]
+        assert space.live_heads(1) == [0, 1, 2]
+        assert space.live_heads(4) == [0, 1, 2, 3, 4, 5]
         # A cell wider than max_width is scored on max_width slots.
         assert space.live_heads(9) == space.live_heads(4)
 
@@ -231,7 +230,7 @@ class TestLabels:
         space = LabelSpace(SCHEMA, max_copy=6, max_width=2)
         pos = TargetPosition(("Oct 6, 2020", "utah"), ("confirmed", "recovered"),
                              AggMode.SUM)
-        assert space.decode(space.render(pos), 5) == pos
+        assert space.decode(space.render(pos), 5, 3) == pos
 
     def test_copy_round_trip(self):
         pos = TargetPosition(
@@ -240,7 +239,7 @@ class TestLabels:
             agg_mode=AggMode.REPLACE,
         )
         space = LabelSpace(SCHEMA, max_copy=6, max_width=4)
-        assert space.decode(space.render(pos), len(pos.attributes)) == pos
+        assert space.decode(space.render(pos), len(pos.attributes), 2) == pos
 
     def test_write_processor_keys_in_domain(self):
         # Rendered long-form date and title-cased region names are literal,
@@ -260,7 +259,7 @@ class TestLabels:
             agg_mode=AggMode.REPLACE,
         )
         space = LabelSpace(schema, max_copy=6, max_width=4)
-        assert space.decode(space.render(pos), len(pos.attributes)) == pos
+        assert space.decode(space.render(pos), len(pos.attributes), 3) == pos
 
     def test_unknown_key_value(self):
         pos = TargetPosition(
@@ -278,7 +277,8 @@ class TestLabels:
             agg_mode=AggMode.SUM,
         )
         space = LabelSpace(SCHEMA, max_copy=6, max_width=4)
-        assert space.decode(space.render(pos), len(pos.attributes)) == pos
+        # Two components under one addressed slot: the broadcast sums.
+        assert space.decode(space.render(pos), len(pos.attributes), 2) == pos
 
     def test_position_json_round_trip(self):
         pos = TargetPosition(
@@ -300,6 +300,12 @@ class TestLabels:
         with pytest.raises(ValueError, match="at least one key attribute"):
             TargetSchema(attributes=("confirmed",), key_attributes=())
 
+    @pytest.mark.parametrize("attr", ["state", "deaths"])
+    def test_schema_modes_name_value_attributes(self, attr):
+        with pytest.raises(ValueError, match=f"agg_modes names no value attribute: \\['{attr}'\\]"):
+            TargetSchema(SCHEMA.attributes, SCHEMA.key_attributes,
+                         agg_modes={"confirmed": AggMode.SUM, attr: AggMode.MAX})
+
     def test_render_rejects_a_position_wider_than_max_width(self):
         pos = TargetPosition(("2020-10-06", "arizona"), ("confirmed",) * 3, AggMode.SUM)
         with pytest.raises(InvalidPosition, match="cell width 3 exceeds max 2"):
@@ -312,13 +318,39 @@ class TestLabels:
         assert copy_index(WILDCARD) is None
 
 
+MODED = TargetSchema(SCHEMA.attributes, SCHEMA.key_attributes, SCHEMA.key_domains,
+                     agg_modes={"recovered": AggMode.MAX})
+
+
+@pytest.mark.parametrize("attributes, keys, n_components, mode", [
+    ((None, None), (None, None), 2, AggMode.DISCARD),
+    ((None,), (None, None), 5, AggMode.DISCARD),
+    (("confirmed",), ("Oct 6, 2020", "arizona"), 2, AggMode.REPLACE),
+    (("confirmed", None), (copy_marker(0), copy_marker(2)), 3, AggMode.SUM),
+    (("recovered",), ("Oct 6, 2020", "arizona"), 3, AggMode.SUM),
+    ((None, "confirmed"), (WILDCARD, "arizona"), 1, AggMode.REPLACE),
+    (("confirmed",), (WILDCARD, "arizona"), 2, AggMode.SUM),
+    (("confirmed",), (WILDCARD, WILDCARD), 0, AggMode.REPLACE),
+    (("recovered",), ("Oct 6, 2020", None), 2, AggMode.MAX),
+    ((None, "recovered", "confirmed"), (copy_marker(0), copy_marker(1)), 2, AggMode.MAX),
+    (("confirmed", "recovered"), (copy_marker(0), copy_marker(1)), 2, AggMode.REPLACE),
+], ids=["all_null", "all_null_expanded", "plain", "expanded", "expanded_schema_max",
+        "wildcard_source", "wildcard_source_expanded", "all_wildcard", "schema_max",
+        "mix_takes_first_mapped_max", "mix_takes_first_mapped_replace"])
+def test_agg_mode_rule(attributes, keys, n_components, mode):
+    assert MODED.agg_mode(attributes, keys, n_components) is mode
+
+
 @st.composite
 def positions(draw):
-    schema = SCHEMA
+    """A position the label space can name, its schema, and a cell's key
+    count; the mode is the schema's rule for that count."""
+    schema = MODED
     q = schema.q
     width = draw(st.integers(1, 4))
+    n_components = draw(st.integers(0, 4))
     if draw(st.booleans()) and draw(st.integers(0, 9)) == 0:
-        return discard_position(q, width), schema
+        return discard_position(q, width), schema, n_components
     key_choices = [
         [None, copy_marker(0), copy_marker(1), copy_marker(2), WILDCARD]
         + list(schema.domain(k).values)
@@ -329,17 +361,17 @@ def positions(draw):
         draw(st.sampled_from([None, "confirmed", "recovered"])) for _ in range(width)
     )
     if all(a is None for a in attrs):
-        return discard_position(q, width), schema
-    agg = draw(st.sampled_from(list(AggMode)))
-    return TargetPosition(keys, attrs, agg), schema
+        return discard_position(q, width), schema, n_components
+    mode = schema.agg_mode(attrs, keys, n_components)
+    return TargetPosition(keys, attrs, mode), schema, n_components
 
 
 @given(positions())
 @settings(max_examples=200, deadline=None)
 def test_label_round_trip_property(case):
-    pos, schema = case
+    pos, schema, n_components = case
     space = LabelSpace(schema, max_copy=3, max_width=4)
-    assert space.decode(space.render(pos), len(pos.attributes)) == pos
+    assert space.decode(space.render(pos), len(pos.attributes), n_components) == pos
 
 
 texts = st.text(max_size=8)

@@ -17,13 +17,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from supercell.assemble import diff_tables
+from supercell.assemble import AggModeConflict, TargetTable, diff_tables
 from supercell.canon import canonicalize
 from supercell.datasets import build_covid_fixture, build_pivoted_deaths, covid_unpivoted_view
+from supercell.evaluate import train_on_fixture
 from supercell.ingest import RawTable, decompose
 from supercell.learner import integrate_predictions
 from supercell.mapping import oracle_integrate
 from supercell.perturb import PerturbationPlan, reformat_value, rename_map, reorder_attributes
+
+from conftest import covid_train_plan, desk_train_config
 
 SEED = 29
 RATE = 0.5
@@ -186,3 +189,33 @@ def test_copy_outside_closed_domain_is_skipped(drift_fixture, covid_models):
     ]
     assert outside == []
     assert table.report.cells_skipped > 0
+
+
+def test_expansion_meets_no_mode_conflict(drift_fixture, covid_fixture, monkeypatch):
+    # The mode is the schema's rule, not a prediction: every county row has
+    # one key component more than its position addresses and sums, so two
+    # children of one state never disagree on a cell's mode. A model that
+    # learned the mode erred here: after 2 epochs of the suite's augmented
+    # plan (the drift-stream benchmark's training length) it predicted SUM
+    # for one child and REPLACE for its sibling, 13 times on this fixture.
+    params, _, _ = train_on_fixture(covid_fixture, desk_train_config(epochs=2),
+                                    covid_train_plan())
+    conflicts = []
+    apply = TargetTable.apply
+
+    def counted(self, cell, pos):
+        try:
+            apply(self, cell, pos)
+        except AggModeConflict as exc:
+            conflicts.append(str(exc))
+            raise
+
+    monkeypatch.setattr(TargetTable, "apply", counted)
+    cells = [
+        cell
+        for table, desc in _expanded(drift_fixture)
+        for cell in decompose(table, desc, drift_fixture.dictionaries)
+    ]
+    table = integrate_predictions(cells, params)
+    assert table.report.cells_written > 0
+    assert conflicts == []

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from supercell.canon import CanonKind
 from supercell.core import (
-    AGG_MODES,
     AggMode,
     FeatureSentence,
     KeyDomain,
@@ -536,16 +535,17 @@ VALUES = ["7", " 7", "New York", "new york ", "x y z", " "]
 
 
 def predict_reference(cells, params):
-    """``predict_cells`` computed cell by cell: one decode, one resolution
-    with no shared table, and one ``np.prod`` over the live heads each."""
+    """``predict_cells`` computed cell by cell: one decode (whose mode is
+    the schema's rule for the cell's key count), one resolution with no
+    shared table, and one ``np.prod`` over the live heads each."""
     encoded = [encode(render_feature(cell), params.vocab) for cell in cells]
     choices, chosen = learner._head_choices(encoded, params)
     closed = params.schema.closed_values()
     out = []
     for cell, row, probs in zip(cells, choices, chosen):
         position, out_of_range, outside = resolve_position(
-            params.space.decode(row, cell.width), cell.sorted_keys(), params.key_kinds,
-            params.synonyms, closed)
+            params.space.decode(row, cell.width, len(cell.keys)), cell.sorted_keys(),
+            params.key_kinds, params.synonyms, closed)
         confidence = float(np.prod(probs[params.space.live_heads(cell.width)]))
         out.append(learner.Prediction(position, confidence, out_of_range, outside))
     return out
@@ -598,7 +598,6 @@ class TestPredict:
             params.arrays[f"head{slot}_b"][
                 params.space.key_vocabs[slot].index(copy_marker(slot))] = 10.0
         params.arrays["head2_b"][params.space.attr_vocab.index("cases")] = 10.0
-        params.arrays["head3_b"][AGG_MODES.index(AggMode.REPLACE)] = 10.0
         cells = [SuperCell("s", (date, state), ("Cases",), (str(i),), i)
                  for i, (date, state) in enumerate(
                      [(d, s) for d in ("1/2/2020", "2020-01-03") for s in ("AL", "ak", "al")]
@@ -727,7 +726,6 @@ class TestPredict:
         attr_bias[params.space.attr_vocab.index("a")] = 0.0
         attr_bias[params.space.attr_vocab.index("b")] = 1e-9
         params.arrays["head0_b"][params.space.key_vocabs[0].index("x")] = 10.0
-        params.arrays["head2_b"][AGG_MODES.index(AggMode.REPLACE)] = 10.0
         cell = SuperCell("s", ("x",), ("alpha",), ("1",), 0)
         assert predict_cells([cell], params)[0].position == TargetPosition(
             ("x",), ("b",), AggMode.REPLACE)
@@ -735,6 +733,27 @@ class TestPredict:
             label = TargetPosition(("x",), (attr,), AggMode.REPLACE)
             assert accuracy([LabeledSample(render_feature(cell), label, ("s", 0))],
                             params) == expected
+
+    def test_mode_is_the_schema_rule_for_the_cell(self):
+        # One hand-set COPY-only position: a cell with a key component more
+        # than the position's three slots rolls up by SUM, a cell with three
+        # takes the schema's mode for its attribute.
+        schema = TargetSchema(("date", "state", "country", "cases"),
+                              ("date", "state", "country"), agg_modes={"cases": AggMode.MAX})
+        params = init_params(tiny_config(max_copy=4, max_width=1), schema)
+        for i in range(len(params.space.head_sizes)):
+            params.arrays[f"head{i}_W"][:] = 0
+        for slot in range(3):
+            params.arrays[f"head{slot}_b"][
+                params.space.key_vocabs[slot].index(copy_marker(slot))] = 10.0
+        params.arrays["head3_b"][params.space.attr_vocab.index("cases")] = 10.0
+        state = SuperCell("s", ("2020-01-02", "arizona", "us"), ("cases",), ("7",), 0)
+        county = SuperCell("s", (*state.keys, "pima"), ("cases",), ("3",), 1)
+        predictions = predict_cells([county, state, county], params)
+        assert [p.position.agg_mode for p in predictions] == [
+            AggMode.SUM, AggMode.MAX, AggMode.SUM]
+        assert predictions == predict_reference([county, state, county], params)
+        assert len(params.space.head_sizes) == schema.q + 1  # no aggregation head
 
     def test_copy_resolution_in_predict_cells(self):
         # A trained COPY prediction resolves against the cell's keys through
@@ -761,10 +780,9 @@ class TestIntegrate:
         params = init_params(tiny_config(max_width=1), SCHEMA)
         for key in params.arrays:
             params.arrays[key][:] = 0
-        # Constant model: key "x", attribute "a", REPLACE.
+        # Constant model: key "x", attribute "a"; the schema's mode is REPLACE.
         params.arrays["head0_b"][params.space.key_vocabs[0].index("x")] = 10.0
         params.arrays["head1_b"][params.space.attr_vocab.index("a")] = 10.0
-        params.arrays["head2_b"][AGG_MODES.index(AggMode.REPLACE)] = 10.0
         cell = SuperCell("s", ("x",), ("alpha", "bravo"), ("1", "2"), 0)
         table = integrate_predictions([cell], params)
         assert table.schema is params.schema
@@ -819,9 +837,7 @@ class TestAccuracy:
     def test_all_discard_model_scores_discard_fraction(self):
         params = init_params(tiny_config(), SCHEMA)
         for key in params.arrays:
-            params.arrays[key][:] = 0
-        agg_bias = params.arrays[f"head{len(params.space.head_sizes) - 1}_b"]
-        agg_bias[AGG_MODES.index(AggMode.DISCARD)] = 10.0
+            params.arrays[key][:] = 0  # every head picks class 0: NULL
         real = make_samples(6)
         discards = [
             LabeledSample(

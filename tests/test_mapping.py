@@ -53,6 +53,7 @@ def two_source_spec(agg_confirmed=AggMode.REPLACE):
             "state": KeyDomain(("arizona",)),
             "country": KeyDomain(("united states",)),
         },
+        agg_modes={"confirmed": agg_confirmed, "recovered": agg_confirmed},
     )
     covid = SourceDescriptor(
         source_id="covid", key_columns=("Date", "State", "Country"),
@@ -76,8 +77,6 @@ def two_source_spec(agg_confirmed=AggMode.REPLACE):
             "mobility": {"workplace": "workplace", "recreation": "recreation",
                          "grocery": "grocery"},
         },
-        agg_map={"covid": {"confirmed": agg_confirmed,
-                           "recovered": agg_confirmed}},
     )
 
 
@@ -128,9 +127,10 @@ class TestOracle:
 
     def test_mixed_agg_modes_in_one_cell_rejected(self):
         spec = two_source_spec()
-        spec.agg_map["covid"] = {"confirmed": AggMode.SUM,
-                                 "recovered": AggMode.REPLACE}
-        with pytest.raises(SpecViolation):
+        spec = replace(spec, target=replace(spec.target, agg_modes={
+            "confirmed": AggMode.SUM, "recovered": AggMode.REPLACE}))
+        with pytest.raises(SpecViolation, match=r"covid: one super cell mixes aggregation "
+                                                r"modes \['replace', 'sum'\]"):
             position_for_cell(spec, covid_cell(), DICTS)
 
     def test_component_out_of_range(self):
@@ -184,7 +184,8 @@ class TestTrainingData:
         # A pivoted cell's keys are its key columns plus the pivot axis; under
         # a key hierarchy one component more is a child that expand_keys
         # appended, and its values sum into the parent's row.
-        spec = replace(sparse_spec(), agg_map={},
+        spec = sparse_spec()
+        spec = replace(spec, target=replace(spec.target, agg_modes={}),
                        key_hierarchy=KeyHierarchy("region", {"east": ("e1", "e2")}))
         cell = SuperCell("deaths", ("east", "2020-10-06"), ("deaths",), ("5",), 0)
         child = replace(cell, keys=cell.keys + ("e1",))
@@ -359,12 +360,12 @@ class TestSpecValidation:
             KeyMapEntry("date", **kwargs)
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda spec: {"agg_map": {"covid": {"deaths": AggMode.SUM}}},
-         r"covid: agg_map covers unmapped attributes \['deaths'\]"),
+        (lambda spec: {"attr_map": {"covid": {"confirmed": "state"}}},
+         "covid: 'confirmed' maps to key attribute 'state'"),
         (lambda spec: {"key_map": {**spec.key_map, "mobility": [
             KeyMapEntry("date", 0, CanonKind("none")), *spec.key_map["mobility"][1:]]}},
          "conflicting canon kinds for key 'date'"),
-    ], ids=["agg_map_unmapped", "conflicting_kinds"])
+    ], ids=["key_attribute_target", "conflicting_kinds"])
     def test_bad_spec(self, edit, message):
         spec = two_source_spec()
         fields = dict(target=spec.target, sources=spec.sources, key_map=spec.key_map,
@@ -388,19 +389,27 @@ class TestSpecValidation:
             },
         )
 
-    @pytest.mark.parametrize("attr_map, agg_map, message", [
+    @pytest.mark.parametrize("attr_map, agg_map", [
         ({"covid": {"confirmed": "confirmed"}, "mobility": {"workplace": "confirmed"}},
-         {"covid": {"confirmed": AggMode.SUM}},
-         "'confirmed' .*: sum from covid 'confirmed'; replace from mobility 'workplace'$"),
+         {"covid": {"confirmed": "sum"}}),
         ({"covid": {"confirmed": "confirmed", "recovered": "confirmed"}},
-         {"covid": {"recovered": AggMode.MAX}},
-         "'confirmed' .*: replace from covid 'confirmed'; max from covid 'recovered'$"),
+         {"covid": {"recovered": "max"}}),
     ], ids=["two_sources", "two_attributes_of_one_source"])
-    def test_target_attribute_fed_under_two_modes(self, attr_map, agg_map, message):
-        spec = two_source_spec()
-        with pytest.raises(SpecViolation, match=message):
-            MappingSpec(target=spec.target, sources=spec.sources, key_map=spec.key_map,
-                         attr_map=attr_map, agg_map=agg_map)
+    def test_target_attribute_fed_under_two_modes(self, attr_map, agg_map, tmp_path):
+        # Modes belong to the target attribute (target.agg_modes), so one
+        # attribute cannot be fed under two modes: the per-source agg_map
+        # that could say so is no spec key, and a file that has one is
+        # refused by name.
+        spec = two_source_spec().to_dict()
+        spec.update(attr_map=attr_map, agg_map=agg_map)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        with pytest.raises(SpecViolation, match=f"^{re.escape(str(path))}: KeyError: "
+                                                f".*unknown MappingSpec field 'agg_map'"):
+            MappingSpec.load(path)
+        del spec["agg_map"]
+        path.write_text(json.dumps(spec))
+        assert MappingSpec.load(path).target.agg_modes == two_source_spec().target.agg_modes
 
     @pytest.mark.parametrize("mode", [m for m in AggMode if m is not AggMode.SUM])
     def test_hierarchy_rollup_must_be_sum(self, mode, tmp_path):
@@ -434,7 +443,8 @@ class TestSpecValidation:
 SPARSE_SPEC_JSON = r"""{
  "target": {"attributes": ["day", "host", "region", "cpu", "deaths"],
             "key_attributes": ["day", "host", "region"],
-            "key_domains": {"region": {"values": ["east", "west"], "open": false}}},
+            "key_domains": {"region": {"values": ["east", "west"], "open": false}},
+            "agg_modes": {"deaths": "sum"}},
  "sources": [
   {"source_id": "logs", "format": "log_lines", "key_columns": ["ts", "host"],
    "supercell_groups": [], "canonicalizers": {"ts": "date"},
@@ -454,8 +464,7 @@ SPARSE_SPEC_JSON = r"""{
   "deaths": [{"target": "day", "component": 1, "kind": "date"},
              {"target": "host", "wildcard": true},
              {"target": "region", "component": 0, "kind": "none"}]},
- "attr_map": {"logs": {"cpu": "cpu"}, "deaths": {"deaths": "deaths"}},
- "agg_map": {"deaths": {"deaths": "sum"}}
+ "attr_map": {"logs": {"cpu": "cpu"}, "deaths": {"deaths": "deaths"}}
 }
 """
 
@@ -465,7 +474,8 @@ def sparse_spec():
     return MappingSpec(
         target=TargetSchema(("day", "host", "region", "cpu", "deaths"),
                             ("day", "host", "region"),
-                            {"region": KeyDomain(("east", "west"))}),
+                            {"region": KeyDomain(("east", "west"))},
+                            {"deaths": AggMode.SUM}),
         sources=[
             SourceDescriptor(
                 "logs", format="log_lines", key_columns=("ts", "host"),
@@ -482,7 +492,6 @@ def sparse_spec():
                        KeyMapEntry("region", 0)],
         },
         attr_map={"logs": {"cpu": "cpu"}, "deaths": {"deaths": "deaths"}},
-        agg_map={"deaths": {"deaths": AggMode.SUM}},
     )
 
 
