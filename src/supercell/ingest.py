@@ -240,8 +240,11 @@ def decompose(
     """Decompose a tabular source into one super cell per (row, group).
 
     Key values are canonicalized in descriptor order; for a pivoted table
-    the pivot-axis value is appended as the last key component. Missing
-    cells are skipped; rows missing a key value are skipped and counted.
+    the pivot-axis value is appended as the last key component. A key
+    column absent from the header takes its value from
+    ``desc.constant_keys`` (a daily report's date, say, which only its file
+    name carries); one in neither raises MissingKeyColumn. Missing cells
+    are skipped; rows missing a key value are skipped and counted.
     """
     stats = stats if stats is not None else DecomposeStats()
     if not table.rows:
@@ -253,15 +256,17 @@ def decompose(
             )
     col_index = {name: i for i, name in enumerate(table.header)}
     for key_col in desc.key_columns:
-        if key_col not in col_index:
+        if key_col not in col_index and key_col not in desc.constant_keys:
             raise MissingKeyColumn(key_col)
     plan = _group_plan(table.header, col_index, desc, dictionaries)
     key_kinds = [desc.canon_kind(c) for c in desc.key_columns]
+    # Each key's column index, or None and its constant value.
+    key_sources = [(col_index.get(c), desc.constant_keys.get(c)) for c in desc.key_columns]
 
     cells: list[SuperCell] = []
     for ordinal, row in enumerate(table.rows):
         stats.rows += 1
-        raw_keys = [row[col_index[c]] for c in desc.key_columns]
+        raw_keys = [constant if i is None else row[i] for i, constant in key_sources]
         if any(is_missing(v) for v in raw_keys):
             stats.skipped_missing_key_rows += 1
             continue

@@ -13,8 +13,14 @@ analytic and verified against central finite differences.
 from __future__ import annotations
 
 import json
+import mmap
+import os
+import pickle
+import signal
+import traceback
 import zipfile
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection, Pipe
 from pathlib import Path
 
 import numpy as np
@@ -390,10 +396,13 @@ def _gru_backward(dh: np.ndarray, acts: dict, live: list[int], reverse: bool, Xp
     return DGX @ W.T
 
 
-def _forward_batch(batch: list[np.ndarray], params: ModelParams, backward: bool = False):
+def _forward_batch(batch: list[np.ndarray], params: ModelParams, backward: bool = False,
+                   direction_b=None):
     """Per-head logits (one ``(B, classes)`` array per head) plus the cache
     the backward pass reads; the GRU activations are kept only for a
-    ``backward`` pass."""
+    ``backward`` pass. ``direction_b`` (a ``_DirectionB`` or ``_Worker``)
+    runs direction ``b`` while direction ``f`` scans here; by default it
+    runs here too."""
     X, embed_cache = _embed_batch(batch, params)
     arrays = params.arrays
     n_tokens = np.array([len(ids) for ids in batch])
@@ -405,14 +414,15 @@ def _forward_batch(batch: list[np.ndarray], params: ModelParams, backward: bool 
     packed = firsts[order[ranks]] + steps  # row of X of each packed token
     Xp = X[packed]
     live = live.tolist()
+    b = direction_b or _DirectionB(arrays)
+    b.scan(Xp, live, backward)
     hf, acts_f = _gru_scan(Xp, live, arrays["Wf"], arrays["Uf"], arrays["biasf"],
                            reverse=False, keep=backward)
-    hb, acts_b = _gru_scan(Xp, live, arrays["Wb"], arrays["Ub"], arrays["biasb"],
-                           reverse=True, keep=backward)
+    hb = b.hidden()
     H = np.empty((len(batch), hf.shape[1] + hb.shape[1]), dtype=X.dtype)
     H[order] = np.concatenate([hf, hb], axis=1)
     cache = {"embed": embed_cache, "H": H, "order": order, "live": live, "packed": packed,
-             "Xp": Xp, "acts_f": acts_f, "acts_b": acts_b}
+             "Xp": Xp, "acts_f": acts_f}
     logits = [
         H @ arrays[f"head{i}_W"] + arrays[f"head{i}_b"]
         for i in range(len(params.space.head_sizes))
@@ -427,15 +437,24 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def loss_and_grads(
-    batch: list[np.ndarray], targets: np.ndarray, params: ModelParams
+    batch: list[np.ndarray], targets: np.ndarray, params: ModelParams, fit: _Fit | None = None
 ) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
     """Mean over the batch of the summed per-head cross-entropies against
     ``targets`` (one class-id row per sample), analytic gradients for every
-    parameter, and the ``(batch, heads)`` argmax classes."""
-    logits, cache = _forward_batch(batch, params, backward=True)
+    parameter, and the ``(batch, heads)`` argmax classes.
+
+    Within a fit, ``fit`` gives the gradient buffers (zeroed here) and the
+    runner of direction ``b``; alone, the gradients are new arrays and
+    direction ``b`` runs here."""
     arrays = params.arrays
+    if fit is None:
+        grads = {k: np.zeros_like(v) for k, v in arrays.items()}
+        direction_b = _DirectionB(arrays, grads)
+    else:
+        grads, direction_b = fit.grads, fit.direction_b
+        grads.vector.fill(0)
+    logits, cache = _forward_batch(batch, params, backward=True, direction_b=direction_b)
     B = len(batch)
-    grads = {k: np.zeros_like(v) for k, v in arrays.items()}
 
     loss = 0.0
     H = cache["H"]
@@ -455,33 +474,278 @@ def loss_and_grads(
     h = arrays["Uf"].shape[0]
     dH = dH[cache["order"]]
     live, Xp = cache["live"], cache["Xp"]
+    direction_b.backward(dH[:, h:])
     dXp = _gru_backward(dH[:, :h], cache["acts_f"], live, False, Xp, arrays["Wf"],
                         arrays["Uf"], grads["Wf"], grads["Uf"], grads["biasf"])
-    dXp += _gru_backward(dH[:, h:], cache["acts_b"], live, True, Xp, arrays["Wb"],
-                         arrays["Ub"], grads["Wb"], grads["Ub"], grads["biasb"])
+    dXp += direction_b.token_grads()
     dX = np.empty_like(dXp)
     dX[cache["packed"]] = dXp
     _embed_backward(dX, cache["embed"], grads)
     return loss, grads, np.stack([head_logits.argmax(axis=1) for head_logits in logits], axis=1)
 
 
-def _adam_step(params: ModelParams, grads: dict, lr: float, state: dict) -> None:
-    """One Adam update in place; ``state`` holds the step count and moments."""
+def _adam_update(p, g, m, v, lr: float, t: int) -> None:
+    """Adam's elementwise update of ``p`` from ``g``, moments ``m`` and
+    ``v`` updated in place, at step ``t``."""
     beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m *= beta1
+    m += (1 - beta1) * g
+    v *= beta2
+    v += (1 - beta2) * g * g
+    m_hat = m / (1 - beta1**t)
+    v_hat = v / (1 - beta2**t)
+    p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def _adam_step(params: ModelParams, grads: dict, lr: float, state: dict) -> None:
+    """One Adam update in place of a fit's parameters (``_Fit.state``: the
+    step count ``t``, the flat moment vectors ``m`` and ``v``, and
+    direction ``b``'s runner). The update is split at the midpoint of the
+    flat vectors: the lower half runs here while the runner does the upper
+    half."""
     state["t"] += 1
     t = state["t"]
-    for key, grad in grads.items():
-        m = state["m"][key]
-        v = state["v"][key]
-        m *= beta1
-        m += (1 - beta1) * grad
-        v *= beta2
-        v += (1 - beta2) * grad * grad
-        m_hat = m / (1 - beta1**t)
-        v_hat = v / (1 - beta2**t)
-        params.arrays[key] -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(
-            params.arrays[key].dtype
-        )
+    state["direction_b"].adam(lr, t)
+    p, g, m, v = params.arrays.vector, grads.vector, state["m"], state["v"]
+    half = len(p) // 2
+    _adam_update(p[:half], g[:half], m[:half], v[:half], lr, t)
+    state["direction_b"].wait()
+
+
+class _FlatArrays(dict):
+    """Named arrays of the given shapes as views, in order, into ``vector``."""
+
+    def __init__(self, vector: np.ndarray, shapes: list[tuple[str, tuple[int, ...]]]):
+        super().__init__()
+        self.vector = vector
+        offset = 0
+        for name, shape in shapes:
+            size = int(np.prod(shape))
+            self[name] = vector[offset : offset + size].reshape(shape)
+            offset += size
+
+
+class _DirectionB:
+    """Direction ``b`` of the encoder and the upper half of each Adam step,
+    run in this process.
+
+    Each request (``scan``, ``backward``, ``adam``) only records its
+    arguments, and the matching result (``hidden``, ``token_grads``,
+    ``wait``) does the work, so direction ``f``'s call runs first, then
+    ``b``'s. A ``_Worker`` serves the same requests from a forked process.
+    ``vectors`` holds the flat parameter, gradient and moment vectors of a
+    fit."""
+
+    def __init__(self, arrays: dict, grads: dict | None = None,
+                 vectors: np.ndarray | None = None):
+        self.arrays, self.grads, self.vectors = arrays, grads, vectors
+
+    def scan(self, Xp: np.ndarray, live: list[int], keep: bool) -> None:
+        self._scan = (Xp, live, keep)
+
+    def hidden(self) -> np.ndarray:
+        Xp, live, keep = self._scan
+        a = self.arrays
+        h, self._acts = _gru_scan(Xp, live, a["Wb"], a["Ub"], a["biasb"], reverse=True, keep=keep)
+        return h
+
+    def backward(self, dh: np.ndarray) -> None:
+        self._dh = dh
+
+    def token_grads(self) -> np.ndarray:
+        Xp, live, _ = self._scan
+        a, g = self.arrays, self.grads
+        return _gru_backward(self._dh, self._acts, live, True, Xp, a["Wb"], a["Ub"],
+                             g["Wb"], g["Ub"], g["biasb"])
+
+    def adam(self, lr: float, t: int) -> None:
+        self._adam = (lr, t)
+
+    def wait(self) -> None:
+        p, g, m, v = (vector[len(vector) // 2 :] for vector in self.vectors)
+        _adam_update(p, g, m, v, *self._adam)
+
+
+_SCAN, _BACKWARD, _ADAM = range(3)  # the worker's requests
+
+
+def _serve(runner: _DirectionB, buffers: dict, requests: Connection, replies: Connection) -> None:
+    """The worker's loop: run each request on ``runner`` over the shared
+    ``buffers`` until the parent closes its end. Each reply is empty, or
+    the pickled exception the request raised."""
+    xp, dxp, hb, dh, live = (buffers[k] for k in ("xp", "dxp", "hb", "dh", "live"))
+    while True:
+        try:
+            op, n, k, x = requests.recv()
+        except EOFError:
+            return
+        reply = b""
+        try:
+            if op == _SCAN:
+                runner.scan(xp[:n], live[:k].tolist(), bool(x))
+                h = runner.hidden()
+                hb[: len(h)] = h
+            elif op == _BACKWARD:
+                runner.backward(dh[:n])
+                dxp[:k] = runner.token_grads()
+            else:
+                runner.adam(x, n)
+                runner.wait()
+        except Exception as exc:  # the parent raises it
+            exc.add_note("in the training worker:\n" + traceback.format_exc())
+            try:
+                reply = pickle.dumps(exc)
+            except (pickle.PicklingError, TypeError, AttributeError):
+                reply = pickle.dumps(RuntimeError(traceback.format_exc()))
+        replies.send_bytes(reply)
+
+
+class _Worker:
+    """A ``_DirectionB`` in a process forked for one fit. Requests go down
+    one pipe and replies come up another; the arrays are never sent:
+    parameters, gradients and moments are in the fit's shared vectors, and
+    the packed tokens, direction ``b``'s final states, their gradient and
+    the tokens' gradient from ``b`` are in the ``buffers`` made before the
+    fork."""
+
+    def __init__(self, runner: _DirectionB, buffers: dict):
+        self.buffers = buffers
+        requests, self._requests = Pipe(duplex=False)
+        self._replies, replies = Pipe(duplex=False)
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            for end in (requests, self._requests, self._replies, replies):
+                end.close()
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                self._requests.close()
+                self._replies.close()
+                _serve(runner, buffers, requests, replies)
+                code = 0
+            finally:
+                os._exit(code)
+        requests.close()
+        replies.close()
+
+    def _send(self, op: int, n: int, k: int, x: float = 0.0) -> None:
+        try:
+            self._requests.send((op, n, k, x))
+        except BrokenPipeError:
+            raise RuntimeError("the training worker exited mid-fit") from None
+
+    def _reply(self) -> None:
+        try:
+            reply = self._replies.recv_bytes()
+        except EOFError:
+            raise RuntimeError("the training worker exited mid-fit") from None
+        if reply:
+            raise pickle.loads(reply)
+
+    def scan(self, Xp: np.ndarray, live: list[int], keep: bool) -> None:
+        self.buffers["xp"][: len(Xp)] = Xp
+        self.buffers["live"][: len(live)] = live
+        self._rows, self._tokens = live[0], len(Xp)
+        self._send(_SCAN, len(Xp), len(live), keep)
+
+    def hidden(self) -> np.ndarray:
+        self._reply()
+        return self.buffers["hb"][: self._rows]
+
+    def backward(self, dh: np.ndarray) -> None:
+        self.buffers["dh"][: len(dh)] = dh
+        self._send(_BACKWARD, len(dh), self._tokens)
+
+    def token_grads(self) -> np.ndarray:
+        self._reply()
+        return self.buffers["dxp"][: self._tokens]
+
+    def adam(self, lr: float, t: int) -> None:
+        self._send(_ADAM, t, 0, lr)
+
+    def wait(self) -> None:
+        self._reply()
+
+    def close(self, failed: bool) -> None:
+        """Close both pipes, so an idle worker reads the end and exits,
+        and reap it; after a failure it is killed first."""
+        self._requests.close()
+        self._replies.close()
+        if failed:
+            os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+
+
+def _worker_allowed() -> bool:
+    """Whether a fit forks a worker: ``os.fork`` exists, this process may run
+    on two CPUs or more, and it has one thread (forking a threaded process
+    is unsafe)."""
+    try:
+        return (hasattr(os, "fork") and len(os.sched_getaffinity(0)) >= 2
+                and len(os.listdir("/proc/self/task")) == 1)
+    except (AttributeError, OSError):  # no sched_getaffinity, or no /proc
+        return False
+
+
+class _Fit:
+    """The memory of one fit, and the runner of direction ``b``; a context
+    manager.
+
+    The flat parameter, gradient and Adam-moment vectors live in an
+    anonymous shared mapping, with each of ``params.arrays`` and
+    ``grads`` a view into them. When a worker is allowed
+    (``_worker_allowed``), the exchange buffers, sized for ``batch_size``
+    samples of ``longest`` tokens, are mapped too, and a ``_Worker`` is
+    forked; otherwise direction ``b`` runs here. On exit the parameters are
+    copied into ordinary arrays, the worker is reaped, and every view is
+    dropped and every mapping closed, also when the fit raised."""
+
+    def __init__(self, params: ModelParams, batch_size: int, longest: int):
+        self.params = params
+        self._maps: list[mmap.mmap] = []
+        dtype = params.arrays["E"].dtype
+        shapes = [(name, a.shape) for name, a in params.arrays.items()]
+        vectors = self._shared((4, sum(a.size for a in params.arrays.values())), dtype)
+        self.arrays, self.grads = (_FlatArrays(vector, shapes) for vector in vectors[:2])
+        for name, array in params.arrays.items():
+            self.arrays[name][...] = array
+        params.arrays = self.arrays
+        self.runner = _DirectionB(self.arrays, self.grads, vectors)
+        self.direction_b = self.runner
+        if _worker_allowed():
+            tokens = batch_size * longest
+            d, h = params.config.embed_dim, params.config.hidden
+            buffers = {"xp": self._shared((tokens, d), dtype),
+                       "dxp": self._shared((tokens, d), dtype),
+                       "hb": self._shared((batch_size, h), dtype),
+                       "dh": self._shared((batch_size, h), dtype),
+                       "live": self._shared((longest,), np.int64)}
+            self.direction_b = _Worker(self.runner, buffers)
+        self.state = {"t": 0, "m": vectors[2], "v": vectors[3], "direction_b": self.direction_b}
+
+    def _shared(self, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """A zeroed array in a new anonymous shared mapping."""
+        size = int(np.prod(shape))
+        self._maps.append(mmap.mmap(-1, max(size * np.dtype(dtype).itemsize, 1)))
+        return np.frombuffer(self._maps[-1], dtype, size).reshape(shape)
+
+    def __enter__(self) -> "_Fit":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if exc_info[2] is not None:
+            traceback.clear_frames(exc_info[2])  # the failed step's frames hold views
+        self.params.arrays = {name: np.array(a) for name, a in self.arrays.items()}
+        if isinstance(self.direction_b, _Worker):
+            self.direction_b.close(failed=exc_info[0] is not None)
+        maps = self._maps
+        self.grads.clear()  # the caller's loop still holds this dict
+        for holder in (self.grads, self.runner, self.direction_b, self):
+            vars(holder).clear()
+        for mapping in maps:
+            mapping.close()
 
 
 @dataclass
@@ -514,26 +778,23 @@ def train(
     params = init_params(config, schema, key_kinds, dictionaries)
     ids, targets, live = encode_samples(samples, params)
     rng = np.random.default_rng(config.seed + 101)
-    adam_state = {
-        "t": 0,
-        "m": {k: np.zeros_like(v) for k, v in params.arrays.items()},
-        "v": {k: np.zeros_like(v) for k, v in params.arrays.items()},
-    }
     curve: list[CurvePoint] = []
     n = len(ids)
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        total_loss, hits = 0.0, 0
-        starts = range(0, n, config.batch_size)
-        for start in starts:
-            rows = order[start : start + config.batch_size]
-            loss, grads, choices = loss_and_grads([ids[i] for i in rows], targets[rows], params)
-            hits += _accuracy_encoded(choices, targets[rows], live[rows])
-            _adam_step(params, grads, config.learning_rate, adam_state)
-            total_loss += loss
-        curve.append(CurvePoint(epoch, total_loss / len(starts), hits / n))
-        if not params.finite():
-            raise FloatingPointError(f"non-finite parameters after epoch {epoch}")
+    with _Fit(params, min(config.batch_size, n), max(map(len, ids))) as fit:
+        for epoch in range(config.epochs):
+            order = rng.permutation(n)
+            total_loss, hits = 0.0, 0
+            starts = range(0, n, config.batch_size)
+            for start in starts:
+                rows = order[start : start + config.batch_size]
+                loss, grads, choices = loss_and_grads([ids[i] for i in rows], targets[rows],
+                                                      params, fit)
+                hits += _accuracy_encoded(choices, targets[rows], live[rows])
+                _adam_step(params, grads, config.learning_rate, fit.state)
+                total_loss += loss
+            curve.append(CurvePoint(epoch, total_loss / len(starts), hits / n))
+            if not params.finite():
+                raise FloatingPointError(f"non-finite parameters after epoch {epoch}")
     return params, curve
 
 

@@ -1,5 +1,6 @@
 """Decomposition of CSV, pivoted CSV, and log sources into super cells."""
 
+import dataclasses
 import datetime
 from collections import Counter
 
@@ -102,6 +103,21 @@ class TestDecompose:
         bad = SourceDescriptor(source_id="covid", key_columns=("Nope",))
         with pytest.raises(MissingKeyColumn):
             decompose(covid_table([("1", "2", "3", "4", "5")]), bad, DICTS)
+
+    def test_absent_key_column_takes_its_constant_key(self):
+        # One date's rows of the covid table without their Date column, as a
+        # daily report carries them, decompose to those rows' cells.
+        fixture = build_covid_fixture(seed=29)
+        table, desc = fixture.tables["covid"], fixture.spec.descriptor("covid")
+        rows = [row for row in table.rows if row[0] == "2020-10-01"]
+        assert len(rows) == 50
+        full = decompose(RawTable(table.header, rows), desc, fixture.dictionaries)
+        daily = RawTable(table.header[1:], [row[1:] for row in rows])
+        constant = dataclasses.replace(desc, constant_keys={"Date": "2020-10-01"})
+        cells = decompose(daily, constant, fixture.dictionaries)
+        assert [c.signature() for c in cells] == [c.signature() for c in full]
+        with pytest.raises(MissingKeyColumn, match="Date"):
+            decompose(daily, desc, fixture.dictionaries)
 
     def test_grouped_column_absent_from_header(self):
         desc = SourceDescriptor(source_id="covid", key_columns=("Date",),

@@ -1,6 +1,9 @@
 """Learner: subword embeddings, forward/backward, training, prediction."""
 
+import contextlib
 import math
+import os
+import signal
 from dataclasses import asdict
 
 import numpy as np
@@ -487,31 +490,146 @@ class TestTrain:
         trained, curve = train(samples, config, SCHEMA)
 
         # Replay: each batch is scored on its own forward-only logits, one
-        # sample at a time over its live heads, before its Adam update.
+        # sample at a time over its live heads, before its Adam update; the
+        # update runs on a fit's flat vectors and state, as in train.
         params = init_params(config, SCHEMA)
         ids, targets, _ = encode_samples(samples, params)
         rng = np.random.default_rng(config.seed + 101)
-        state = {"t": 0, "m": {k: np.zeros_like(v) for k, v in params.arrays.items()},
-                 "v": {k: np.zeros_like(v) for k, v in params.arrays.items()}}
         replayed = []
-        for _ in range(config.epochs):
-            order = rng.permutation(len(ids))
-            hits = 0
-            for start in range(0, len(ids), config.batch_size):
-                rows = order[start : start + config.batch_size]
-                batch = [ids[i] for i in rows]
-                logits, _ = _forward_batch(batch, params)
-                for row, i in enumerate(rows):
-                    width = len(samples[i].label.attributes)
-                    hits += all(logits[head][row].argmax() == targets[i][head]
-                                for head in params.space.live_heads(width))
-                _, grads, _ = loss_and_grads(batch, targets[rows], params)
-                learner._adam_step(params, grads, config.learning_rate, state)
-            replayed.append(hits / len(ids))
+        with learner._Fit(params, config.batch_size, max(map(len, ids))) as fit:
+            for _ in range(config.epochs):
+                order = rng.permutation(len(ids))
+                hits = 0
+                for start in range(0, len(ids), config.batch_size):
+                    rows = order[start : start + config.batch_size]
+                    batch = [ids[i] for i in rows]
+                    logits, _ = _forward_batch(batch, params)
+                    for row, i in enumerate(rows):
+                        width = len(samples[i].label.attributes)
+                        hits += all(logits[head][row].argmax() == targets[i][head]
+                                    for head in params.space.live_heads(width))
+                    _, grads, _ = loss_and_grads(batch, targets[rows], params, fit)
+                    learner._adam_step(params, grads, config.learning_rate, fit.state)
+                replayed.append(hits / len(ids))
         assert [p.train_acc for p in curve] == replayed
         assert len(set(replayed)) > 1
         for key, array in trained.arrays.items():
             assert np.array_equal(array, params.arrays[key])
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block after ``seconds``, so a fit that
+    hangs fails its test."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result in {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def fit_on(monkeypatch):
+    """``fit_on(path, samples, config)`` trains with the worker forked
+    (path "worker") or with direction b run inline ("inline"), and checks
+    that the path was taken; ``forks`` lists the workers' pids."""
+    forks = []
+    fork = os.fork
+
+    def recorded_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+
+    def fit(path, samples, config):
+        # The worker is forced on even on one CPU; the process must still have
+        # one thread (conftest sets one BLAS thread).
+        assert len(os.listdir("/proc/self/task")) == 1
+        monkeypatch.setattr(learner, "_worker_allowed", lambda: path == "worker")
+        before = len(forks)
+        try:
+            with deadline(60):
+                return train(samples, config, SCHEMA)
+        finally:
+            assert len(forks) - before == (path == "worker")
+
+    fit.forks = forks
+    return fit
+
+
+def assert_nothing_left(open_fds):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+
+
+class TestWorker:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("n, config", [
+        (13, dict(batch_size=4, epochs=1)),  # the last batch has one sample
+        (13, dict(batch_size=4, epochs=6)),
+        (10, dict(max_width=1, epochs=5)),
+    ])
+    def test_worker_fit_equals_inline_fit(self, fit_on, dtype, n, config):
+        samples = make_samples(n)
+        config = tiny_config(dtype=dtype, **config)
+        worker, worker_curve = fit_on("worker", samples, config)
+        inline, inline_curve = fit_on("inline", samples, config)
+        assert type(worker.arrays) is dict and worker.arrays.keys() == inline.arrays.keys()
+        for key, array in inline.arrays.items():
+            assert array.dtype == np.dtype(dtype)
+            assert np.array_equal(worker.arrays[key], array), key
+        assert worker_curve == inline_curve
+
+    def test_worker_exception_is_raised_by_the_fit(self, fit_on, monkeypatch):
+        gru_backward = learner._gru_backward
+
+        def failing_backward(dh, acts, live, reverse, *args):
+            if reverse:  # direction b: in the worker
+                raise ValueError("direction b failed")
+            return gru_backward(dh, acts, live, reverse, *args)
+
+        monkeypatch.setattr(learner, "_gru_backward", failing_backward)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(ValueError, match="direction b failed") as raised:
+            fit_on("worker", make_samples(10), tiny_config(epochs=1))
+        assert any("in the training worker" in note for note in raised.value.__notes__)
+        assert_nothing_left(open_fds)
+
+    @pytest.mark.parametrize("path, ending", [
+        ("worker", "returns"), ("inline", "returns"), ("worker", "diverges"),
+        ("inline", "diverges"), ("worker", "worker killed"),
+    ])
+    def test_a_fit_leaves_no_process_or_descriptor(self, fit_on, monkeypatch, path, ending):
+        config = tiny_config(epochs=3, batch_size=4)
+        if ending == "diverges":
+            config = tiny_config(learning_rate=1e300, epochs=1, batch_size=4)
+        elif ending == "worker killed":
+            adam_step = learner._adam_step
+
+            def kill_after_second_step(params, grads, lr, state):
+                adam_step(params, grads, lr, state)
+                if state["t"] == 2:
+                    os.kill(fit_on.forks[-1], signal.SIGKILL)
+
+            monkeypatch.setattr(learner, "_adam_step", kill_after_second_step)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            if ending == "returns":
+                fit_on(path, make_samples(10), config)
+            else:
+                with pytest.raises((FloatingPointError, RuntimeError),
+                                   match="non-finite|worker exited"):
+                    fit_on(path, make_samples(10), config)
+        assert_nothing_left(open_fds)
 
 
 # Two key slots: an open date slot and a closed state slot whose values go
