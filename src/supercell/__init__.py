@@ -5,7 +5,20 @@ attribute/value vectors); a subword-embedding classifier learns each cell's
 position in a user-specified target table; an assembler materializes
 predictions with full aggregation semantics. A MinHash column-matching
 baseline provides the comparison point.
+
+Importing the package before numpy sets the BLAS and OpenMP pools to one
+thread, unless the environment already names a count: the models' products
+are small, so a second thread only adds CPU time, a one-thread process may
+fork ``learner.train``'s worker, and a model's bytes depend on the thread
+count, so every entry point trains the same model.
 """
+
+import os
+import sys
+
+if "numpy" not in sys.modules:  # the pools are sized when numpy loads
+    for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_name, "1")
 
 from .core import (
     AggMode,

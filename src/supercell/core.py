@@ -259,10 +259,12 @@ def open_file(path: str | Path, mode: str = "r", **kwargs):
 
 
 def read_text(path: str | Path) -> str:
-    """The text of ``path``, its line ends as they are; a file that is not
-    UTF-8, or a path ``open_file`` rejects, raises MalformedRecord naming it."""
+    """The text of ``path``, its line ends as they are, without a leading
+    byte-order mark (spreadsheet exports often begin with one); a file that
+    is not UTF-8, or a path ``open_file`` rejects, raises MalformedRecord
+    naming it."""
     try:
-        with open_file(path, encoding="utf-8", newline="") as fh:
+        with open_file(path, encoding="utf-8-sig", newline="") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise MalformedRecord(f"{path}: not UTF-8: {exc}") from exc

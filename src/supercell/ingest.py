@@ -42,6 +42,10 @@ class DuplicateCellOnPivot(DataError):
     pass
 
 
+class RepeatedColumn(DataError):
+    """A header that names a column twice: decompose could read only one."""
+
+
 def is_missing(value: str) -> bool:
     return value.strip().lower() in _MISSING
 
@@ -243,8 +247,9 @@ def decompose(
     the pivot-axis value is appended as the last key component. A key
     column absent from the header takes its value from
     ``desc.constant_keys`` (a daily report's date, say, which only its file
-    name carries); one in neither raises MissingKeyColumn. Missing cells
-    are skipped; rows missing a key value are skipped and counted.
+    name carries); one in neither raises MissingKeyColumn. A header that
+    repeats a name raises RepeatedColumn. Missing cells are skipped; rows
+    missing a key value are skipped and counted.
     """
     stats = stats if stats is not None else DecomposeStats()
     if not table.rows:
@@ -255,6 +260,9 @@ def decompose(
                 f"row of width {len(row)} under header of width {len(table.header)}"
             )
     col_index = {name: i for i, name in enumerate(table.header)}
+    if len(col_index) < len(table.header):
+        repeated = next(name for i, name in enumerate(table.header) if col_index[name] != i)
+        raise RepeatedColumn(f"source {desc.source_id!r}: column {repeated!r} is repeated")
     for key_col in desc.key_columns:
         if key_col not in col_index and key_col not in desc.constant_keys:
             raise MissingKeyColumn(key_col)

@@ -569,25 +569,26 @@ class _DirectionB:
 _SCAN, _BACKWARD, _ADAM = range(3)  # the worker's requests
 
 
-def _serve(runner: _DirectionB, buffers: dict, requests: Connection, replies: Connection) -> None:
+def _serve(runner: _DirectionB, buffers: dict, conn: Connection) -> None:
     """The worker's loop: run each request on ``runner`` over the shared
     ``buffers`` until the parent closes its end. Each reply is empty, or
     the pickled exception the request raised."""
-    xp, dxp, hb, dh, live = (buffers[k] for k in ("xp", "dxp", "hb", "dh", "live"))
+    xp, dxp, hb, dh = (buffers[k] for k in ("xp", "dxp", "hb", "dh"))
     while True:
         try:
-            op, n, k, x = requests.recv()
+            op, n, x = conn.recv()
         except EOFError:
             return
         reply = b""
         try:
             if op == _SCAN:
-                runner.scan(xp[:n], live[:k].tolist(), bool(x))
+                live, keep = x
+                runner.scan(xp[:n], live, keep)
                 h = runner.hidden()
                 hb[: len(h)] = h
             elif op == _BACKWARD:
                 runner.backward(dh[:n])
-                dxp[:k] = runner.token_grads()
+                dxp[:x] = runner.token_grads()
             else:
                 runner.adam(x, n)
                 runner.wait()
@@ -597,58 +598,53 @@ def _serve(runner: _DirectionB, buffers: dict, requests: Connection, replies: Co
                 reply = pickle.dumps(exc)
             except (pickle.PicklingError, TypeError, AttributeError):
                 reply = pickle.dumps(RuntimeError(traceback.format_exc()))
-        replies.send_bytes(reply)
+        conn.send_bytes(reply)
 
 
 class _Worker:
-    """A ``_DirectionB`` in a process forked for one fit. Requests go down
-    one pipe and replies come up another; the arrays are never sent:
-    parameters, gradients and moments are in the fit's shared vectors, and
-    the packed tokens, direction ``b``'s final states, their gradient and
-    the tokens' gradient from ``b`` are in the ``buffers`` made before the
-    fork."""
+    """A ``_DirectionB`` in a process forked for one fit. Requests and
+    replies share one duplex pipe; the arrays are never sent: parameters,
+    gradients and moments are in the fit's shared vectors, and the packed
+    tokens, direction ``b``'s final states, their gradient and the tokens'
+    gradient from ``b`` are in the ``buffers`` made before the fork."""
 
     def __init__(self, runner: _DirectionB, buffers: dict):
         self.buffers = buffers
-        requests, self._requests = Pipe(duplex=False)
-        self._replies, replies = Pipe(duplex=False)
+        self._conn, child = Pipe()
         try:
             self.pid = os.fork()
         except BaseException:
-            for end in (requests, self._requests, self._replies, replies):
-                end.close()
+            self._conn.close()
+            child.close()
             raise
         if self.pid == 0:
             code = 1
             try:
-                self._requests.close()
-                self._replies.close()
-                _serve(runner, buffers, requests, replies)
+                self._conn.close()
+                _serve(runner, buffers, child)
                 code = 0
             finally:
                 os._exit(code)
-        requests.close()
-        replies.close()
+        child.close()
 
-    def _send(self, op: int, n: int, k: int, x: float = 0.0) -> None:
+    def _send(self, op: int, n: int, x) -> None:
         try:
-            self._requests.send((op, n, k, x))
-        except BrokenPipeError:
+            self._conn.send((op, n, x))
+        except ConnectionError:
             raise RuntimeError("the training worker exited mid-fit") from None
 
     def _reply(self) -> None:
         try:
-            reply = self._replies.recv_bytes()
-        except EOFError:
+            reply = self._conn.recv_bytes()
+        except (EOFError, ConnectionError):
             raise RuntimeError("the training worker exited mid-fit") from None
         if reply:
             raise pickle.loads(reply)
 
     def scan(self, Xp: np.ndarray, live: list[int], keep: bool) -> None:
         self.buffers["xp"][: len(Xp)] = Xp
-        self.buffers["live"][: len(live)] = live
         self._rows, self._tokens = live[0], len(Xp)
-        self._send(_SCAN, len(Xp), len(live), keep)
+        self._send(_SCAN, len(Xp), (live, keep))
 
     def hidden(self) -> np.ndarray:
         self._reply()
@@ -663,16 +659,15 @@ class _Worker:
         return self.buffers["dxp"][: self._tokens]
 
     def adam(self, lr: float, t: int) -> None:
-        self._send(_ADAM, t, 0, lr)
+        self._send(_ADAM, t, lr)
 
     def wait(self) -> None:
         self._reply()
 
     def close(self, failed: bool) -> None:
-        """Close both pipes, so an idle worker reads the end and exits,
-        and reap it; after a failure it is killed first."""
-        self._requests.close()
-        self._replies.close()
+        """Close the pipe, so an idle worker reads the end and exits, and
+        reap it; after a failure it is killed first."""
+        self._conn.close()
         if failed:
             os.kill(self.pid, signal.SIGKILL)
         os.waitpid(self.pid, 0)
@@ -689,63 +684,52 @@ def _worker_allowed() -> bool:
         return False
 
 
+def _shared(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A zeroed array in a new anonymous shared mapping, which a forked
+    worker sees too. The mapping holds no file descriptor and is unmapped
+    with its last view."""
+    size = int(np.prod(shape))
+    return np.frombuffer(mmap.mmap(-1, max(size * np.dtype(dtype).itemsize, 1)),
+                         dtype, size).reshape(shape)
+
+
 class _Fit:
     """The memory of one fit, and the runner of direction ``b``; a context
     manager.
 
-    The flat parameter, gradient and Adam-moment vectors live in an
-    anonymous shared mapping, with each of ``params.arrays`` and
-    ``grads`` a view into them. When a worker is allowed
-    (``_worker_allowed``), the exchange buffers, sized for ``batch_size``
-    samples of ``longest`` tokens, are mapped too, and a ``_Worker`` is
-    forked; otherwise direction ``b`` runs here. On exit the parameters are
-    copied into ordinary arrays, the worker is reaped, and every view is
-    dropped and every mapping closed, also when the fit raised."""
+    The flat parameter, gradient and Adam-moment vectors live in a shared
+    mapping, with each of ``params.arrays`` and ``grads`` a view into them.
+    When a worker is allowed (``_worker_allowed``), the exchange buffers,
+    sized for ``batch_size`` samples of ``longest`` tokens, are mapped too,
+    and a ``_Worker`` is forked; otherwise direction ``b`` runs here. On
+    exit, also when the fit raised, the parameters are copied into ordinary
+    arrays and the worker is reaped."""
 
     def __init__(self, params: ModelParams, batch_size: int, longest: int):
         self.params = params
-        self._maps: list[mmap.mmap] = []
         dtype = params.arrays["E"].dtype
         shapes = [(name, a.shape) for name, a in params.arrays.items()]
-        vectors = self._shared((4, sum(a.size for a in params.arrays.values())), dtype)
+        vectors = _shared((4, sum(a.size for a in params.arrays.values())), dtype)
         self.arrays, self.grads = (_FlatArrays(vector, shapes) for vector in vectors[:2])
         for name, array in params.arrays.items():
             self.arrays[name][...] = array
         params.arrays = self.arrays
-        self.runner = _DirectionB(self.arrays, self.grads, vectors)
-        self.direction_b = self.runner
+        self.direction_b = _DirectionB(self.arrays, self.grads, vectors)
         if _worker_allowed():
             tokens = batch_size * longest
             d, h = params.config.embed_dim, params.config.hidden
-            buffers = {"xp": self._shared((tokens, d), dtype),
-                       "dxp": self._shared((tokens, d), dtype),
-                       "hb": self._shared((batch_size, h), dtype),
-                       "dh": self._shared((batch_size, h), dtype),
-                       "live": self._shared((longest,), np.int64)}
-            self.direction_b = _Worker(self.runner, buffers)
+            buffers = {"xp": _shared((tokens, d), dtype), "dxp": _shared((tokens, d), dtype),
+                       "hb": _shared((batch_size, h), dtype), "dh": _shared((batch_size, h), dtype)}
+            self.direction_b = _Worker(self.direction_b, buffers)
         self.state = {"t": 0, "m": vectors[2], "v": vectors[3], "direction_b": self.direction_b}
-
-    def _shared(self, shape: tuple[int, ...], dtype) -> np.ndarray:
-        """A zeroed array in a new anonymous shared mapping."""
-        size = int(np.prod(shape))
-        self._maps.append(mmap.mmap(-1, max(size * np.dtype(dtype).itemsize, 1)))
-        return np.frombuffer(self._maps[-1], dtype, size).reshape(shape)
 
     def __enter__(self) -> "_Fit":
         return self
 
     def __exit__(self, *exc_info) -> None:
-        if exc_info[2] is not None:
-            traceback.clear_frames(exc_info[2])  # the failed step's frames hold views
         self.params.arrays = {name: np.array(a) for name, a in self.arrays.items()}
         if isinstance(self.direction_b, _Worker):
             self.direction_b.close(failed=exc_info[0] is not None)
-        maps = self._maps
-        self.grads.clear()  # the caller's loop still holds this dict
-        for holder in (self.grads, self.runner, self.direction_b, self):
-            vars(holder).clear()
-        for mapping in maps:
-            mapping.close()
 
 
 @dataclass

@@ -2,16 +2,7 @@
 shared between the acceptance criteria and the report tests. Also hosts the
 acceptance reporting hook, which prints one PASS/FAIL line per criterion in
 the terminal summary (after pytest's capture ends, so the lines always
-appear).
-
-The BLAS and OpenMP pools run on one thread, as in CI and the benchmark,
-which must be set before numpy is imported: then the test process has one
-thread, and ``learner.train`` may fork its worker."""
-
-import os
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+appear)."""
 
 import pytest
 

@@ -15,6 +15,7 @@ from supercell.assemble import finalize_and_write
 from supercell.core import DataError, SuperCell, read_jsonl, write_jsonl
 from supercell.datasets import build_covid_fixture, build_log_fixture, write_fixture_files
 from supercell.evaluate import default_variants
+from supercell.ingest import RawTable
 from supercell.learner import (
     ModelParams, TrainConfig, init_params, integrate_predictions, train,
 )
@@ -728,6 +729,27 @@ class TestExitCodes:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))
         assert run(["decompose", "--config", str(path)]) == 2
+
+    def test_csv_with_a_byte_order_mark_or_a_repeated_column(self, workspace, tmp_path, capsys):
+        # A byte-order mark before the first column's name changes nothing;
+        # a repeated column name is a data error naming the source.
+        root = workspace["root"]
+        (tmp_path / "marked.csv").write_bytes(b"\xef\xbb\xbf" + (root / "covid.csv").read_bytes())
+        table = RawTable.read(root / "covid.csv")
+        RawTable((*table.header, table.header[-1]),
+                 [(*row, row[-1]) for row in table.rows]).write(tmp_path / "repeated.csv")
+        for name, csv_path, code in [("clean", root / "covid.csv", 0),
+                                     ("marked", tmp_path / "marked.csv", 0),
+                                     ("repeated", tmp_path / "repeated.csv", 2)]:
+            (tmp_path / name).mkdir()
+            path = workspace_config(workspace, tmp_path / name, sources=[
+                {"source_id": "covid", "path": str(csv_path)},
+                {"source_id": "mobility", "path": str(root / "mobility.csv")}])
+            assert run(["decompose", "--config", path]) == code
+        assert ((tmp_path / "marked" / "supercells.jsonl").read_bytes()
+                == (tmp_path / "clean" / "supercells.jsonl").read_bytes())
+        assert not (tmp_path / "repeated" / "supercells.jsonl").exists()
+        assert "data error: RepeatedColumn: source 'covid'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", [
         lambda source: source["log_rules"][0]["key_captures"].update(ts="stamp"),

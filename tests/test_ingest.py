@@ -20,6 +20,7 @@ from supercell.ingest import (
     Pivot,
     RaggedRow,
     RawTable,
+    RepeatedColumn,
     SourceDescriptor,
     decompose,
     decompose_log,
@@ -103,6 +104,16 @@ class TestDecompose:
         bad = SourceDescriptor(source_id="covid", key_columns=("Nope",))
         with pytest.raises(MissingKeyColumn):
             decompose(covid_table([("1", "2", "3", "4", "5")]), bad, DICTS)
+
+    @pytest.mark.parametrize("header, name", [
+        (("Date", "State", "Country", "Confirmed", "Confirmed"), "Confirmed"),
+        (("Date", "State", "State", "Confirmed", "Recovered"), "State"),
+    ], ids=["value", "key"])
+    def test_repeated_column_rejected(self, header, name):
+        # Each name maps to one position, so a repeat would lose a column.
+        table = RawTable(header, [("2020-03-01", "az", "us", "1", "2")])
+        with pytest.raises(RepeatedColumn, match=f"'covid'.*'{name}'"):
+            decompose(table, covid_descriptor(), DICTS)
 
     def test_absent_key_column_takes_its_constant_key(self):
         # One date's rows of the covid table without their Date column, as a
@@ -437,6 +448,16 @@ def test_csv_round_trip(tmp_path):
     path = tmp_path / "t.csv"
     table.write(path)
     assert RawTable.read(path) == table
+
+
+def test_byte_order_mark_is_dropped(tmp_path):
+    table = covid_table([("2020-03-01", "az", "us", "1", "2"), ("2020-03-02", "AZ", "us", "3", "")])
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    table.write(plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert RawTable.read(marked) == RawTable.read(plain) == table
+    cells = decompose(RawTable.read(marked), covid_descriptor(), DICTS)
+    assert cells == decompose(table, covid_descriptor(), DICTS) and cells
 
 
 def test_empty_csv_file_has_no_header(tmp_path):

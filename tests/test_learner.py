@@ -4,7 +4,11 @@ import contextlib
 import math
 import os
 import signal
+import subprocess
+import sys
+import traceback
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -551,7 +555,7 @@ def fit_on(monkeypatch):
 
     def fit(path, samples, config):
         # The worker is forced on even on one CPU; the process must still have
-        # one thread (conftest sets one BLAS thread).
+        # one thread (the package defaults to one BLAS thread).
         assert len(os.listdir("/proc/self/task")) == 1
         monkeypatch.setattr(learner, "_worker_allowed", lambda: path == "worker")
         before = len(forks)
@@ -630,6 +634,43 @@ class TestWorker:
                                    match="non-finite|worker exited"):
                     fit_on(path, make_samples(10), config)
         assert_nothing_left(open_fds)
+
+    @pytest.mark.parametrize("path", ["worker", "inline"])
+    def test_a_failed_fit_keeps_its_traceback(self, fit_on, monkeypatch, path):
+        gru_backward = learner._gru_backward
+
+        def failing_backward(dh, acts, live, reverse, *args):
+            if not reverse:  # direction f: always in this process
+                raise ValueError("direction f failed")
+            return gru_backward(dh, acts, live, reverse, *args)
+
+        monkeypatch.setattr(learner, "_gru_backward", failing_backward)
+        with pytest.raises(ValueError, match="direction f failed") as raised:
+            fit_on(path, make_samples(10), tiny_config(epochs=1))
+        frames = [frame for frame, _ in traceback.walk_tb(raised.tb)
+                  if frame.f_code.co_name == "loss_and_grads"]
+        assert len(frames) == 1
+        assert {"grads", "batch"} <= frames[0].f_locals.keys()
+        assert len(frames[0].f_locals["batch"]) > 0
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="the worker needs 2 CPUs")
+    def test_the_package_defaults_to_one_blas_thread(self):
+        import supercell
+
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(supercell.__file__).parents[1]), env.get("PYTHONPATH", "")])
+        code = ("import os, supercell.cli; from supercell import learner; "
+                "print(len(os.listdir('/proc/self/task')), learner._worker_allowed())")
+
+        def run(**extra):
+            return subprocess.run([sys.executable, "-c", code], env={**env, **extra},
+                                  capture_output=True, text=True, check=True).stdout.split()
+
+        assert run() == ["1", "True"]
+        # A count the environment names wins.
+        assert run(OPENBLAS_NUM_THREADS="2") == ["2", "False"]
 
 
 # Two key slots: an open date slot and a closed state slot whose values go
